@@ -125,23 +125,30 @@ def _qr_left(sites: list[np.ndarray], i: int) -> None:
     sites[i - 1] = np.tensordot(sites[i - 1], rem.T, axes=(3, 0))
 
 
-def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
-    """Exact (QR-based) move of the orthogonality center to ``target``."""
-    n = m.num_sites
+def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> None:
+    """Exact (QR-based) move of the orthogonality center from ``center``
+    (None: unknown, so both sides are orthogonalized) to ``target``, in
+    place on the site list."""
+    n = len(sites)
     if not (0 <= target < n):
         raise ValueError(f"center target {target} out of range")
-    sites = list(m.sites)
-    if m.center is None:
+    if center is None:
         for i in range(0, target):
             _qr_right(sites, i)
         for i in range(n - 1, target, -1):
             _qr_left(sites, i)
-    elif m.center < target:
-        for i in range(m.center, target):
+    elif center < target:
+        for i in range(center, target):
             _qr_right(sites, i)
     else:
-        for i in range(m.center, target, -1):
+        for i in range(center, target, -1):
             _qr_left(sites, i)
+
+
+def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
+    """Exact (QR-based) move of the orthogonality center to ``target``."""
+    sites = list(m.sites)
+    _shift_center(sites, m.center, target)
     return MatrixProductOperator(tuple(sites), m.log_norm, target)
 
 
@@ -204,8 +211,8 @@ def absorb_gate(
     if abs(a - b) != 1:
         raise ValueError(f"two-qubit gate on non-adjacent sites {g.qubits}")
     i = min(a, b)
-    m = move_center(m, i)
     sites = list(m.sites)
+    _shift_center(sites, m.center, i)
     theta = _pair_blob(sites, i)  # (l, t1, b1, t2, b2, r)
     u4 = _gate_tensor(g)  # (x, y, t, u): G[(x,y),(t,u)]
     if side == "left":
@@ -248,8 +255,8 @@ def _pair_swap(
 ) -> MatrixProductOperator:
     """Exchange physical legs across a bond and re-truncate it. With both
     flags false this is a plain local re-truncation of the bond."""
-    m = move_center(m, bond)
     sites = list(m.sites)
+    _shift_center(sites, m.center, bond)
     theta = _pair_blob(sites, bond)  # (l, t1, b1, t2, b2, r)
     if swap_top:
         theta = theta.transpose(0, 3, 2, 1, 4, 5)
@@ -344,8 +351,9 @@ def _right_canonicalize(psi: MatrixProductState) -> tuple[list[np.ndarray], floa
     return sites, float(np.linalg.norm(sites[0]))
 
 
-def sample(psi: MatrixProductState, shots: int, seed: int) -> list[str]:
-    """Draw i.i.d. bitstrings from |<x|psi>|^2, qubit 0 leftmost.
+def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
+    """Draw i.i.d. outcomes from |<x|psi>|^2 as a (shots, n) int8 array of
+    0/1, column i holding qubit i.
 
     Sweeps the sites left to right, sampling each qubit conditioned on the
     previous ones; all shots advance together so the sweep is vectorized.
@@ -369,7 +377,16 @@ def sample(psi: MatrixProductState, shots: int, seed: int) -> list[str]:
         chosen = amps[np.arange(shots), draw, :]
         chosen_p = probs[np.arange(shots), draw]
         envs = chosen / np.sqrt(chosen_p)[:, None]
-    return ["".join("1" if b else "0" for b in row) for row in bits]
+    return bits
+
+
+def sample(psi: MatrixProductState, shots: int, seed: int) -> list[str]:
+    """Draw i.i.d. bitstrings from |<x|psi>|^2, qubit 0 leftmost."""
+    bits = _sample_bits(psi, shots, seed)
+    n = bits.shape[1]
+    bits += ord("0")  # in place: 0/1 become ASCII digits without another array
+    text = bits.tobytes().decode("ascii")
+    return [text[k * n:(k + 1) * n] for k in range(shots)]
 
 
 # --------------------------------------------------------------------------

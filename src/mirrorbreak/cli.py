@@ -82,6 +82,8 @@ def _read_threads_cap() -> int | None:
         if cap < 1:
             raise ValueError
     except ValueError:
+        print(f"error: MIRRORBREAK_THREADS must be a positive integer, got {raw!r}",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return cap
 
@@ -142,10 +144,16 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.shots < 1:
+        print(f"error: --shots must be >= 1, got {args.shots}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         result = run(circuit, cfg)
-        trace = result.trace
+        samples = sample_output(result, args.shots, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
         if args.trace:
@@ -159,12 +167,11 @@ def _cmd_run(args) -> int:
     if args.trace:
         try:
             with open(args.trace, "w") as fh:
-                emit_trace(trace, fh)
+                emit_trace(result.trace, fh)
         except OSError as exc:
             print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
             return EXIT_IO
 
-    samples = sample_output(result, args.shots, args.seed)
     counts = Counter(samples)
     if args.hist:
         _write_histogram(args.hist, counts)

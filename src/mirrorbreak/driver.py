@@ -65,7 +65,10 @@ class ContractionConfig:
             raise ValueError("chi_max must be >= 1")
         if self.stall_limit < 1:
             raise ValueError("stall_limit must be >= 1")
+        if self.tau < 1:
+            raise ValueError("tau must be >= 1")
         self.fixed_frequency  # validates side_mode
+        self.unswap_config()  # validates the unswap fields up front
 
     @property
     def fixed_frequency(self) -> int | None:
@@ -177,11 +180,21 @@ class _Trial:
 
 def _trial_absorb(m: MatrixProductOperator, side: _Side, which: str,
                   cfg: ContractionConfig) -> _Trial:
+    """Absorb the side's next brick layer into the chain, in site order.
+    No compression sweep follows: each two-qubit gate is re-split at its own
+    bond with the center on that bond, and a local unitary leaves the
+    Schmidt spectra of all other bonds unchanged, so a sweep would trim
+    nothing."""
     from_back = which == "right"
     layer, remaining = _extract_layer(side.gates, from_back)
-    for g in layer:
+    # gates of one layer act on disjoint qubits and commute: taking them by
+    # site from the end nearer the center moves the center across the chain
+    # once
+    ordered = sorted(layer, key=lambda g: min(g.qubits))
+    if m.center is not None and 2 * m.center > min(ordered[0].qubits) + min(ordered[-1].qubits):
+        ordered.reverse()
+    for g in ordered:
         m = absorb_gate(m, g, which, cfg.epsilon, cfg.chi_max)
-    m = compress(m, cfg.epsilon, cfg.chi_max)
     return _Trial(
         m=m,
         layer=layer,
@@ -215,8 +228,9 @@ def select_side(left: _Side, right: _Side, m: MatrixProductOperator,
                 cfg: ContractionConfig, step: int = 0) -> str:
     """Pick the side to absorb from next.
 
-    Adaptive mode trial-absorbs the next layer from each side on copies and
-    returns the one yielding the smaller chain (ties go left). Fixed mode
+    Adaptive mode trial-absorbs the next layer from each side on copies, in
+    site order and without a compression sweep, and returns the one
+    yielding the smaller chain (ties go left). Fixed mode
     alternates every ``k`` layers. An exhausted side always yields to the
     other; both exhausted is an error.
     """

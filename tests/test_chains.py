@@ -7,6 +7,7 @@ import pytest
 
 from mirrorbreak.chains import (
     MatrixProductOperator,
+    _sample_bits,
     absorb_gate,
     apply_swap_boundary,
     apply_to_zero,
@@ -300,6 +301,15 @@ class TestSample:
             empirical[bits_to_index(bits)] += 1 / shots
         exact = np.abs(simulate(c)) ** 2
         assert tvd(empirical, exact) <= 2 * math.sqrt(2**n / shots)
+
+    @pytest.mark.parametrize("n,shots", [(2, 1), (3, 7), (6, 500)])
+    def test_strings_match_per_bit_join(self, n, shots):
+        rng = np.random.default_rng(1700 + n)
+        c = random_circuit(n, 2 * n, rng, adjacent_only=True)
+        psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
+        reference = ["".join("1" if b else "0" for b in row)
+                     for row in _sample_bits(psi, shots, seed=4)]
+        assert sample(psi, shots, seed=4) == reference
 
     def test_unnormalized_state_rejected(self):
         psi = apply_to_zero(identity_mpo(2), EXACT, 4)

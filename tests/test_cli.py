@@ -147,6 +147,18 @@ class TestRun:
         assert records  # the absorb/unswap history up to the diagnosis
         assert records[-1]["phase"] == "unswap"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--tau", "1"], "below the identity chain size"),
+        (["--shots", "0"], "--shots must be >= 1"),
+        (["--max-unswap-iters", "0"], "max_outer_iterations"),
+    ])
+    def test_invalid_run_values_exit_2(self, instance_files, capsys, flags, message):
+        qasm_path, _ = instance_files
+        code = main(["run", "--circuit", str(qasm_path)] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestVerify:
     def test_generated_instance_verifies(self, instance_files, capsys):
@@ -182,6 +194,16 @@ class TestThreadsEnv:
             main(["generate", "--qubits", "4", "--depth", "8",
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_invalid_threads_value_is_reported(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("MIRRORBREAK_THREADS", "x")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--qubits", "4", "--depth", "8",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: MIRRORBREAK_THREADS must be a positive integer, got 'x'\n"
+        )
 
     def test_valid_threads_value_accepted(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MIRRORBREAK_THREADS", "2")

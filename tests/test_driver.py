@@ -5,13 +5,23 @@ import io
 import numpy as np
 import pytest
 
-from mirrorbreak.chains import mps_to_dense
+from mirrorbreak import driver
+from mirrorbreak.chains import (
+    MatrixProductOperator,
+    absorb_gate,
+    compress,
+    identity_mpo,
+    move_center,
+    mpo_to_dense,
+    mps_to_dense,
+)
 from mirrorbreak.circuit import Circuit, Gate, inverse_circuit
 from mirrorbreak.driver import (
     ContractionConfig,
     StallError,
     TraceRecord,
     _Side,
+    _trial_absorb,
     dense_output,
     emit_trace,
     parse_trace,
@@ -54,6 +64,16 @@ class TestConfig:
             ContractionConfig(side_mode="random")
         with pytest.raises(ValueError, match="frequency"):
             ContractionConfig(side_mode="fixed:0")
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_unswap_iterations", 0),
+        ("acceptance", "loose"),
+        ("unswap_strategy", "greedy"),
+        ("tau", 0),
+    ])
+    def test_invalid_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError):
+            ContractionConfig(**{field: value})
 
     def test_tau_floor_checked_at_run(self):
         c = mirror_circuit(4, 4, 0)
@@ -280,6 +300,64 @@ class TestSelectSide:
         m = identity_mpo(2)
         picks = [select_side(left, right, m, cfg, step) for step in range(6)]
         assert picks == ["left", "left", "right", "right", "left", "left"]
+
+
+def brick_layer(n: int, offset: int, rng) -> list[Gate]:
+    """One layer of disjoint gates in shuffled order: cx on the pairs from
+    ``offset``, each in a random orientation, and u3 on the leftover sites."""
+    gates = [Gate("u3", (q,), tuple(rng.uniform(-np.pi, np.pi, 3)))
+             for q in range(offset)]
+    for q in range(offset, n - 1, 2):
+        gates.append(Gate("cx", (q, q + 1) if rng.random() < 0.5 else (q + 1, q)))
+    if (n - offset) % 2:
+        gates.append(Gate("u3", (n - 1,), tuple(rng.uniform(-np.pi, np.pi, 3))))
+    rng.shuffle(gates)
+    return gates
+
+
+class TestTrialAbsorb:
+    @pytest.mark.parametrize("which", ["left", "right"])
+    @pytest.mark.parametrize("start", [None, 0, -1])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_site_order_matches_listed_order(self, which, start, seed):
+        rng = np.random.default_rng(1800 + seed)
+        n = 7
+        cfg = ContractionConfig(epsilon=1e-12, chi_max=10**9)
+        m = identity_mpo(n)
+        for g in random_circuit(n, 10, rng, adjacent_only=True).gates:
+            m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
+        if start is None:
+            m = MatrixProductOperator(m.sites, m.log_norm, None)
+        else:
+            m = move_center(m, start % n)
+        layer = brick_layer(n, seed % 2, rng)
+        expected = m
+        for g in layer:
+            expected = absorb_gate(expected, g, which, cfg.epsilon, cfg.chi_max)
+        ident = QubitPermutation.identity(n)
+        trial = _trial_absorb(m, _Side(list(layer), ident, ident), which, cfg)
+        assert trial.remaining == []
+        np.testing.assert_allclose(mpo_to_dense(trial.m), mpo_to_dense(expected), atol=1e-10)
+        # one sweep: the center ends past the gate at the far end from the start
+        los = [min(g.qubits) for g in layer if g.is_two_qubit]
+        assert trial.m.center == (min(los) if start == -1 else max(los)) + 1
+
+    def test_compress_leaves_absorbed_layers_unchanged(self, monkeypatch):
+        # why the trial layers need no compression sweep: every bond is
+        # already truncated with the center on it
+        swept = []
+
+        def checking(m, side, which, cfg, original=driver._trial_absorb):
+            trial = original(m, side, which, cfg)
+            after = compress(trial.m, cfg.epsilon, cfg.chi_max)
+            swept.append(after.bond_dims() == trial.m.bond_dims())
+            return trial
+
+        monkeypatch.setattr(driver, "_trial_absorb", checking)
+        inst = generate(n=8, depth=40, peak_weight=0.2, obfuscation_swaps=8, seed=21)
+        result = run(inst.circuit, ContractionConfig(epsilon=1e-10, chi_max=4096, tau=400))
+        assert any(rec.phase == "unswap" for rec in result.trace)
+        assert swept and all(swept)
 
 
 class TestDeterminism:
