@@ -12,7 +12,11 @@ of the stored tensors.
 
 Operations are functional: they return new chains and never mutate inputs.
 Site arrays may be shared between chains, so callers must not write into
-them either.
+them either. The public constructors validate every site; a chain derived
+from an already validated one re-checks only the sites it rewrote, the
+bonds at their edges and the boundary extents, since the sites it shares
+with its parent passed validation when the parent was built and cannot
+change.
 """
 
 from __future__ import annotations
@@ -28,6 +32,22 @@ from .tensor import svd_truncate
 DENSE_GUARD_QUBITS = 12
 
 
+def _check_sites(sites: tuple[np.ndarray, ...], physical: tuple[int, ...],
+                 lo: int, hi: int) -> None:
+    """Check the shapes of sites [lo, hi) (bond, *physical, bond), the bonds
+    that touch them, and the extent-1 boundary bonds of the chain."""
+    ndim = len(physical) + 2
+    for i in range(lo, hi):
+        s = sites[i]
+        if s.ndim != ndim or s.shape[1:-1] != physical:
+            raise ValueError(f"site {i} has bad shape {s.shape}")
+    if sites[0].shape[0] != 1 or sites[-1].shape[-1] != 1:
+        raise ValueError("boundary bonds must have extent 1")
+    for i in range(max(lo - 1, 0), min(hi, len(sites) - 1)):
+        if sites[i].shape[-1] != sites[i + 1].shape[0]:
+            raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
+
+
 @dataclass(frozen=True)
 class MatrixProductOperator:
     sites: tuple[np.ndarray, ...]
@@ -37,14 +57,19 @@ class MatrixProductOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
-        for i, s in enumerate(self.sites):
-            if s.ndim != 4 or s.shape[1] != 2 or s.shape[2] != 2:
-                raise ValueError(f"site {i} has bad shape {s.shape}")
-        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[3] != 1:
-            raise ValueError("boundary bonds must have extent 1")
-        for i in range(len(self.sites) - 1):
-            if self.sites[i].shape[3] != self.sites[i + 1].shape[0]:
-                raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
+        _check_sites(self.sites, (2, 2), 0, len(self.sites))
+
+    @classmethod
+    def _derived(cls, sites, log_norm: float, center: int | None,
+                 lo: int, hi: int) -> "MatrixProductOperator":
+        """Chain whose sites outside [lo, hi) are those of an already
+        validated chain; only the rewritten range is checked again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "sites", tuple(sites))
+        object.__setattr__(m, "log_norm", log_norm)
+        object.__setattr__(m, "center", center)
+        _check_sites(m.sites, (2, 2), lo, hi)
+        return m
 
     @property
     def num_sites(self) -> int:
@@ -63,14 +88,7 @@ class MatrixProductState:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
-        for i, s in enumerate(self.sites):
-            if s.ndim != 3 or s.shape[1] != 2:
-                raise ValueError(f"site {i} has bad shape {s.shape}")
-        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
-            raise ValueError("boundary bonds must have extent 1")
-        for i in range(len(self.sites) - 1):
-            if self.sites[i].shape[2] != self.sites[i + 1].shape[0]:
-                raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
+        _check_sites(self.sites, (2,), 0, len(self.sites))
 
     @property
     def num_sites(self) -> int:
@@ -107,13 +125,23 @@ def frobenius_norm(m: MatrixProductOperator) -> float:
 # --------------------------------------------------------------------------
 
 
+def _bond_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contract the last axis of ``a`` with the first axis of ``b``.
+
+    This is the single matrix product ``np.tensordot(a, b, axes=(-1, 0))``
+    reduces to, without its axis bookkeeping, so the result is bit-identical.
+    """
+    k = b.shape[0]
+    return np.dot(a.reshape(-1, k), b.reshape(k, -1)).reshape(a.shape[:-1] + b.shape[1:])
+
+
 def _qr_right(sites: list[np.ndarray], i: int) -> None:
     """Left-orthogonalize site i, pushing the remainder into site i+1."""
     s = sites[i]
     l, t, b, r = s.shape
     q, rem = np.linalg.qr(s.reshape(l * t * b, r))
     sites[i] = q.reshape(l, t, b, q.shape[1])
-    sites[i + 1] = np.tensordot(rem, sites[i + 1], axes=(1, 0))
+    sites[i + 1] = _bond_dot(rem, sites[i + 1])
 
 
 def _qr_left(sites: list[np.ndarray], i: int) -> None:
@@ -122,7 +150,7 @@ def _qr_left(sites: list[np.ndarray], i: int) -> None:
     l, t, b, r = s.shape
     q, rem = np.linalg.qr(s.reshape(l, t * b * r).T)
     sites[i] = q.T.reshape(q.shape[1], t, b, r)
-    sites[i - 1] = np.tensordot(sites[i - 1], rem.T, axes=(3, 0))
+    sites[i - 1] = _bond_dot(sites[i - 1], rem.T)
 
 
 def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> None:
@@ -145,11 +173,20 @@ def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> N
             _qr_left(sites, i)
 
 
+def _touched(n: int, center: int | None, lo: int, hi: int) -> tuple[int, int]:
+    """Sites rewritten by moving the center from ``center`` onto [lo, hi)
+    and then rewriting [lo, hi): the whole chain when the center is unknown."""
+    if center is None:
+        return 0, n
+    return min(center, lo), max(center + 1, hi)
+
+
 def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
     """Exact (QR-based) move of the orthogonality center to ``target``."""
     sites = list(m.sites)
     _shift_center(sites, m.center, target)
-    return MatrixProductOperator(tuple(sites), m.log_norm, target)
+    lo, hi = _touched(len(sites), m.center, target, target + 1)
+    return MatrixProductOperator._derived(sites, m.log_norm, target, lo, hi)
 
 
 def _gate_tensor(g: Gate) -> np.ndarray:
@@ -175,7 +212,7 @@ def _split_pair(
 
 
 def _pair_blob(sites, i: int) -> np.ndarray:
-    return np.tensordot(sites[i], sites[i + 1], axes=(3, 0))
+    return _bond_dot(sites[i], sites[i + 1])
 
 
 def absorb_gate(
@@ -205,7 +242,7 @@ def absorb_gate(
         sites = list(m.sites)
         sites[q] = new
         # a unitary single-site contraction preserves the canonical structure
-        return MatrixProductOperator(tuple(sites), m.log_norm, m.center)
+        return MatrixProductOperator._derived(sites, m.log_norm, m.center, q, q + 1)
 
     a, b = g.qubits
     if abs(a - b) != 1:
@@ -222,7 +259,8 @@ def absorb_gate(
         # (M.G): old bottoms b,a are G's outputs; new bottoms x,y
         theta = np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
     sites[i], sites[i + 1] = _split_pair(theta, epsilon, chi_max)
-    return MatrixProductOperator(tuple(sites), m.log_norm, i + 1)
+    lo, hi = _touched(len(sites), m.center, i, i + 2)
+    return MatrixProductOperator._derived(sites, m.log_norm, i + 1, lo, hi)
 
 
 def apply_swap_boundary(
@@ -263,7 +301,8 @@ def _pair_swap(
     if swap_bottom:
         theta = theta.transpose(0, 1, 4, 3, 2, 5)
     sites[bond], sites[bond + 1] = _split_pair(theta, epsilon, chi_max)
-    return MatrixProductOperator(tuple(sites), m.log_norm, bond + 1)
+    lo, hi = _touched(len(sites), m.center, bond, bond + 2)
+    return MatrixProductOperator._derived(sites, m.log_norm, bond + 1, lo, hi)
 
 
 def compress(
@@ -284,7 +323,7 @@ def compress(
         k = dec.rank
         sites[i] = dec.v.reshape(k, t, b, r)
         carry = dec.u * dec.s[None, :]
-        sites[i - 1] = np.tensordot(sites[i - 1], carry, axes=(3, 0))
+        sites[i - 1] = _bond_dot(sites[i - 1], carry)
     f = float(np.linalg.norm(sites[0]))
     if f == 0.0:
         raise ValueError("compress reached an all-zero chain")
@@ -313,13 +352,13 @@ def apply_to_zero(
         l, p, r = s.shape
         q, rem = np.linalg.qr(s.reshape(l * p, r))
         sites[i] = q.reshape(l, p, q.shape[1])
-        sites[i + 1] = np.tensordot(rem, sites[i + 1], axes=(1, 0))
+        sites[i + 1] = _bond_dot(rem, sites[i + 1])
     for i in range(n - 1, 0, -1):
         s = sites[i]
         l, p, r = s.shape
         dec = svd_truncate(s, split=1, epsilon=epsilon, chi_max=chi_max)
         sites[i] = dec.v.reshape(dec.rank, p, r)
-        sites[i - 1] = np.tensordot(sites[i - 1], dec.u * dec.s[None, :], axes=(2, 0))
+        sites[i - 1] = _bond_dot(sites[i - 1], dec.u * dec.s[None, :])
     f = float(np.linalg.norm(sites[0]))
     expected = mpo_scale / (2 ** (n / 2))
     if f < 1e-12 * expected:
@@ -341,13 +380,13 @@ def _right_canonicalize(psi: MatrixProductState) -> tuple[list[np.ndarray], floa
             l, p, r = s.shape
             q, rem = np.linalg.qr(s.reshape(l * p, r))
             sites[i] = q.reshape(l, p, q.shape[1])
-            sites[i + 1] = np.tensordot(rem, sites[i + 1], axes=(1, 0))
+            sites[i + 1] = _bond_dot(rem, sites[i + 1])
     for i in range(start, 0, -1):
         s = sites[i]
         l, p, r = s.shape
         q, rem = np.linalg.qr(s.reshape(l, p * r).T)
         sites[i] = q.T.reshape(q.shape[1], p, r)
-        sites[i - 1] = np.tensordot(sites[i - 1], rem.T, axes=(2, 0))
+        sites[i - 1] = _bond_dot(sites[i - 1], rem.T)
     return sites, float(np.linalg.norm(sites[0]))
 
 
@@ -356,7 +395,10 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
     0/1, column i holding qubit i.
 
     Sweeps the sites left to right, sampling each qubit conditioned on the
-    previous ones; all shots advance together so the sweep is vectorized.
+    previous ones. Shots that share a sampled prefix share one conditional
+    environment row, so the contraction at each site costs one row per
+    distinct prefix (a handful on a peaked state) rather than one per shot;
+    every shot still draws its own uniform against its row's probability.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -365,24 +407,34 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
         raise ValueError(f"state is not normalized (stored norm {norm:.6g})")
     rng = np.random.default_rng(seed)
     n = len(sites)
-    envs = np.ones((shots, 1), dtype=np.complex128)
+    envs = np.ones((1, 1), dtype=np.complex128)  # one row per distinct prefix
+    node = np.zeros(shots, dtype=np.intp)  # each shot's row in envs
     bits = np.empty((shots, n), dtype=np.int8)
     for i in range(n):
         amps = np.einsum("sl,lpr->spr", envs, sites[i])
-        probs = np.sum(np.abs(amps) ** 2, axis=2)  # (shots, 2)
+        probs = np.sum(np.abs(amps) ** 2, axis=2)  # (rows, 2)
         totals = probs.sum(axis=1)
         p_one = probs[:, 1] / totals
-        draw = (rng.random(shots) < p_one).astype(np.int8)
+        draw = rng.random(shots) < p_one[node]
         bits[:, i] = draw
-        chosen = amps[np.arange(shots), draw, :]
-        chosen_p = probs[np.arange(shots), draw]
+        # children are numbered 2*row + bit; keep the ones some shot reached
+        child = 2 * node + draw
+        reached = np.bincount(child, minlength=2 * len(envs)) > 0
+        node = (np.cumsum(reached) - 1)[child]
+        kept = np.flatnonzero(reached)
+        chosen = amps.reshape(-1, amps.shape[2])[kept]
+        chosen_p = probs.reshape(-1)[kept]
         envs = chosen / np.sqrt(chosen_p)[:, None]
     return bits
 
 
-def sample(psi: MatrixProductState, shots: int, seed: int) -> list[str]:
-    """Draw i.i.d. bitstrings from |<x|psi>|^2, qubit 0 leftmost."""
+def sample(psi: MatrixProductState, shots: int, seed: int,
+           mapping: tuple[int, ...] | None = None) -> list[str]:
+    """Draw i.i.d. bitstrings from |<x|psi>|^2, qubit 0 leftmost. With a
+    ``mapping``, the bit of qubit i is written at position mapping[i]."""
     bits = _sample_bits(psi, shots, seed)
+    if mapping is not None:
+        bits = bits[:, np.argsort(mapping)]
     n = bits.shape[1]
     bits += ord("0")  # in place: 0/1 become ASCII digits without another array
     text = bits.tobytes().decode("ascii")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from collections import Counter
@@ -130,8 +131,15 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_run(args) -> int:
     circuit = _load_circuit(args.circuit)
+    if not math.isfinite(args.tau):
+        return _usage_error(f"--tau must be finite, got {args.tau}")
     try:
         cfg = ContractionConfig(
             epsilon=args.epsilon,
@@ -142,18 +150,15 @@ def _cmd_run(args) -> int:
             side_mode=args.side,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     if args.shots < 1:
-        print(f"error: --shots must be >= 1, got {args.shots}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"--shots must be >= 1, got {args.shots}")
 
     try:
         result = run(circuit, cfg)
         samples = sample_output(result, args.shots, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
         if args.trace:
@@ -190,9 +195,17 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    cfg = ContractionConfig(epsilon=args.epsilon)
+    try:
+        cfg = ContractionConfig(epsilon=args.epsilon)
+    except ValueError as exc:
+        return _usage_error(exc)
+    if args.shots < 1:
+        return _usage_error(f"--shots must be >= 1, got {args.shots}")
     try:
         result = run(circuit, cfg)
+        samples = sample_output(result, args.shots, args.seed)
+    except ValueError as exc:
+        return _usage_error(exc)
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
         return EXIT_STALL
@@ -201,7 +214,6 @@ def _cmd_verify(args) -> int:
     produced = dense_output(result)
     fidelity = float(abs(np.vdot(reference, produced)) ** 2)
 
-    samples = sample_output(result, args.shots, args.seed)
     counts = Counter(samples)
     n = circuit.num_qubits
     empirical = np.zeros(2**n)

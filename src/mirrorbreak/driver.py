@@ -19,6 +19,7 @@ bit relabeling.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class ContractionConfig:
     stall_limit: int = 3
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.chi_max < 1:
             raise ValueError("chi_max must be >= 1")
         if self.stall_limit < 1:
@@ -362,11 +363,8 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
 
 def sample_output(result: SimulationResult, shots: int, seed: int) -> list[str]:
     """Sample the output state and apply the terminal bit relabeling."""
-    raw = sample(result.state, shots, seed)
     perm = result.output_permutation
-    if perm.is_identity():
-        return raw
-    return [perm.apply_to_bits(bits) for bits in raw]
+    return sample(result.state, shots, seed, None if perm.is_identity() else perm.mapping)
 
 
 def dense_output(result: SimulationResult) -> np.ndarray:

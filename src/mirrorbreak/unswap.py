@@ -118,7 +118,7 @@ def _apply_candidate(
     sites = list(m.sites)
     theta = _swapped_blob(m, bond, side)
     sites[bond], sites[bond + 1] = _split_pair(theta, epsilon, chi_max)
-    return MatrixProductOperator(tuple(sites), m.log_norm, bond + 1)
+    return MatrixProductOperator._derived(sites, m.log_norm, bond + 1, bond, bond + 2)
 
 
 def _normalize_bond(
@@ -130,7 +130,7 @@ def _normalize_bond(
     sites = list(m.sites)
     theta = _pair_blob(sites, bond)
     sites[bond], sites[bond + 1] = _split_pair(theta, epsilon, chi_max)
-    out = MatrixProductOperator(tuple(sites), m.log_norm, bond + 1)
+    out = MatrixProductOperator._derived(sites, m.log_norm, bond + 1, bond, bond + 2)
     return out, sites[bond].shape[3]
 
 

@@ -115,3 +115,28 @@ def random_circuit(n: int, num_two_qubit: int, rng, adjacent_only: bool = False,
         params = (float(rng.uniform(-np.pi, np.pi)),) if kind == "rzz" else ()
         gates.append(Gate(kind, pair, params))
     return Circuit(n, tuple(gates))
+
+
+def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
+    """Reference sampler: the left-to-right conditional sweep with one
+    environment row per shot. Takes the same right-canonical sites and draws
+    the same uniforms as ``chains._sample_bits``, so at a fixed seed the two
+    must give identical bits."""
+    from mirrorbreak.chains import _right_canonicalize
+
+    sites, _ = _right_canonicalize(psi)
+    rng = np.random.default_rng(seed)
+    n = len(sites)
+    envs = np.ones((shots, 1), dtype=np.complex128)
+    bits = np.empty((shots, n), dtype=np.int8)
+    for i in range(n):
+        amps = np.einsum("sl,lpr->spr", envs, sites[i])
+        probs = np.sum(np.abs(amps) ** 2, axis=2)  # (shots, 2)
+        totals = probs.sum(axis=1)
+        p_one = probs[:, 1] / totals
+        draw = (rng.random(shots) < p_one).astype(np.int8)
+        bits[:, i] = draw
+        chosen = amps[np.arange(shots), draw, :]
+        chosen_p = probs[np.arange(shots), draw]
+        envs = chosen / np.sqrt(chosen_p)[:, None]
+    return bits

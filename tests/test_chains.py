@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mirrorbreak import chains
 from mirrorbreak.chains import (
     MatrixProductOperator,
+    _bond_dot,
+    _pair_swap,
     _sample_bits,
     absorb_gate,
     apply_swap_boundary,
@@ -23,7 +26,7 @@ from mirrorbreak.chains import (
 from mirrorbreak.circuit import Circuit, Gate, gate_unitary, inverse_circuit
 from mirrorbreak.oracle import bits_to_index, simulate, tvd, unitary
 
-from .oracles import operator_schmidt_rank, random_circuit
+from .oracles import operator_schmidt_rank, per_shot_sample_bits, random_circuit
 
 EXACT = 1e-12  # epsilon for effectively exact truncation
 
@@ -209,6 +212,141 @@ class TestMoveCenter:
             np.testing.assert_allclose(mpo_to_dense(m), dense, atol=1e-10)
 
 
+def chain_with_center(n: int, seed: int, center):
+    """Random chain with bonds > 1 and its center at ``center`` (None:
+    unknown)."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(n, 3 * n, rng, adjacent_only=True)
+    m = absorb_circuit(identity_mpo(n), c, "left")
+    if center is None:
+        return MatrixProductOperator(m.sites, m.log_norm)
+    return move_center(m, center)
+
+
+def derived_calls(monkeypatch, op):
+    """Run ``op`` and return its result and the (lo, hi) site ranges the
+    derived-chain constructor re-checked."""
+    ranges = []
+    check = chains._check_sites
+
+    def recording(sites, physical, lo, hi):
+        ranges.append((lo, hi))
+        check(sites, physical, lo, hi)
+
+    monkeypatch.setattr(chains, "_check_sites", recording)
+    return op(), ranges
+
+
+class TestDerivedChains:
+    N = 6
+
+    def assert_checked_every_rewrite(self, parent, child, lo, hi):
+        # a derived chain equals the fully validated one built from its sites
+        assert child == MatrixProductOperator(child.sites, child.log_norm, child.center)
+        for j, (a, b) in enumerate(zip(parent.sites, child.sites)):
+            if a is not b:
+                assert lo <= j < hi, f"site {j} rewritten outside the checked range"
+
+    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("bond", [0, 2, N - 2])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_absorb_two_qubit_gate(self, monkeypatch, center, bond, side):
+        m = chain_with_center(self.N, 10 + bond, center)
+        g = Gate("cx", (bond + 1, bond))
+        out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, side, EXACT, 64))
+        (lo, hi), = ranges
+        self.assert_checked_every_rewrite(m, out, lo, hi)
+        assert out.center == bond + 1
+        u = mpo_to_dense(m)
+        expected = embed(g, self.N) @ u if side == "left" else u @ embed(g, self.N)
+        np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("q", [0, 3, N - 1])
+    def test_absorb_single_qubit_gate(self, monkeypatch, center, q):
+        m = chain_with_center(self.N, 20 + q, center)
+        g = Gate("u3", (q,), (0.3, -1.1, 2.0))
+        out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, "left", EXACT, 64))
+        assert ranges == [(q, q + 1)]
+        self.assert_checked_every_rewrite(m, out, q, q + 1)
+        assert out.center == m.center
+
+    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("bond", [0, 3, N - 2])
+    def test_pair_swap(self, monkeypatch, center, bond):
+        m = chain_with_center(self.N, 30 + bond, center)
+        out, ranges = derived_calls(
+            monkeypatch, lambda: _pair_swap(m, bond, True, False, EXACT, 64))
+        (lo, hi), = ranges
+        self.assert_checked_every_rewrite(m, out, lo, hi)
+        assert out.center == bond + 1
+
+    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("target", [0, 2, N - 1])
+    def test_move_center(self, monkeypatch, center, target):
+        m = chain_with_center(self.N, 40 + target, center)
+        out, ranges = derived_calls(monkeypatch, lambda: move_center(m, target))
+        (lo, hi), = ranges
+        if center is None:
+            assert (lo, hi) == (0, self.N)
+        self.assert_checked_every_rewrite(m, out, lo, hi)
+        assert out.center == target
+        np.testing.assert_allclose(mpo_to_dense(out), mpo_to_dense(m), atol=1e-10)
+
+    @pytest.mark.parametrize("make_bad,message", [
+        (lambda s: np.zeros((s.shape[0], 3, 2, s.shape[3]), complex), "site 2 has bad shape"),
+        (lambda s: np.zeros(s.shape[:3], complex), "site 2 has bad shape"),
+        (lambda s: np.zeros((s.shape[0] + 1,) + s.shape[1:], complex),
+         "bond mismatch between sites 1 and 2"),
+        (lambda s: np.zeros(s.shape[:3] + (s.shape[3] + 1,), complex),
+         "bond mismatch between sites 2 and 3"),
+    ], ids=["physical", "rank", "left-bond", "right-bond"])
+    def test_bad_rewritten_site_gives_the_full_check_error(self, make_bad, message):
+        m = chain_with_center(self.N, 50, 2)
+        sites = list(m.sites)
+        sites[2] = make_bad(sites[2])
+        with pytest.raises(ValueError) as full:
+            MatrixProductOperator(sites, m.log_norm, 2)
+        with pytest.raises(ValueError) as derived:
+            MatrixProductOperator._derived(sites, m.log_norm, 2, 2, 3)
+        assert str(derived.value) == str(full.value)
+        assert str(full.value).startswith(message)
+
+    @pytest.mark.parametrize("index", [0, N - 1])
+    def test_bad_boundary_extent_rejected(self, index):
+        m = identity_mpo(self.N)
+        sites = list(m.sites)
+        sites[index] = np.ones((2, 2, 2, 2), complex)
+        sites[1 if index == 0 else index - 1] = np.ones((2, 2, 2, 2), complex)
+        lo, hi = (0, 2) if index == 0 else (index - 1, index + 1)
+        with pytest.raises(ValueError, match="boundary bonds must have extent 1"):
+            MatrixProductOperator._derived(sites, 0.0, None, lo, hi)
+
+
+class TestBondDot:
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((3, 2, 2, 4), (4, 2, 2, 5)),  # operator sites
+        ((3, 2, 4), (4, 2, 5)),  # state sites
+        ((4, 4), (4, 2, 2, 3)),  # QR remainder into an operator site
+        ((1, 2, 2, 1), (1, 2, 2, 1)),
+        ((6, 2), (2, 2, 2)),
+    ])
+    def test_bit_identical_to_tensordot(self, shape_a, shape_b):
+        rng = np.random.default_rng(sum(shape_a) + 7 * sum(shape_b))
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.array_equal(_bond_dot(a, b), np.tensordot(a, b, axes=(-1, 0)))
+
+    def test_bit_identical_on_strided_operands(self):
+        rng = np.random.default_rng(3)
+        site = rng.standard_normal((3, 2, 2, 4)) + 1j * rng.standard_normal((3, 2, 2, 4))
+        rem = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        column = site[:, :, 0, :]  # the non-contiguous view apply_to_zero contracts
+        assert np.array_equal(_bond_dot(site, rem.T), np.tensordot(site, rem.T, axes=(-1, 0)))
+        head = rem[:, :3]
+        assert np.array_equal(_bond_dot(head, column), np.tensordot(head, column, axes=(-1, 0)))
+
+
 class TestApplySwapBoundary:
     def test_both_sides_on_identity_is_identity(self):
         m = apply_swap_boundary(identity_mpo(3), 1, "both", EXACT, 64)
@@ -310,6 +448,36 @@ class TestSample:
         reference = ["".join("1" if b else "0" for b in row)
                      for row in _sample_bits(psi, shots, seed=4)]
         assert sample(psi, shots, seed=4) == reference
+
+    @pytest.mark.parametrize("n,shots,seed", [(6, 3000, 0), (8, 700, 1), (5, 1, 2)])
+    def test_matches_per_shot_sweep(self, n, shots, seed):
+        rng = np.random.default_rng(1800 + n)
+        c = random_circuit(n, 3 * n, rng, adjacent_only=True)
+        psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
+        assert max(psi.bond_dims()) > 1
+        np.testing.assert_array_equal(
+            _sample_bits(psi, shots, seed), per_shot_sample_bits(psi, shots, seed))
+
+    def test_matches_per_shot_sweep_on_product_state(self):
+        n = 7
+        m = identity_mpo(n)
+        for q, theta in enumerate(np.linspace(0.2, 2.9, n)):
+            m = absorb_gate(m, Gate("ry", (q,), (float(theta),)), "left", EXACT, 4)
+        psi = apply_to_zero(m, EXACT, 4)
+        assert psi.bond_dims() == (1,) * (n - 1)
+        for seed in (0, 9):
+            np.testing.assert_array_equal(
+                _sample_bits(psi, 4000, seed), per_shot_sample_bits(psi, 4000, seed))
+
+    def test_mapping_moves_each_bit(self):
+        m = absorb_gate(identity_mpo(4), Gate("h", (0,)), "left", EXACT, 4)
+        m = absorb_gate(m, Gate("x", (2,)), "left", EXACT, 4)
+        psi = apply_to_zero(m, EXACT, 4)
+        mapping = (3, 0, 1, 2)
+        raw = sample(psi, 60, seed=5)
+        moved = sample(psi, 60, seed=5, mapping=mapping)
+        for a, b in zip(raw, moved):
+            assert all(b[mapping[i]] == a[i] for i in range(4))
 
     def test_unnormalized_state_rejected(self):
         psi = apply_to_zero(identity_mpo(2), EXACT, 4)

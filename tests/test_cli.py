@@ -1,10 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorbreak.circuit import Circuit, Gate, inverse_circuit, serialize_qasm
 from mirrorbreak.cli import _build_parser, main
@@ -151,6 +155,10 @@ class TestRun:
         (["--tau", "1"], "below the identity chain size"),
         (["--shots", "0"], "--shots must be >= 1"),
         (["--max-unswap-iters", "0"], "max_outer_iterations"),
+        (["--tau", "inf"], "--tau must be finite"),
+        (["--tau", "nan"], "--tau must be finite"),
+        (["--epsilon", "nan"], "epsilon must be finite"),
+        (["--epsilon", "inf"], "epsilon must be finite"),
     ])
     def test_invalid_run_values_exit_2(self, instance_files, capsys, flags, message):
         qasm_path, _ = instance_files
@@ -177,6 +185,18 @@ class TestVerify:
         code = main(["verify", "--circuit", str(path), "--shots", "100", "--seed", "1"])
         assert code == 0
         assert "fidelity 1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--shots", "0"], "--shots must be >= 1"),
+        (["--epsilon", "-1"], "epsilon must be finite and >= 0"),
+        (["--epsilon", "nan"], "epsilon must be finite and >= 0"),
+    ])
+    def test_invalid_verify_values_exit_2(self, instance_files, capsys, flags, message):
+        qasm_path, _ = instance_files
+        code = main(["verify", "--circuit", str(qasm_path)] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_qubit_guard(self, tmp_path, capsys):
         c = Circuit(20, (Gate("h", (0,)),))
@@ -210,3 +230,46 @@ class TestThreadsEnv:
         code = main(["generate", "--qubits", "4", "--depth", "8", "--seed", "1",
                      "--out", str(tmp_path / "y")])
         assert code == 0
+
+
+@pytest.fixture(scope="module")
+def small_instance(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "inst"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--qubits", "4", "--depth", "12", "--peak-weight", "0.3",
+                     "--obf-swaps", "3", "--seed", "2", "--out", str(out)]) == 0
+    return out.with_suffix(".qasm")
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+# flag -> (strategy for accepted values, strategy for rejected values)
+RUN_FLAGS = {
+    "--epsilon": (st.floats(0, 0.5), NON_FINITE | st.floats(max_value=-1e-300)),
+    "--tau": (st.floats(16, 1e6), NON_FINITE | st.floats(-100, 15.9)),
+    "--chi-max": (st.integers(1, 64), st.integers(-2, 0)),
+    "--max-unswap-iters": (st.integers(1, 4), st.integers(-2, 0)),
+    "--side": (st.sampled_from(["adaptive", "fixed:1", "fixed:3"]),
+               st.sampled_from(["fixed:0", "fixed:-1", "fixed:x", "fixed:", "random"])),
+    "--shots": (st.integers(1, 50), st.integers(-3, 0)),
+}
+
+
+class TestRunExitCodeFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), broken=st.sets(st.sampled_from(sorted(RUN_FLAGS)), max_size=3))
+    def test_exit_code_is_documented(self, small_instance, data, broken):
+        argv = ["run", "--circuit", str(small_instance)]
+        for flag, (accepted, rejected) in RUN_FLAGS.items():
+            value = data.draw(rejected if flag in broken else accepted, label=flag)
+            argv.append(f"{flag}={value}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejections
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if broken:
+            assert code == 2 and err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -1,5 +1,6 @@
 """End-to-end tests for the contraction driver."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -14,6 +15,7 @@ from mirrorbreak.chains import (
     move_center,
     mpo_to_dense,
     mps_to_dense,
+    sample,
 )
 from mirrorbreak.circuit import Circuit, Gate, inverse_circuit
 from mirrorbreak.driver import (
@@ -70,6 +72,9 @@ class TestConfig:
         ("acceptance", "loose"),
         ("unswap_strategy", "greedy"),
         ("tau", 0),
+        ("epsilon", -1e-3),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
     ])
     def test_invalid_fields_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError):
@@ -371,6 +376,20 @@ class TestDeterminism:
         assert algo1 == algo2
         assert sample_output(r1, 200, seed=9) == sample_output(r2, 200, seed=9)
         assert r1.output_permutation == r2.output_permutation
+
+
+class TestSampleOutput:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabeling_matches_per_shot_apply_to_bits(self, seed):
+        inst = generate(n=6, depth=30, peak_weight=0.3, obfuscation_swaps=6, seed=55)
+        result = run(inst.circuit, ContractionConfig(epsilon=1e-10, chi_max=512, tau=300))
+        rng = np.random.default_rng(seed)
+        mapping = tuple(int(x) for x in rng.permutation(6))
+        perm = QubitPermutation(mapping)
+        assert not perm.is_identity()
+        relabeled = dataclasses.replace(result, output_permutation=perm)
+        raw = sample(result.state, 400, seed=seed)
+        assert sample_output(relabeled, 400, seed=seed) == [perm.apply_to_bits(b) for b in raw]
 
 
 class TestTrace:
