@@ -10,6 +10,13 @@ from the left realizes G.M and from the right M.G. Chains carry a scalar
 ``log_norm``: the represented object is exp(log_norm) times the contraction
 of the stored tensors.
 
+Every chain operation is built from three primitives: the QR step pair
+``_qr_right``/``_qr_left`` (which ``_shift_center`` strings into exact
+center moves), the canonical truncation sweep ``_truncate_sweep`` behind
+``compress`` and ``apply_to_zero``, and the two-site update
+``_update_pair`` behind two-qubit ``absorb_gate``, ``apply_swap_boundary``
+and the unswap module's bond re-truncation.
+
 Operations are functional: they return new chains and never mutate inputs.
 Site arrays may be shared between chains, so callers must not write into
 them either. The public constructors validate every site; a chain derived
@@ -22,6 +29,7 @@ change.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,20 +144,19 @@ def _bond_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _qr_right(sites: list[np.ndarray], i: int) -> None:
-    """Left-orthogonalize site i, pushing the remainder into site i+1."""
+    """Left-orthogonalize site i, pushing the remainder into site i+1. Sites
+    are (l, ..., r) with any physical legs, so MPO and MPS chains share it."""
     s = sites[i]
-    l, t, b, r = s.shape
-    q, rem = np.linalg.qr(s.reshape(l * t * b, r))
-    sites[i] = q.reshape(l, t, b, q.shape[1])
+    q, rem = np.linalg.qr(s.reshape(-1, s.shape[-1]))
+    sites[i] = q.reshape(s.shape[:-1] + (q.shape[1],))
     sites[i + 1] = _bond_dot(rem, sites[i + 1])
 
 
 def _qr_left(sites: list[np.ndarray], i: int) -> None:
     """Right-orthogonalize site i, pushing the remainder into site i-1."""
     s = sites[i]
-    l, t, b, r = s.shape
-    q, rem = np.linalg.qr(s.reshape(l, t * b * r).T)
-    sites[i] = q.T.reshape(q.shape[1], t, b, r)
+    q, rem = np.linalg.qr(s.reshape(s.shape[0], -1).T)
+    sites[i] = q.T.reshape((q.shape[1],) + s.shape[1:])
     sites[i - 1] = _bond_dot(sites[i - 1], rem.T)
 
 
@@ -173,6 +180,20 @@ def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> N
             _qr_left(sites, i)
 
 
+def _truncate_sweep(sites: list[np.ndarray], epsilon: float, chi_max: int) -> float:
+    """Canonical truncation, in place: a QR pass to the right end, then an
+    SVD pass back that truncates every bond at the relative cutoff. Leaves
+    sites 1..n-1 right-isometric with the center at site 0, and returns the
+    norm held there."""
+    _shift_center(sites, 0, len(sites) - 1)
+    for i in range(len(sites) - 1, 0, -1):
+        s = sites[i]
+        dec = svd_truncate(s, split=1, epsilon=epsilon, chi_max=chi_max)
+        sites[i] = dec.v.reshape((dec.rank,) + s.shape[1:])
+        sites[i - 1] = _bond_dot(sites[i - 1], dec.u * dec.s[None, :])
+    return float(np.linalg.norm(sites[0]))
+
+
 def _touched(n: int, center: int | None, lo: int, hi: int) -> tuple[int, int]:
     """Sites rewritten by moving the center from ``center`` onto [lo, hi)
     and then rewriting [lo, hi): the whole chain when the center is unknown."""
@@ -189,6 +210,34 @@ def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
     return MatrixProductOperator._derived(sites, m.log_norm, target, lo, hi)
 
 
+def _update_pair(
+    m: MatrixProductOperator,
+    bond: int,
+    op: Callable[[np.ndarray], np.ndarray] | None,
+    epsilon: float,
+    chi_max: int,
+) -> MatrixProductOperator:
+    """The two-site update every local step goes through: move the center to
+    the nearer of sites (bond, bond+1) unless it already sits on one, apply
+    ``op`` (None: identity) to their (l, t1, b1, t2, b2, r) blob, and split
+    it back with a truncated SVD. The singular values stay on the right
+    factor, so the center ends on bond+1; with the center on the pair the
+    split is the locally optimal truncation of that bond."""
+    sites = list(m.sites)
+    if m.center not in (bond, bond + 1):
+        above = m.center is not None and m.center > bond
+        _shift_center(sites, m.center, bond + 1 if above else bond)
+    theta = _bond_dot(sites[bond], sites[bond + 1])
+    if op is not None:
+        theta = op(theta)
+    l, t1, b1, t2, b2, r = theta.shape
+    dec = svd_truncate(theta, split=3, epsilon=epsilon, chi_max=chi_max)
+    sites[bond] = dec.u.reshape(l, t1, b1, dec.rank)
+    sites[bond + 1] = (dec.s[:, None] * dec.v).reshape(dec.rank, t2, b2, r)
+    lo, hi = _touched(len(sites), m.center, bond, bond + 2)
+    return MatrixProductOperator._derived(sites, m.log_norm, bond + 1, lo, hi)
+
+
 def _gate_tensor(g: Gate) -> np.ndarray:
     """Gate as (out_lo, out_hi, in_lo, in_hi) with the pair ordered by site
     index, regardless of the order the qubits were listed on the gate."""
@@ -196,23 +245,6 @@ def _gate_tensor(g: Gate) -> np.ndarray:
     if g.qubits[0] > g.qubits[1]:
         u4 = u4.transpose(1, 0, 3, 2)
     return u4
-
-
-def _split_pair(
-    theta: np.ndarray, epsilon: float, chi_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a two-site blob (l,t1,b1,t2,b2,r) back into site tensors; the
-    singular values stay on the right factor (center moves to the right)."""
-    l, t1, b1, t2, b2, r = theta.shape
-    dec = svd_truncate(theta, split=3, epsilon=epsilon, chi_max=chi_max)
-    k = dec.rank
-    left = dec.u.reshape(l, t1, b1, k)
-    right = (dec.s[:, None] * dec.v).reshape(k, t2, b2, r)
-    return left, right
-
-
-def _pair_blob(sites, i: int) -> np.ndarray:
-    return _bond_dot(sites[i], sites[i + 1])
 
 
 def absorb_gate(
@@ -247,20 +279,23 @@ def absorb_gate(
     a, b = g.qubits
     if abs(a - b) != 1:
         raise ValueError(f"two-qubit gate on non-adjacent sites {g.qubits}")
-    i = min(a, b)
-    sites = list(m.sites)
-    _shift_center(sites, m.center, i)
-    theta = _pair_blob(sites, i)  # (l, t1, b1, t2, b2, r)
     u4 = _gate_tensor(g)  # (x, y, t, u): G[(x,y),(t,u)]
     if side == "left":
-        # (G.M): new tops x,y contract gate inputs with old tops
-        theta = np.einsum("xytu,ltbuar->lxbyar", u4, theta)
+        def op(theta):  # (G.M): new tops x,y contract gate inputs with old tops
+            return np.einsum("xytu,ltbuar->lxbyar", u4, theta)
     else:
-        # (M.G): old bottoms b,a are G's outputs; new bottoms x,y
-        theta = np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
-    sites[i], sites[i + 1] = _split_pair(theta, epsilon, chi_max)
-    lo, hi = _touched(len(sites), m.center, i, i + 2)
-    return MatrixProductOperator._derived(sites, m.log_norm, i + 1, lo, hi)
+        def op(theta):  # (M.G): old bottoms b,a are G's outputs; new bottoms x,y
+            return np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
+    return _update_pair(m, min(a, b), op, epsilon, chi_max)
+
+
+# axis orders of the (l, t1, b1, t2, b2, r) pair blob that exchange the top
+# legs (left), the bottom legs (right) or both across the bond
+SWAP_LEGS = {
+    "left": (0, 3, 2, 1, 4, 5),
+    "right": (0, 1, 4, 3, 2, 5),
+    "both": (0, 3, 4, 1, 2, 5),
+}
 
 
 def apply_swap_boundary(
@@ -273,36 +308,12 @@ def apply_swap_boundary(
     """Apply a SWAP on sites (bond, bond+1) to the top legs (``left``), the
     bottom legs (``right``), or both, then re-truncate that bond locally.
     """
-    if side not in ("left", "right", "both"):
+    if side not in SWAP_LEGS:
         raise ValueError(f"side must be left, right or both, got {side!r}")
     if not (0 <= bond <= m.num_sites - 2):
         raise ValueError(f"bond {bond} out of range")
-    return _pair_swap(
-        m, bond, swap_top=side in ("left", "both"), swap_bottom=side in ("right", "both"),
-        epsilon=epsilon, chi_max=chi_max,
-    )
-
-
-def _pair_swap(
-    m: MatrixProductOperator,
-    bond: int,
-    swap_top: bool,
-    swap_bottom: bool,
-    epsilon: float,
-    chi_max: int,
-) -> MatrixProductOperator:
-    """Exchange physical legs across a bond and re-truncate it. With both
-    flags false this is a plain local re-truncation of the bond."""
-    sites = list(m.sites)
-    _shift_center(sites, m.center, bond)
-    theta = _pair_blob(sites, bond)  # (l, t1, b1, t2, b2, r)
-    if swap_top:
-        theta = theta.transpose(0, 3, 2, 1, 4, 5)
-    if swap_bottom:
-        theta = theta.transpose(0, 1, 4, 3, 2, 5)
-    sites[bond], sites[bond + 1] = _split_pair(theta, epsilon, chi_max)
-    lo, hi = _touched(len(sites), m.center, bond, bond + 2)
-    return MatrixProductOperator._derived(sites, m.log_norm, bond + 1, lo, hi)
+    axes = SWAP_LEGS[side]
+    return _update_pair(m, bond, lambda theta: theta.transpose(axes), epsilon, chi_max)
 
 
 def compress(
@@ -312,19 +323,8 @@ def compress(
     truncation at the relative cutoff. The chain comes back right-canonical
     (center at site 0) with unit stored norm; the scale moves to log_norm.
     """
-    n = m.num_sites
     sites = list(m.sites)
-    for i in range(n - 1):
-        _qr_right(sites, i)
-    for i in range(n - 1, 0, -1):
-        s = sites[i]
-        l, t, b, r = s.shape
-        dec = svd_truncate(s, split=1, epsilon=epsilon, chi_max=chi_max)
-        k = dec.rank
-        sites[i] = dec.v.reshape(k, t, b, r)
-        carry = dec.u * dec.s[None, :]
-        sites[i - 1] = _bond_dot(sites[i - 1], carry)
-    f = float(np.linalg.norm(sites[0]))
+    f = _truncate_sweep(sites, epsilon, chi_max)
     if f == 0.0:
         raise ValueError("compress reached an all-zero chain")
     sites[0] = sites[0] / f
@@ -346,21 +346,8 @@ def apply_to_zero(
     """
     mpo_scale = frobenius_norm(m)
     sites = [s[:, :, 0, :] for s in m.sites]
-    n = len(sites)
-    for i in range(n - 1):
-        s = sites[i]
-        l, p, r = s.shape
-        q, rem = np.linalg.qr(s.reshape(l * p, r))
-        sites[i] = q.reshape(l, p, q.shape[1])
-        sites[i + 1] = _bond_dot(rem, sites[i + 1])
-    for i in range(n - 1, 0, -1):
-        s = sites[i]
-        l, p, r = s.shape
-        dec = svd_truncate(s, split=1, epsilon=epsilon, chi_max=chi_max)
-        sites[i] = dec.v.reshape(dec.rank, p, r)
-        sites[i - 1] = _bond_dot(sites[i - 1], dec.u * dec.s[None, :])
-    f = float(np.linalg.norm(sites[0]))
-    expected = mpo_scale / (2 ** (n / 2))
+    f = _truncate_sweep(sites, epsilon, chi_max)
+    expected = mpo_scale / (2 ** (len(sites) / 2))
     if f < 1e-12 * expected:
         raise ValueError(
             f"all-zero column norm {f:.3e} collapsed below 1e-12 of the expected "
@@ -371,22 +358,10 @@ def apply_to_zero(
 
 
 def _right_canonicalize(psi: MatrixProductState) -> tuple[list[np.ndarray], float]:
+    """Sites with the center moved to site 0 (sites 1..n-1 right-isometric),
+    and the norm held there."""
     sites = list(psi.sites)
-    n = len(sites)
-    start = psi.center if psi.center is not None else n - 1
-    if psi.center is None:
-        for i in range(n - 1):
-            s = sites[i]
-            l, p, r = s.shape
-            q, rem = np.linalg.qr(s.reshape(l * p, r))
-            sites[i] = q.reshape(l, p, q.shape[1])
-            sites[i + 1] = _bond_dot(rem, sites[i + 1])
-    for i in range(start, 0, -1):
-        s = sites[i]
-        l, p, r = s.shape
-        q, rem = np.linalg.qr(s.reshape(l, p * r).T)
-        sites[i] = q.T.reshape(q.shape[1], p, r)
-        sites[i - 1] = _bond_dot(sites[i - 1], rem.T)
+    _shift_center(sites, psi.center, 0)
     return sites, float(np.linalg.norm(sites[0]))
 
 

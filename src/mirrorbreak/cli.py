@@ -3,9 +3,6 @@ emit traces and histograms for external plotting.
 
 Exit codes are a stable contract: 0 success, 2 usage error, 3 stall
 diagnosis, 4 I/O failure. Bitstrings print qubit 0 leftmost everywhere.
-The MIRRORBREAK_THREADS environment variable caps internal parallelism; the
-current implementation is single-threaded, so the value is validated and
-recorded but has no further effect.
 """
 
 from __future__ import annotations
@@ -13,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -72,21 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--shots", type=int, default=10000)
     ver.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _read_threads_cap() -> int | None:
-    raw = os.environ.get("MIRRORBREAK_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"error: MIRRORBREAK_THREADS must be a positive integer, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return cap
 
 
 def _load_circuit(path: str):
@@ -233,7 +214,6 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _read_threads_cap()
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "run":

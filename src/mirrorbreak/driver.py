@@ -207,6 +207,14 @@ def _trial_absorb(m: MatrixProductOperator, side: _Side, which: str,
 
 def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
                  cfg: ContractionConfig, step: int) -> tuple[str, _Trial]:
+    """Pick the side to absorb from next, and return it with its trial.
+
+    Adaptive mode trial-absorbs the next layer from each side on copies, in
+    site order and without a compression sweep, and keeps the one
+    yielding the smaller chain (ties go left). Fixed mode
+    alternates every ``k`` layers. An exhausted side always yields to the
+    other; both exhausted is an error.
+    """
     if not left.gates and not right.gates:
         raise ValueError("both sides are exhausted")
     if not left.gates:
@@ -223,19 +231,6 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     if trial_l.elements <= trial_r.elements:
         return "left", trial_l
     return "right", trial_r
-
-
-def select_side(left: _Side, right: _Side, m: MatrixProductOperator,
-                cfg: ContractionConfig, step: int = 0) -> str:
-    """Pick the side to absorb from next.
-
-    Adaptive mode trial-absorbs the next layer from each side on copies, in
-    site order and without a compression sweep, and returns the one
-    yielding the smaller chain (ties go left). Fixed mode
-    alternates every ``k`` layers. An exhausted side always yields to the
-    other; both exhausted is an error.
-    """
-    return _choose_side(left, right, m, cfg, step)[0]
 
 
 def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,

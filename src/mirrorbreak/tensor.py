@@ -1,11 +1,10 @@
-"""Dense complex tensor arithmetic: contraction, axis permutation, and
-truncated singular value decomposition.
+"""Truncated singular value decomposition of dense complex tensors.
 
 Tensors are plain ``numpy.ndarray`` objects of dtype complex128 in row-major
 (C) layout; that linearization is the single source of truth for all index
-arithmetic in the package. Every other module reshapes and permutes only
-through the operations defined here (or the equivalent numpy calls on values
-produced here).
+arithmetic in the package. Other modules contract, reshape and permute with
+numpy directly, and split tensors through :func:`svd_truncate` (or rank a
+spectrum through :func:`truncation_rank`).
 """
 
 from __future__ import annotations
@@ -46,39 +45,6 @@ class TruncatedSVD:
     @property
     def rank(self) -> int:
         return len(self.s)
-
-
-def contract(a: np.ndarray, b: np.ndarray, axis_pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Contract ``a`` with ``b`` over the given (axis-of-a, axis-of-b) pairs.
-
-    The result carries the uncontracted axes of ``a`` (in order) followed by
-    the uncontracted axes of ``b``. An empty ``axis_pairs`` yields the outer
-    product.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    axes_a = [p[0] for p in axis_pairs]
-    axes_b = [p[1] for p in axis_pairs]
-    for ia, ib in axis_pairs:
-        if not (0 <= ia < a.ndim):
-            raise ValueError(f"axis {ia} out of range for tensor of rank {a.ndim}")
-        if not (0 <= ib < b.ndim):
-            raise ValueError(f"axis {ib} out of range for tensor of rank {b.ndim}")
-        if a.shape[ia] != b.shape[ib]:
-            raise ValueError(
-                f"extent mismatch on pair ({ia}, {ib}): {a.shape[ia]} != {b.shape[ib]}"
-            )
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ValueError("repeated axis in contraction pairs")
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
-
-
-def permute_axes(t: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
-    """Reorder axes so that result axis k is input axis ``order[k]``."""
-    t = np.asarray(t)
-    if sorted(order) != list(range(t.ndim)):
-        raise ValueError(f"order {order!r} is not a permutation of {t.ndim} axes")
-    return np.transpose(t, order)
 
 
 def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> TruncatedSVD:

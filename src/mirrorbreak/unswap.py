@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MatrixProductOperator, _pair_blob, _split_pair, move_center, total_elements
+from .chains import (
+    SWAP_LEGS,
+    MatrixProductOperator,
+    _bond_dot,
+    _update_pair,
+    apply_swap_boundary,
+    move_center,
+    total_elements,
+)
 from .routing import QubitPermutation
 from .tensor import truncation_rank
 
@@ -92,46 +100,15 @@ class _Extraction:
         self.accepted += 1
 
 
-def _swapped_blob(m: MatrixProductOperator, bond: int, side: str) -> np.ndarray:
-    theta = _pair_blob(m.sites, bond)
-    if side in ("left", "both"):
-        theta = theta.transpose(0, 3, 2, 1, 4, 5)
-    if side in ("right", "both"):
-        theta = theta.transpose(0, 1, 4, 3, 2, 5)
-    return theta
-
-
 def _candidate_extent(
     m: MatrixProductOperator, bond: int, side: str, epsilon: float, chi_max: int
 ) -> int:
     """Bond extent the swap candidate would leave behind, from a values-only
     decomposition (cheaper than materializing the candidate chain)."""
-    theta = _swapped_blob(m, bond, side)
+    theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
     rows = theta.shape[0] * 4
     s = np.linalg.svd(theta.reshape(rows, -1), compute_uv=False)
     return truncation_rank(s, epsilon, chi_max)
-
-
-def _apply_candidate(
-    m: MatrixProductOperator, bond: int, side: str, epsilon: float, chi_max: int
-) -> MatrixProductOperator:
-    sites = list(m.sites)
-    theta = _swapped_blob(m, bond, side)
-    sites[bond], sites[bond + 1] = _split_pair(theta, epsilon, chi_max)
-    return MatrixProductOperator._derived(sites, m.log_norm, bond + 1, bond, bond + 2)
-
-
-def _normalize_bond(
-    m: MatrixProductOperator, bond: int, epsilon: float, chi_max: int
-) -> tuple[MatrixProductOperator, int]:
-    """Move the center to the bond and re-truncate it, so candidate extents
-    are compared against an honest baseline rather than stale slack."""
-    m = move_center(m, bond)
-    sites = list(m.sites)
-    theta = _pair_blob(sites, bond)
-    sites[bond], sites[bond + 1] = _split_pair(theta, epsilon, chi_max)
-    out = MatrixProductOperator._derived(sites, m.log_norm, bond + 1, bond, bond + 2)
-    return out, sites[bond].shape[3]
 
 
 def _try_bond(
@@ -147,8 +124,11 @@ def _try_bond(
     Candidates are ranked by values-only decompositions; only the accepted
     one is materialized.
     """
-    m, baseline = _normalize_bond(state.m, bond, cfg.epsilon, cfg.chi_max)
+    # re-truncate the bond with the center on it, so candidate extents are
+    # compared against an honest baseline rather than stale slack
+    m = _update_pair(move_center(state.m, bond), bond, None, cfg.epsilon, cfg.chi_max)
     state.m = m
+    baseline = m.sites[bond].shape[3]
     best = None
     for side in sides:
         if seen_this_pass is not None and (bond, side) in seen_this_pass:
@@ -162,7 +142,8 @@ def _try_bond(
     if extent < baseline or (cfg.acceptance == "relaxed" and extent == baseline):
         if seen_this_pass is not None:
             seen_this_pass.add((bond, side))
-        state.accept(_apply_candidate(m, bond, side, cfg.epsilon, cfg.chi_max), bond, side)
+        # the center sits on bond+1, so the swap is one split with no QR
+        state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max), bond, side)
         return True
     return False
 

@@ -6,35 +6,7 @@ and avoids the code paths under test.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-
-
-def loop_contract(a: np.ndarray, b: np.ndarray, axis_pairs) -> np.ndarray:
-    """Tensor contraction as an explicit loop nest."""
-    axes_a = [p[0] for p in axis_pairs]
-    axes_b = [p[1] for p in axis_pairs]
-    free_a = [i for i in range(a.ndim) if i not in axes_a]
-    free_b = [i for i in range(b.ndim) if i not in axes_b]
-    out_shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    out = np.zeros(out_shape, dtype=np.complex128)
-    contracted_extents = [a.shape[i] for i in axes_a]
-    for out_idx in itertools.product(*(range(d) for d in out_shape)):
-        total = 0.0 + 0.0j
-        for summed in itertools.product(*(range(d) for d in contracted_extents)):
-            ia = [0] * a.ndim
-            ib = [0] * b.ndim
-            for pos, ax in enumerate(free_a):
-                ia[ax] = out_idx[pos]
-            for pos, ax in enumerate(free_b):
-                ib[ax] = out_idx[len(free_a) + pos]
-            for pos, (ax_a, ax_b) in enumerate(axis_pairs):
-                ia[ax_a] = summed[pos]
-                ib[ax_b] = summed[pos]
-            total += a[tuple(ia)] * b[tuple(ib)]
-        out[tuple(out_idx)] = total
-    return out
 
 
 def embed_unitary(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

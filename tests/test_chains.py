@@ -8,8 +8,9 @@ import pytest
 from mirrorbreak import chains
 from mirrorbreak.chains import (
     MatrixProductOperator,
+    MatrixProductState,
     _bond_dot,
-    _pair_swap,
+    _right_canonicalize,
     _sample_bits,
     absorb_gate,
     apply_swap_boundary,
@@ -247,16 +248,21 @@ class TestDerivedChains:
             if a is not b:
                 assert lo <= j < hi, f"site {j} rewritten outside the checked range"
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("center", [None, 0, N - 1, "bond+1"])
     @pytest.mark.parametrize("bond", [0, 2, N - 2])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_absorb_two_qubit_gate(self, monkeypatch, center, bond, side):
-        m = chain_with_center(self.N, 10 + bond, center)
+        on_pair = center == "bond+1"
+        m = chain_with_center(self.N, 10 + bond, bond + 1 if on_pair else center)
         g = Gate("cx", (bond + 1, bond))
         out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, side, EXACT, 64))
         (lo, hi), = ranges
         self.assert_checked_every_rewrite(m, out, lo, hi)
         assert out.center == bond + 1
+        if on_pair:
+            # the center already sits on the pair: only the pair is rewritten
+            assert (lo, hi) == (bond, bond + 2)
+            assert all(out.sites[j] is m.sites[j] for j in range(bond))
         u = mpo_to_dense(m)
         expected = embed(g, self.N) @ u if side == "left" else u @ embed(g, self.N)
         np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
@@ -276,7 +282,7 @@ class TestDerivedChains:
     def test_pair_swap(self, monkeypatch, center, bond):
         m = chain_with_center(self.N, 30 + bond, center)
         out, ranges = derived_calls(
-            monkeypatch, lambda: _pair_swap(m, bond, True, False, EXACT, 64))
+            monkeypatch, lambda: apply_swap_boundary(m, bond, "left", EXACT, 64))
         (lo, hi), = ranges
         self.assert_checked_every_rewrite(m, out, lo, hi)
         assert out.center == bond + 1
@@ -478,6 +484,28 @@ class TestSample:
         moved = sample(psi, 60, seed=5, mapping=mapping)
         for a, b in zip(raw, moved):
             assert all(b[mapping[i]] == a[i] for i in range(4))
+
+    def test_right_canonicalize_from_unknown_center(self):
+        n = 5
+        rng = np.random.default_rng(1900)
+        c = random_circuit(n, 3 * n, rng, adjacent_only=True)
+        psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
+        # scramble the gauge on every bond so no site is isometric
+        sites = list(psi.sites)
+        for i in range(n - 1):
+            k = sites[i].shape[2]
+            g = np.eye(k) + 0.5 * rng.standard_normal((k, k))
+            sites[i] = sites[i] @ g
+            sites[i + 1] = np.tensordot(np.linalg.inv(g), sites[i + 1], axes=(1, 0))
+        scrambled = MatrixProductState(tuple(sites), psi.log_norm)
+        canonical, norm = _right_canonicalize(scrambled)
+        assert norm == pytest.approx(1.0, abs=1e-10)
+        for s in canonical[1:]:
+            mat = s.reshape(s.shape[0], -1)
+            np.testing.assert_allclose(mat @ mat.conj().T, np.eye(s.shape[0]), atol=1e-10)
+        np.testing.assert_allclose(
+            mps_to_dense(MatrixProductState(tuple(canonical), psi.log_norm)),
+            mps_to_dense(psi), atol=1e-10)
 
     def test_unnormalized_state_rejected(self):
         psi = apply_to_zero(identity_mpo(2), EXACT, 4)

@@ -207,31 +207,6 @@ class TestVerify:
         assert "capped" in capsys.readouterr().err
 
 
-class TestThreadsEnv:
-    def test_invalid_threads_value_exits_2(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("MIRRORBREAK_THREADS", "zero")
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--qubits", "4", "--depth", "8",
-                  "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
-
-    def test_invalid_threads_value_is_reported(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("MIRRORBREAK_THREADS", "x")
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--qubits", "4", "--depth", "8",
-                  "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == (
-            "error: MIRRORBREAK_THREADS must be a positive integer, got 'x'\n"
-        )
-
-    def test_valid_threads_value_accepted(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("MIRRORBREAK_THREADS", "2")
-        code = main(["generate", "--qubits", "4", "--depth", "8", "--seed", "1",
-                     "--out", str(tmp_path / "y")])
-        assert code == 0
-
-
 @pytest.fixture(scope="module")
 def small_instance(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "inst"
@@ -255,21 +230,44 @@ RUN_FLAGS = {
 }
 
 
+def check_fuzzed_exit(circuit, data, broken, command, flags, codes):
+    """Run ``command`` with one drawn value per flag (rejected ones for the
+    flags in ``broken``) and check the exit code against the contract."""
+    argv = [command, "--circuit", str(circuit)]
+    for flag, (accepted, rejected) in flags.items():
+        value = data.draw(rejected if flag in broken else accepted, label=flag)
+        argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    assert code in codes, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if broken:
+        assert code == 2 and err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
 class TestRunExitCodeFuzz:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), broken=st.sets(st.sampled_from(sorted(RUN_FLAGS)), max_size=3))
     def test_exit_code_is_documented(self, small_instance, data, broken):
-        argv = ["run", "--circuit", str(small_instance)]
-        for flag, (accepted, rejected) in RUN_FLAGS.items():
-            value = data.draw(rejected if flag in broken else accepted, label=flag)
-            argv.append(f"{flag}={value}")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejections
-                code = exc.code
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if broken:
-            assert code == 2 and err.getvalue().startswith("error: "), (argv, err.getvalue())
+        check_fuzzed_exit(small_instance, data, broken, "run", RUN_FLAGS, (0, 2, 3, 4))
+
+
+# verify's flags -> (strategy for accepted values, strategy for rejected values)
+VERIFY_FLAGS = {
+    "--epsilon": RUN_FLAGS["--epsilon"],
+    "--shots": RUN_FLAGS["--shots"],
+    "--seed": (st.integers(0, 2**64), st.integers(-2**31, -1)),
+}
+
+
+class TestVerifyExitCodeFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), broken=st.sets(st.sampled_from(sorted(VERIFY_FLAGS)), max_size=2))
+    def test_exit_code_is_documented(self, small_instance, data, broken):
+        # verify also exits 1 on a peak mismatch
+        check_fuzzed_exit(small_instance, data, broken, "verify", VERIFY_FLAGS,
+                          (0, 1, 2, 3, 4))

@@ -23,13 +23,13 @@ from mirrorbreak.driver import (
     StallError,
     TraceRecord,
     _Side,
+    _choose_side,
     _trial_absorb,
     dense_output,
     emit_trace,
     parse_trace,
     run,
     sample_output,
-    select_side,
 )
 from mirrorbreak.oracle import peak_of, simulate
 from mirrorbreak.peaked import generate
@@ -266,7 +266,7 @@ class TestSelectSide:
         left, right = self._sides(2, [Gate("rzz", (0, 1), (0.3,))],
                                    [Gate("rzz", (0, 1), (0.3,))])
         cfg = ContractionConfig(epsilon=1e-10, chi_max=64)
-        assert select_side(left, right, identity_mpo(2), cfg) == "left"
+        assert _choose_side(left, right, identity_mpo(2), cfg, 0)[0] == "left"
 
     def test_identity_like_layer_preferred(self):
         from mirrorbreak.chains import identity_mpo
@@ -274,27 +274,27 @@ class TestSelectSide:
         left, right = self._sides(2, [Gate("rzz", (0, 1), (0.0,))],
                                    [Gate("rzz", (0, 1), (1.1,))])
         cfg = ContractionConfig(epsilon=1e-10, chi_max=64)
-        assert select_side(left, right, identity_mpo(2), cfg) == "left"
+        assert _choose_side(left, right, identity_mpo(2), cfg, 0)[0] == "left"
         # and symmetrically: the entangling layer loses
         left2, right2 = self._sides(2, [Gate("rzz", (0, 1), (1.1,))],
                                     [Gate("rzz", (0, 1), (0.0,))])
-        assert select_side(left2, right2, identity_mpo(2), cfg) == "right"
+        assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "right"
 
     def test_exhausted_side_yields(self):
         from mirrorbreak.chains import identity_mpo
 
         left, right = self._sides(2, [], [Gate("h", (0,))])
         cfg = ContractionConfig(epsilon=1e-10, chi_max=64)
-        assert select_side(left, right, identity_mpo(2), cfg) == "right"
+        assert _choose_side(left, right, identity_mpo(2), cfg, 0)[0] == "right"
         left2, right2 = self._sides(2, [Gate("h", (0,))], [])
-        assert select_side(left2, right2, identity_mpo(2), cfg) == "left"
+        assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "left"
 
     def test_both_exhausted_is_an_error(self):
         from mirrorbreak.chains import identity_mpo
 
         left, right = self._sides(2, [], [])
         with pytest.raises(ValueError, match="exhausted"):
-            select_side(left, right, identity_mpo(2), ContractionConfig())
+            _choose_side(left, right, identity_mpo(2), ContractionConfig(), 0)
 
     def test_fixed_frequency_alternates(self):
         from mirrorbreak.chains import identity_mpo
@@ -303,7 +303,7 @@ class TestSelectSide:
         left, right = self._sides(2, gates, gates)
         cfg = ContractionConfig(side_mode="fixed:2")
         m = identity_mpo(2)
-        picks = [select_side(left, right, m, cfg, step) for step in range(6)]
+        picks = [_choose_side(left, right, m, cfg, step)[0] for step in range(6)]
         assert picks == ["left", "left", "right", "right", "left", "left"]
 
 

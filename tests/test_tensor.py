@@ -1,110 +1,13 @@
-"""Tests for dense tensor contraction, permutation, and truncated SVD."""
+"""Tests for the truncated SVD."""
 
 import numpy as np
 import pytest
 
-from mirrorbreak.tensor import (
-    TruncatedSVD,
-    ZeroTensorError,
-    contract,
-    permute_axes,
-    svd_truncate,
-)
-
-from .oracles import loop_contract
+from mirrorbreak.tensor import TruncatedSVD, ZeroTensorError, svd_truncate
 
 
 def rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-# ------------------------------------------------------------------ #
-# contract
-# ------------------------------------------------------------------ #
-
-
-class TestContract:
-    def test_identity_times_vector(self):
-        eye = np.eye(2, dtype=complex)
-        v = np.array([1, 0], dtype=complex)
-        out = contract(eye, v, [(1, 0)])
-        np.testing.assert_array_equal(out, v)
-
-    def test_bit_flip(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        v = np.array([1, 0], dtype=complex)
-        out = contract(x, v, [(1, 0)])
-        np.testing.assert_array_equal(out, np.array([0, 1], dtype=complex))
-
-    def test_rectangular_against_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rand_complex(rng, (2, 3, 4))
-        b = rand_complex(rng, (4, 5))
-        out = contract(a, b, [(2, 0)])
-        assert out.shape == (2, 3, 5)
-        expected = loop_contract(a, b, [(2, 0)])
-        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_multi_axis_against_loop_oracle(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        ndim_a = int(rng.integers(2, 5))
-        ndim_b = int(rng.integers(2, 5))
-        shape_a = tuple(int(rng.integers(1, 5)) for _ in range(ndim_a))
-        npairs = int(rng.integers(1, min(ndim_a, ndim_b) + 1))
-        axes_a = list(rng.choice(ndim_a, size=npairs, replace=False))
-        axes_b = list(rng.choice(ndim_b, size=npairs, replace=False))
-        shape_b = [int(rng.integers(1, 5)) for _ in range(ndim_b)]
-        for ia, ib in zip(axes_a, axes_b):
-            shape_b[ib] = shape_a[ia]
-        a = rand_complex(rng, shape_a)
-        b = rand_complex(rng, tuple(shape_b))
-        pairs = list(zip(axes_a, axes_b))
-        out = contract(a, b, pairs)
-        expected = loop_contract(a, b, pairs)
-        scale = max(1.0, np.abs(expected).max())
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * scale)
-
-    def test_extent_mismatch_raises(self):
-        a = np.zeros((2, 3), dtype=complex)
-        b = np.zeros((4,), dtype=complex)
-        with pytest.raises(ValueError, match="extent mismatch"):
-            contract(a, b, [(1, 0)])
-
-    def test_axis_out_of_range_raises(self):
-        a = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(ValueError, match="out of range"):
-            contract(a, a, [(2, 0)])
-
-
-# ------------------------------------------------------------------ #
-# permute_axes
-# ------------------------------------------------------------------ #
-
-
-class TestPermuteAxes:
-    def test_identity_order_is_bitwise_equal(self):
-        rng = np.random.default_rng(3)
-        t = rand_complex(rng, (2, 3, 4))
-        out = permute_axes(t, (0, 1, 2))
-        np.testing.assert_array_equal(out, t)
-
-    def test_matrix_transpose(self):
-        t = np.arange(6, dtype=complex).reshape(2, 3)
-        np.testing.assert_array_equal(permute_axes(t, (1, 0)), t.T)
-
-    def test_round_trip_with_inverse(self):
-        rng = np.random.default_rng(4)
-        t = rand_complex(rng, (2, 2, 2))
-        order = (2, 0, 1)
-        inverse = tuple(np.argsort(order))
-        round_tripped = permute_axes(permute_axes(t, order), inverse)
-        np.testing.assert_array_equal(round_tripped, t)
-
-    def test_non_bijective_order_raises(self):
-        t = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(ValueError, match="permutation"):
-            permute_axes(t, (0, 0))
 
 
 # ------------------------------------------------------------------ #
