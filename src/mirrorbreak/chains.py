@@ -180,12 +180,15 @@ def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> N
             _qr_left(sites, i)
 
 
-def _truncate_sweep(sites: list[np.ndarray], epsilon: float, chi_max: int) -> float:
-    """Canonical truncation, in place: a QR pass to the right end, then an
-    SVD pass back that truncates every bond at the relative cutoff. Leaves
-    sites 1..n-1 right-isometric with the center at site 0, and returns the
-    norm held there."""
-    _shift_center(sites, 0, len(sites) - 1)
+def _truncate_sweep(sites: list[np.ndarray], center: int | None, epsilon: float,
+                    chi_max: int) -> float:
+    """Canonical truncation, in place: a QR pass from ``center`` (None: from
+    site 0) to the right end, then an SVD pass back that truncates every
+    bond at the relative cutoff. Sites left of a known center are already
+    left-isometric, so the pass starts there. Leaves sites 1..n-1
+    right-isometric with the center at site 0, and returns the norm held
+    there."""
+    _shift_center(sites, 0 if center is None else center, len(sites) - 1)
     for i in range(len(sites) - 1, 0, -1):
         s = sites[i]
         dec = svd_truncate(s, split=1, epsilon=epsilon, chi_max=chi_max)
@@ -319,12 +322,13 @@ def apply_swap_boundary(
 def compress(
     m: MatrixProductOperator, epsilon: float, chi_max: int
 ) -> MatrixProductOperator:
-    """Two-sided sweep: left-to-right orthogonalization, then right-to-left
-    truncation at the relative cutoff. The chain comes back right-canonical
+    """Two-sided sweep: left-to-right orthogonalization from the chain's
+    center (site 0 when unknown), then right-to-left truncation at the
+    relative cutoff. The chain comes back right-canonical
     (center at site 0) with unit stored norm; the scale moves to log_norm.
     """
     sites = list(m.sites)
-    f = _truncate_sweep(sites, epsilon, chi_max)
+    f = _truncate_sweep(sites, m.center, epsilon, chi_max)
     if f == 0.0:
         raise ValueError("compress reached an all-zero chain")
     sites[0] = sites[0] / f
@@ -346,7 +350,7 @@ def apply_to_zero(
     """
     mpo_scale = frobenius_norm(m)
     sites = [s[:, :, 0, :] for s in m.sites]
-    f = _truncate_sweep(sites, epsilon, chi_max)
+    f = _truncate_sweep(sites, None, epsilon, chi_max)
     expected = mpo_scale / (2 ** (len(sites) / 2))
     if f < 1e-12 * expected:
         raise ValueError(

@@ -214,6 +214,10 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # every command seeds numpy, which rejects a negative seed without
+    # naming the flag
+    if args.seed < 0:
+        return _usage_error(f"--seed must be >= 0, got {args.seed}")
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "run":

@@ -82,11 +82,20 @@ def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> Tru
     return TruncatedSVD(u=u[:, :r], s=s[:r].copy(), v=v[:r, :], discarded_weight=discarded)
 
 
-def truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int:
+def truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int | list[int]:
     """Kept rank for a descending spectrum under the relative cutoff: the
     smallest r whose relative discarded squared weight is <= epsilon**2,
     extended over ties at the boundary, capped at chi_max, and at least 1.
+
+    A (k, m) stack of spectra gives a list of k ranks, one per row, each
+    ranked exactly as that row alone would be.
     """
+    if s.ndim == 2:
+        return [_spectrum_rank(row, epsilon, chi_max) for row in s]
+    return _spectrum_rank(s, epsilon, chi_max)
+
+
+def _spectrum_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int:
     weights = s * s
     total = float(weights.sum())
     suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])

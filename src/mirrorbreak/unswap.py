@@ -10,6 +10,13 @@ where both factors are wire permutations. The sequential variant follows an
 availability-set loop over bonds ranked by extent; the parity-parallel
 variant sweeps batches of disjoint bonds per (side, parity) combination,
 which tests floor(N/2) candidates per step instead of one.
+
+A visit to a bond moves the center onto its pair and ranks the bond and its
+swap candidates from one values-only SVD of their stacked blobs; a pair is
+split again only for an accepted swap or to trim slack from the bond. The
+parity-parallel variant also skips visits that cannot accept (the same
+bond and side found nothing and no swap touched its pair since) and sweeps
+each batch from the end nearer the center.
 """
 
 from __future__ import annotations
@@ -100,15 +107,17 @@ class _Extraction:
         self.accepted += 1
 
 
-def _candidate_extent(
-    m: MatrixProductOperator, bond: int, side: str, epsilon: float, chi_max: int
-) -> int:
-    """Bond extent the swap candidate would leave behind, from a values-only
-    decomposition (cheaper than materializing the candidate chain)."""
-    theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
-    rows = theta.shape[0] * 4
-    s = np.linalg.svd(theta.reshape(rows, -1), compute_uv=False)
-    return truncation_rank(s, epsilon, chi_max)
+def _pair_ranks(
+    m: MatrixProductOperator, bond: int, sides: tuple[str, ...], cfg: UnswapConfig
+) -> list[int]:
+    """Truncation ranks of the (l, t1, b1, t2, b2, r) blob of sites (bond,
+    bond+1) and of each side's swap candidate, matricized between the
+    (l, t1, b1) and (t2, b2, r) legs. The blobs share one shape, so a single
+    values-only SVD call over their stack yields every spectrum."""
+    theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
+    stack = np.stack([theta] + [theta.transpose(SWAP_LEGS[side]) for side in sides])
+    spectra = np.linalg.svd(stack.reshape(len(stack), 4 * theta.shape[0], -1), compute_uv=False)
+    return truncation_rank(spectra, cfg.epsilon, cfg.chi_max)
 
 
 def _try_bond(
@@ -121,28 +130,34 @@ def _try_bond(
     """Evaluate swap candidates at one bond and accept the best admissible
     one. Returns True on acceptance. Ties prefer fewer swapped sides (left
     or right over both) and left over right, in the order of ``sides``.
-    Candidates are ranked by values-only decompositions; only the accepted
-    one is materialized.
+
+    The center moves onto the nearer site of the pair, so the pair blob's
+    singular values are the bond's Schmidt values and each candidate's are
+    those of the bond after its swap. One values-only SVD over the stack of
+    the blob and the candidates ranks them all, and only an accepted
+    candidate is materialized. When the bond's rank differs from its extent
+    the bond is first re-truncated and the candidates ranked again against
+    the re-split pair, so they are compared against an honest baseline
+    rather than stale slack.
     """
-    # re-truncate the bond with the center on it, so candidate extents are
-    # compared against an honest baseline rather than stale slack
-    m = _update_pair(move_center(state.m, bond), bond, None, cfg.epsilon, cfg.chi_max)
+    if seen_this_pass is not None:
+        sides = tuple(side for side in sides if (bond, side) not in seen_this_pass)
+    center = state.m.center
+    m = move_center(state.m, bond + 1 if center is not None and center > bond else bond)
+    baseline, *extents = _pair_ranks(m, bond, sides, cfg)
+    if baseline != m.sites[bond].shape[3]:
+        m = _update_pair(m, bond, None, cfg.epsilon, cfg.chi_max)
+        baseline = m.sites[bond].shape[3]
+        _, *extents = _pair_ranks(m, bond, sides, cfg)
     state.m = m
-    baseline = m.sites[bond].shape[3]
-    best = None
-    for side in sides:
-        if seen_this_pass is not None and (bond, side) in seen_this_pass:
-            continue
-        extent = _candidate_extent(m, bond, side, cfg.epsilon, cfg.chi_max)
-        if best is None or extent < best[1]:
-            best = (side, extent)
-    if best is None:
+    if not sides:
         return False
-    side, extent = best
+    extent = min(extents)
+    side = sides[extents.index(extent)]
     if extent < baseline or (cfg.acceptance == "relaxed" and extent == baseline):
         if seen_this_pass is not None:
             seen_this_pass.add((bond, side))
-        # the center sits on bond+1, so the swap is one split with no QR
+        # the center sits on the pair, so the swap is one split with no QR
         state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max), bond, side)
         return True
     return False
@@ -195,20 +210,45 @@ def unswap_sequential(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResu
 def unswap_parallel(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
     """Parity-batched variant: cycle through (both, left, right) x (even,
     odd) batches; within a batch all candidate pairs are disjoint, so their
-    acceptance decisions are independent. Terminates when a full cycle
-    produces no bond reduction, or after ``max_outer_iterations`` cycles.
+    acceptance decisions are independent and each batch is swept from the
+    end nearer the center, which then crosses the chain once per batch.
+    Terminates when a full cycle produces no bond reduction, or after
+    ``max_outer_iterations`` cycles.
+
+    A visit is skipped when the same (bond, side) accepted nothing before
+    and no swap has been accepted on either site of its pair since. A
+    unitary wholly on one side of the cut changes neither the bond's
+    spectrum nor the candidate's, and only swaps at bonds b-1, b and b+1
+    touch the pair, so the skipped visit would again accept nothing. (The
+    swaps elsewhere also re-truncate their own bond, which shifts these
+    spectra by at most the weight that truncation drops.)
     """
     state = _Extraction(m)
     before = total_elements(m)
     n = m.num_sites
+    visit = 0
+    swapped = [0] * n  # visit of the last accepted swap on each site
+    idle: dict[tuple[int, str], int] = {}  # last visit of (bond, side) that accepted nothing
     for _ in range(cfg.max_outer_iterations):
         reduced_any = False
         for side, parity in _PARALLEL_CYCLE:
-            for bond in range(parity, n - 1, 2):
+            bonds = range(parity, n - 1, 2)
+            if not bonds:
+                continue
+            center = state.m.center
+            if center is not None and 2 * center > bonds[0] + bonds[-1]:
+                bonds = reversed(bonds)
+            for bond in bonds:
+                if idle.get((bond, side), 0) > max(swapped[bond], swapped[bond + 1]):
+                    continue
+                visit += 1
                 dims_before = state.m.bond_dims()[bond]
                 if _try_bond(state, bond, (side,), cfg, None):
+                    swapped[bond] = swapped[bond + 1] = visit
                     if state.m.bond_dims()[bond] < dims_before:
                         reduced_any = True
+                else:
+                    idle[(bond, side)] = visit
         if not reduced_any:
             break
     return UnswapResult(

@@ -112,3 +112,55 @@ def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
         chosen_p = probs[np.arange(shots), draw]
         envs = chosen / np.sqrt(chosen_p)[:, None]
     return bits
+
+
+def two_svd_unswap_parallel(m, cfg):
+    """Reference parity-parallel unswap: every visit of every batch, each
+    batch swept from bond 0, and each visit re-truncating its bond with a
+    full U/S/V split before ranking its candidate with a second, values-only
+    SVD. ``unswap.unswap_parallel`` skips idle revisits, sweeps from the
+    center's end and ranks both with one SVD; its decisions must match."""
+    from mirrorbreak.chains import (
+        SWAP_LEGS,
+        _bond_dot,
+        _update_pair,
+        apply_swap_boundary,
+        move_center,
+        total_elements,
+    )
+    from mirrorbreak.tensor import truncation_rank
+    from mirrorbreak.unswap import _PARALLEL_CYCLE, UnswapResult, _Extraction
+
+    def try_bond(state, bond, side):
+        m = _update_pair(move_center(state.m, bond), bond, None, cfg.epsilon, cfg.chi_max)
+        state.m = m
+        baseline = m.sites[bond].shape[3]
+        theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
+        s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
+        extent = truncation_rank(s, cfg.epsilon, cfg.chi_max)
+        if extent < baseline or (cfg.acceptance == "relaxed" and extent == baseline):
+            state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max),
+                         bond, side)
+            return True
+        return False
+
+    state = _Extraction(m)
+    before = total_elements(m)
+    n = m.num_sites
+    for _ in range(cfg.max_outer_iterations):
+        reduced_any = False
+        for side, parity in _PARALLEL_CYCLE:
+            for bond in range(parity, n - 1, 2):
+                dims_before = state.m.bond_dims()[bond]
+                if try_bond(state, bond, side) and state.m.bond_dims()[bond] < dims_before:
+                    reduced_any = True
+        if not reduced_any:
+            break
+    return UnswapResult(
+        reduced=state.m,
+        left_perm=state.left,
+        right_perm=state.right,
+        accepted_swaps=state.accepted,
+        elements_before=before,
+        elements_after=total_elements(state.m),
+    )

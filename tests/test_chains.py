@@ -184,6 +184,27 @@ class TestCompress:
             mat = s.reshape(l, -1)
             np.testing.assert_allclose(mat @ mat.conj().T, np.eye(l), atol=1e-8)
 
+    @pytest.mark.parametrize("center", range(5))
+    def test_lossy_compress_from_known_center(self, center):
+        # the QR pass starts at the chain's center; the truncation must match
+        # a sweep that orthogonalizes the whole chain first. Weak rzz
+        # brickwork has skewed Schmidt spectra, so the cutoff bites.
+        rng = np.random.default_rng(1350)
+        gates = []
+        for layer in range(4):
+            for i in range(layer % 2, 4, 2):
+                for q in (i, i + 1):
+                    gates.append(Gate("u3", (q,), tuple(rng.uniform(-np.pi, np.pi, 3))))
+                gates.append(Gate("rzz", (i, i + 1), (float(rng.uniform(0.2, 0.6)),)))
+        m = move_center(absorb_circuit(identity_mpo(5), Circuit(5, tuple(gates)), "left"), center)
+        unknown = MatrixProductOperator(m.sites, m.log_norm)
+        assert unknown.center is None
+        ref = compress(unknown, 0.05, 10**9)
+        got = compress(m, 0.05, 10**9)
+        assert got.bond_dims() == ref.bond_dims()
+        assert sum(got.bond_dims()) < sum(m.bond_dims())  # the cutoff bites
+        np.testing.assert_allclose(mpo_to_dense(got), mpo_to_dense(ref), atol=1e-10)
+
     def test_amplitudes_stay_small_after_compress(self):
         m = identity_mpo(5)
         for seed in range(10):

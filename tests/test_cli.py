@@ -59,6 +59,13 @@ class TestGenerate:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = main(["generate", "--qubits", "4", "--depth", "10", "--seed", "-1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.qasm").exists()
+
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--qubits", "4"])
@@ -159,6 +166,7 @@ class TestRun:
         (["--tau", "nan"], "--tau must be finite"),
         (["--epsilon", "nan"], "epsilon must be finite"),
         (["--epsilon", "inf"], "epsilon must be finite"),
+        (["--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_invalid_run_values_exit_2(self, instance_files, capsys, flags, message):
         qasm_path, _ = instance_files
@@ -190,6 +198,7 @@ class TestVerify:
         (["--shots", "0"], "--shots must be >= 1"),
         (["--epsilon", "-1"], "epsilon must be finite and >= 0"),
         (["--epsilon", "nan"], "epsilon must be finite and >= 0"),
+        (["--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_invalid_verify_values_exit_2(self, instance_files, capsys, flags, message):
         qasm_path, _ = instance_files

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mirrorbreak.tensor import TruncatedSVD, ZeroTensorError, svd_truncate
+from mirrorbreak.tensor import TruncatedSVD, ZeroTensorError, svd_truncate, truncation_rank
 
 
 def rand_complex(rng, shape):
@@ -113,3 +113,56 @@ class TestSvdTruncate:
     def test_result_type(self):
         dec = svd_truncate(np.eye(2, dtype=complex), split=1, epsilon=0.0, chi_max=2)
         assert isinstance(dec, TruncatedSVD)
+
+
+# ------------------------------------------------------------------ #
+# truncation_rank
+# ------------------------------------------------------------------ #
+
+
+class TestTruncationRank:
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-8, 1e-3, 0.3])
+    def test_stack_equals_rows(self, epsilon):
+        rng = np.random.default_rng(16)
+        # geometrically decaying spectra so the cutoff falls inside each row
+        stack = rand_complex(rng, (5, 8, 8)) * np.logspace(0, -6, 8)[None, None, :]
+        spectra = np.linalg.svd(stack, compute_uv=False)
+        ranks = truncation_rank(spectra, epsilon, 6)
+        assert ranks == [truncation_rank(row, epsilon, 6) for row in spectra]
+        assert all(type(r) is int for r in ranks)
+
+    def test_stack_matches_svd_truncate(self):
+        rng = np.random.default_rng(17)
+        stack = rand_complex(rng, (4, 6, 6)) * np.logspace(0, -9, 6)[None, None, :]
+        ranks = truncation_rank(np.linalg.svd(stack, compute_uv=False), 1e-4, 6)
+        assert ranks == [svd_truncate(t, split=1, epsilon=1e-4, chi_max=6).rank
+                         for t in stack]
+
+    def test_degenerate_pair_at_cut_kept_whole(self):
+        s = np.array([1.0, 0.5, 0.5, 1e-9])
+        # the minimal rank lands between the two 0.5s
+        eps = float(np.sqrt((0.5**2 + 1e-18) / (s**2).sum()) * 1.001)
+        assert truncation_rank(s, eps, 4) == 3
+        assert truncation_rank(np.stack([s, s]), eps, 4) == [3, 3]
+        assert truncation_rank(s, eps, 2) == 2  # the cap still wins
+
+    def test_zero_tail_dropped(self):
+        s = np.array([1.0, 0.3, 0.0, 0.0])
+        assert truncation_rank(s, 0.0, 4) == 2
+        assert truncation_rank(s, 1e-8, 4) == 2
+
+    def test_zero_epsilon_keeps_every_nonzero_value(self):
+        s = np.array([1.0, 0.5, 1e-20])
+        assert truncation_rank(s, 0.0, 8) == 3
+
+    def test_chi_max_cap(self):
+        s = np.linspace(1.0, 0.1, 6)
+        assert truncation_rank(s, 0.0, 4) == 4
+        assert truncation_rank(np.stack([s, s]), 0.0, 2) == [2, 2]
+
+    def test_keeps_at_least_one(self):
+        assert truncation_rank(np.array([1.0, 0.9]), 1.0, 4) == 1
+
+    def test_single_spectrum_returns_plain_int(self):
+        r = truncation_rank(np.array([1.0, 0.5]), 1e-8, 4)
+        assert type(r) is int and r == 2

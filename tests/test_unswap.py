@@ -1,11 +1,13 @@
 """Tests for greedy permutation extraction."""
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 from mirrorbreak.chains import (
+    MatrixProductOperator,
     absorb_gate,
     compress,
     identity_mpo,
@@ -17,7 +19,7 @@ from mirrorbreak.oracle import permutation_unitary
 from mirrorbreak.routing import QubitPermutation
 from mirrorbreak.unswap import UnswapConfig, UnswapResult, unswap, unswap_parallel, unswap_sequential
 
-from .oracles import random_circuit
+from .oracles import random_circuit, two_svd_unswap_parallel
 
 CFG = UnswapConfig(epsilon=1e-10, chi_max=4096)
 CFG_PAR = UnswapConfig(epsilon=1e-10, chi_max=4096, strategy="parity-parallel")
@@ -35,6 +37,25 @@ def permutation_mpo(perm: QubitPermutation, side: str = "left"):
     for i, j in order:
         m = absorb_gate(m, Gate("swap", (i, j)), side, 1e-12, 4096)
     return compress(m, 1e-12, 4096)
+
+
+def random_chain(seed: int):
+    """Compressed chain of a random 4-qubit circuit, which has little
+    permutation content."""
+    rng = np.random.default_rng(1800 + seed)
+    c = random_circuit(4, 10, rng, adjacent_only=True)
+    m = identity_mpo(4)
+    for g in c.gates:
+        m = absorb_gate(m, g, "left", 1e-12, 4096)
+    return compress(m, 1e-12, 4096)
+
+
+def assert_same_decisions(res: UnswapResult, ref: UnswapResult, m) -> None:
+    assert res.accepted_swaps == ref.accepted_swaps
+    assert res.left_perm == ref.left_perm
+    assert res.right_perm == ref.right_perm
+    assert res.reduced.bond_dims() == ref.reduced.bond_dims()
+    assert reconstruction_error(res, m) <= 1e-10
 
 
 def reconstruction_error(res: UnswapResult, original) -> float:
@@ -94,12 +115,7 @@ class TestSequential:
     def test_soundness_on_structureless_operators(self, seed):
         # random circuit chains have little permutation content; the
         # decomposition must stay sound regardless of reduction achieved
-        rng = np.random.default_rng(1800 + seed)
-        c = random_circuit(4, 10, rng, adjacent_only=True)
-        m = identity_mpo(4)
-        for g in c.gates:
-            m = absorb_gate(m, g, "left", 1e-12, 4096)
-        m = compress(m, 1e-12, 4096)
+        m = random_chain(seed)
         res = unswap_sequential(m, CFG)
         assert reconstruction_error(res, m) <= 1e-8
 
@@ -146,6 +162,68 @@ class TestParallel:
         assert all(d == 1 for d in res_par.reduced.bond_dims())
         assert reconstruction_error(res_seq, m) <= 1e-10
         assert reconstruction_error(res_par, m) <= 1e-10
+        assert_same_decisions(res_par, two_svd_unswap_parallel(m, CFG_PAR), m)
+
+
+class TestParallelAgainstTwoSvdReference:
+    """The one-SVD visit, the idle-revisit skip and the center-end sweep
+    order change no decision of the parity-parallel strategy (the
+    permutation chains of ``test_agrees_with_sequential_on_permutations``
+    are checked there)."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_circuit_chains(self, seed):
+        m = random_chain(seed)
+        assert_same_decisions(unswap_parallel(m, CFG_PAR), two_svd_unswap_parallel(m, CFG_PAR), m)
+
+    def test_idle_revisits_are_skipped(self, monkeypatch):
+        # each visit moves the center once; the reference visits every
+        # (bond, side) of every cycle
+        visits = {"skipping": 0, "reference": 0}
+
+        def counted(key, move):
+            def wrapped(m, target):
+                visits[key] += 1
+                return move(m, target)
+            return wrapped
+
+        unswap_module = importlib.import_module("mirrorbreak.unswap")
+        chains_module = importlib.import_module("mirrorbreak.chains")
+        monkeypatch.setattr(unswap_module, "move_center",
+                            counted("skipping", unswap_module.move_center))
+        monkeypatch.setattr(chains_module, "move_center",
+                            counted("reference", chains_module.move_center))
+        perm = QubitPermutation((3, 5, 0, 4, 1, 2))
+        m = permutation_mpo(perm)
+        assert_same_decisions(unswap_parallel(m, CFG_PAR), two_svd_unswap_parallel(m, CFG_PAR), m)
+        assert visits["skipping"] < visits["reference"]
+
+    @pytest.mark.parametrize("strategy", [unswap_parallel, unswap_sequential])
+    def test_padded_bond_retruncated_without_a_swap(self, strategy):
+        # bond 0 of the identity padded with zero columns: the product is
+        # unchanged, no swap helps, and the visit must still trim the slack
+        m = identity_mpo(3)
+        pad = np.zeros((1, 2, 2, 3), dtype=np.complex128)
+        pad[..., :1] = m.sites[0]
+        right = np.concatenate([m.sites[1], np.ones((2, 2, 2, 1), dtype=np.complex128)])
+        padded = MatrixProductOperator((pad, right, m.sites[2]))
+        cfg = CFG_PAR if strategy is unswap_parallel else CFG
+        res = strategy(padded, cfg)
+        assert padded.bond_dims() == (3, 1)
+        assert res.accepted_swaps == 0
+        assert res.reduced.bond_dims() == (1, 1)
+        assert reconstruction_error(res, padded) <= 1e-12
+        if strategy is unswap_parallel:
+            assert_same_decisions(res, two_svd_unswap_parallel(padded, cfg), padded)
+
+    @pytest.mark.parametrize("sites", [1, 2])
+    def test_short_chains_run_both_parities(self, sites):
+        m = identity_mpo(sites)
+        if sites == 2:
+            m = absorb_gate(m, Gate("swap", (0, 1)), "left", 1e-12, 64)
+        res = unswap_parallel(m, CFG_PAR)
+        assert_same_decisions(res, two_svd_unswap_parallel(m, CFG_PAR), m)
+        assert all(d == 1 for d in res.reduced.bond_dims())
 
 
 class TestPermutationCompleteness:
