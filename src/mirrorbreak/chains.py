@@ -250,6 +250,20 @@ def _gate_tensor(g: Gate) -> np.ndarray:
     return u4
 
 
+def _gate_op(g: Gate, side: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Map of a two-qubit gate on the (l, t1, b1, t2, b2, r) blob of its
+    pair: G on the top legs (``side="left"``, G.M) or on the bottom legs
+    (``side="right"``, M.G)."""
+    u4 = _gate_tensor(g)  # (x, y, t, u): G[(x,y),(t,u)]
+    if side == "left":
+        def op(theta):  # (G.M): new tops x,y contract gate inputs with old tops
+            return np.einsum("xytu,ltbuar->lxbyar", u4, theta)
+    else:
+        def op(theta):  # (M.G): old bottoms b,a are G's outputs; new bottoms x,y
+            return np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
+    return op
+
+
 def absorb_gate(
     m: MatrixProductOperator,
     g: Gate,
@@ -282,14 +296,7 @@ def absorb_gate(
     a, b = g.qubits
     if abs(a - b) != 1:
         raise ValueError(f"two-qubit gate on non-adjacent sites {g.qubits}")
-    u4 = _gate_tensor(g)  # (x, y, t, u): G[(x,y),(t,u)]
-    if side == "left":
-        def op(theta):  # (G.M): new tops x,y contract gate inputs with old tops
-            return np.einsum("xytu,ltbuar->lxbyar", u4, theta)
-    else:
-        def op(theta):  # (M.G): old bottoms b,a are G's outputs; new bottoms x,y
-            return np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
-    return _update_pair(m, min(a, b), op, epsilon, chi_max)
+    return _update_pair(m, min(a, b), _gate_op(g, side), epsilon, chi_max)
 
 
 # axis orders of the (l, t1, b1, t2, b2, r) pair blob that exchange the top

@@ -14,6 +14,14 @@ legs). Routing drift and extracted permutations are conjugated outward into
 ``out_perm``/``in_perm``; the input permutation fixes |0...0>, so only the
 output permutation matters at sampling time, where it is applied as a free
 bit relabeling.
+
+Side selection. Each side's gate list is peeled once into brick layers from
+its inner end. Adaptive mode absorbs the next layer of the side that leaves
+the smaller chain. It absorbs each layer once in the common case: while one
+side's layer is swept into the chain, the other side's layer is ranked from
+values-only spectra of its pair blobs at the center positions the sweep
+passes, and those ranks are replayed into an element count
+(:func:`_choose_side` lists the four cases).
 """
 
 from __future__ import annotations
@@ -21,13 +29,17 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import (
     MatrixProductOperator,
     MatrixProductState,
+    _bond_dot,
+    _gate_op,
+    _shift_center,
+    _touched,
     absorb_gate,
     apply_to_zero,
     compress,
@@ -45,6 +57,7 @@ from .routing import (
     route_linear,
     strip_transpilation_swaps,
 )
+from .tensor import truncation_rank
 from .unswap import UnswapConfig, unswap
 
 
@@ -131,129 +144,322 @@ class StallError(RuntimeError):
 @dataclass
 class _Side:
     """One remaining half: physical gate list plus the routing layouts in
-    force at the list's two ends (layout[logical] = wire)."""
+    force at the list's two ends (layout[logical] = wire).
 
+    The list is peeled once into brick layers from its inner end, the front
+    for ``left`` and the back for ``right``. A gate's depth is one more than
+    the deepest earlier-scanned gate on any of its wires, and layer k holds
+    the depth-k gates in scan order. That is the layer the k-th innermost
+    extraction would pop: a gate joins it iff no gate left unconsumed and
+    scanned before it touches its qubits, which keeps program order on every
+    wire. ``taken`` counts the consumed layers.
+    """
+
+    which: str  # "left" (consumed from the front) or "right" (from the back)
     gates: list[Gate]
     front: QubitPermutation
     back: QubitPermutation
+    taken: int = field(default=0, init=False)
+    layers: list[list[Gate]] = field(init=False, repr=False)
+    depths: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.gates)
+        order = range(n - 1, -1, -1) if self.which == "right" else range(n)
+        reached: dict[int, int] = {}  # wire -> depth of its last scanned gate
+        self.depths = [0] * n
+        self.layers = []
+        for idx in order:
+            g = self.gates[idx]
+            d = 1 + max(reached.get(q, 0) for q in g.qubits)
+            for q in g.qubits:
+                reached[q] = d
+            self.depths[idx] = d
+            if d > len(self.layers):
+                self.layers.append([])
+            self.layers[d - 1].append(g)
+
+    @property
+    def exhausted(self) -> bool:
+        return self.taken == len(self.layers)
+
+    def layer(self, ahead: int = 0) -> list[Gate] | None:
+        """The next unconsumed layer, or the one ``ahead`` layers past it;
+        None past the last."""
+        k = self.taken + ahead
+        return self.layers[k] if k < len(self.layers) else None
+
+    def remaining(self) -> list[Gate]:
+        """The unconsumed gates in list order."""
+        return [g for g, d in zip(self.gates, self.depths) if d > self.taken]
+
+    def consume(self) -> list[Gate]:
+        """Take the next layer, advancing the side's cut layout across the
+        routing swaps in it."""
+        layer = self.layers[self.taken]
+        self.taken += 1
+        for g in layer:
+            if g.origin == ORIGIN_ROUTING:
+                if self.which == "right":
+                    self.back = advance_layout(self.back, *g.qubits)
+                else:
+                    self.front = advance_layout(self.front, *g.qubits)
+        return layer
 
 
-def _extract_layer(gates: list[Gate], from_back: bool) -> tuple[list[Gate], list[Gate]]:
-    """Pop one maximal brick layer of non-overlapping innermost gates.
-
-    Scanning from the innermost end, a gate joins the layer iff none of its
-    qubits were touched by an earlier-scanned gate (taken or not), which
-    preserves program order on every wire. Returns (layer in absorb order,
-    remaining gates in original order).
-    """
-    order = range(len(gates) - 1, -1, -1) if from_back else range(len(gates))
-    blocked: set[int] = set()
-    taken: set[int] = set()
-    layer: list[Gate] = []
-    for idx in order:
-        g = gates[idx]
-        if blocked.isdisjoint(g.qubits):
-            taken.add(idx)
-            layer.append(g)
-        blocked.update(g.qubits)
-    remaining = [g for i, g in enumerate(gates) if i not in taken]
-    return layer, remaining
+def _entangles(layer: list[Gate] | None) -> bool:
+    """Whether the layer holds a two-qubit gate. A layer without one changes
+    no bond extent, so its chain keeps the element count it started with."""
+    return layer is not None and any(g.is_two_qubit for g in layer)
 
 
-def _consume_layer(side: _Side, layer: list[Gate], from_back: bool) -> None:
-    """Advance the side's cut layout across the consumed routing swaps."""
-    for g in layer:
-        if g.origin == ORIGIN_ROUTING:
-            if from_back:
-                side.back = advance_layout(side.back, *g.qubits)
-            else:
-                side.front = advance_layout(side.front, *g.qubits)
+def _readable(layer: list[Gate] | None, cfg: ContractionConfig) -> list[Gate] | None:
+    """The layer, if a sweep should read its count; else None. Only
+    entangling layers need reading. At ``epsilon`` 0 every rounding-noise
+    singular value is kept, so a bond's rank is the size of whichever blob it
+    is read from, and only the layer's own trial gives its count."""
+    return layer if cfg.epsilon > 0 and _entangles(layer) else None
+
+
+def _absorb_order(layer: list[Gate], center: int | None) -> list[Gate]:
+    """The layer by site, from the end nearer the center. Gates of one layer
+    act on disjoint qubits and commute, so the center crosses the chain once
+    per layer."""
+    ordered = sorted(layer, key=lambda g: min(g.qubits))
+    if center is not None and 2 * center > min(ordered[0].qubits) + min(ordered[-1].qubits):
+        ordered.reverse()
+    return ordered
 
 
 @dataclass
 class _Trial:
+    """``layer`` absorbed into the chain ``start``, giving ``m`` with
+    ``elements`` elements. ``predicted`` is the element count the other
+    side's layer read during the same sweep would give on ``start`` (None
+    when no layer was read)."""
+
+    start: MatrixProductOperator
     m: MatrixProductOperator
     layer: list[Gate]
-    remaining: list[Gate]
     elements: int
-    consumed_2q: int
+    predicted: int | None = None
 
 
-def _trial_absorb(m: MatrixProductOperator, side: _Side, which: str,
-                  cfg: ContractionConfig) -> _Trial:
-    """Absorb the side's next brick layer into the chain, in site order.
-    No compression sweep follows: each two-qubit gate is re-split at its own
-    bond with the center on that bond, and a local unitary leaves the
-    Schmidt spectra of all other bonds unchanged, so a sweep would trim
-    nothing."""
-    from_back = which == "right"
-    layer, remaining = _extract_layer(side.gates, from_back)
-    # gates of one layer act on disjoint qubits and commute: taking them by
-    # site from the end nearer the center moves the center across the chain
-    # once
-    ordered = sorted(layer, key=lambda g: min(g.qubits))
-    if m.center is not None and 2 * m.center > min(ordered[0].qubits) + min(ordered[-1].qubits):
-        ordered.reverse()
-    for g in ordered:
-        m = absorb_gate(m, g, which, cfg.epsilon, cfg.chi_max)
-    return _Trial(
-        m=m,
-        layer=layer,
-        remaining=remaining,
-        elements=total_elements(m),
-        consumed_2q=sum(1 for g in layer if g.is_two_qubit),
-    )
+class _SpectrumReader:
+    """Ranks of the other side's two-qubit gates, read during a kept sweep.
+
+    Absorbing the other side's gate on pair (k, k+1) re-splits bond k alone,
+    to the ``truncation_rank`` of ``svd(op(theta), compute_uv=False)``, with
+    ``theta`` the pair blob and the center on k or k+1. That holds at any
+    point of the swept side's sweep, as long as the swept side's own gate on
+    that same pair is not applied yet: its gates on other pairs and all
+    one-qubit gates act on one side of cut k and leave its spectrum alone.
+    So each pair is read the first time the sweep's center stands on it,
+    which for a pair the swept side also acts on is just before its gate
+    there is absorbed. Pairs the sweep never passes are read afterwards on a
+    copy of the swept chain (:meth:`reach`).
+    """
+
+    def __init__(self, layer: list[Gate], which: str, cfg: ContractionConfig):
+        self.ops = {min(g.qubits): _gate_op(g, which) for g in layer if g.is_two_qubit}
+        self.ranks: dict[int, int] = {}
+        self.cfg = cfg
+
+    def read(self, sites, center: int) -> None:
+        for bond in (center - 1, center):
+            if bond in self.ops:
+                theta = self.ops.pop(bond)(_bond_dot(sites[bond], sites[bond + 1]))
+                s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
+                self.ranks[bond] = truncation_rank(s, self.cfg.epsilon, self.cfg.chi_max)
+
+    def walk(self, m: MatrixProductOperator, bond: int) -> MatrixProductOperator:
+        """Move the center onto pair (bond, bond+1) by the QR steps
+        ``absorb_gate`` would take, reading at every position passed. Once
+        every pair is read, ``m`` is returned as it is and ``absorb_gate``
+        takes those steps itself."""
+        if not self.ops:
+            return m
+        c = m.center
+        if c in (bond, bond + 1):
+            self.read(m.sites, c)
+            return m
+        target = bond + 1 if c is not None and c > bond else bond
+        sites = list(m.sites)
+        if c is None:
+            _shift_center(sites, None, target)
+            self.read(sites, target)
+        else:
+            self.read(sites, c)
+            self._step(sites, c, target)
+        lo, hi = _touched(len(sites), c, target, target + 1)
+        return MatrixProductOperator._derived(sites, m.log_norm, target, lo, hi)
+
+    def reach(self, m: MatrixProductOperator) -> None:
+        """Read the pairs the sweep did not pass, moving the center of a copy
+        of the swept chain's site list to each in turn, nearest first. The
+        swept side has no gate on those pairs."""
+        sites = list(m.sites)
+        c = m.center
+        self.read(sites, c)
+        while self.ops:
+            bond = min(self.ops, key=lambda b: abs(b - c))
+            target = bond + 1 if c > bond else bond
+            self._step(sites, c, target)
+            c = target
+
+    def _step(self, sites, center: int, target: int) -> None:
+        """Move the center of the site list one QR step at a time, reading
+        at each new position."""
+        step = 1 if target > center else -1
+        for pos in range(center, target, step):
+            _shift_center(sites, pos, pos + step)
+            self.read(sites, pos + step)
+
+
+def _replay_elements(m: MatrixProductOperator, layer: list[Gate], ranks: dict[int, int]) -> int:
+    """Element count after absorbing ``layer`` into ``m`` in site order, the
+    bond of each two-qubit gate re-split to ``ranks[bond]``, without touching
+    a tensor. The center walks the path ``absorb_gate`` would walk. Each QR
+    step on the way trims its bond to min(rows, cols), which matters where a
+    bond holds slack, and each split keeps at most min(rows, cols)."""
+    n = m.num_sites
+    dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
+    center = m.center
+    for g in _absorb_order(layer, center):
+        if not g.is_two_qubit:
+            continue
+        bond = min(g.qubits)
+        if center not in (bond, bond + 1):
+            target = bond + 1 if center is not None and center > bond else bond
+            if center is None or center < target:
+                for i in range(center or 0, target):
+                    dims[i + 1] = min(4 * dims[i], dims[i + 1])
+            if center is None or center > target:
+                for i in range(n - 1 if center is None else center, target, -1):
+                    dims[i] = min(dims[i], 4 * dims[i + 1])
+        dims[bond + 1] = min(ranks[bond], 4 * dims[bond], 4 * dims[bond + 2])
+        center = bond + 1
+    return 4 * sum(a * b for a, b in zip(dims, dims[1:]))
+
+
+def _sweep(start: MatrixProductOperator, side: _Side, cfg: ContractionConfig,
+           read: list[Gate] | None = None) -> _Trial:
+    """Absorb the side's next layer into the chain in site order, one
+    ``absorb_gate`` per gate. No compression sweep follows: each two-qubit
+    gate is re-split at its own bond with the center on that bond, and a
+    local unitary leaves the Schmidt spectra of all other bonds unchanged,
+    so a sweep would trim nothing.
+
+    With ``read``, a layer of the other side, the sweep also reads that
+    layer's bond ranks at the center positions it passes
+    (:class:`_SpectrumReader`) and replays them into the element count that
+    layer would give on ``start`` (:func:`_replay_elements`)."""
+    layer = side.layer()
+    reader = None
+    if read is not None:
+        reader = _SpectrumReader(read, "right" if side.which == "left" else "left", cfg)
+    m = start
+    for g in _absorb_order(layer, m.center):
+        if reader is not None and g.is_two_qubit:
+            m = reader.walk(m, min(g.qubits))
+        m = absorb_gate(m, g, side.which, cfg.epsilon, cfg.chi_max)
+    predicted = None
+    if reader is not None:
+        reader.reach(m)
+        predicted = _replay_elements(start, read, reader.ranks)
+    return _Trial(start, m, layer, total_elements(m), predicted)
 
 
 def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
-                 cfg: ContractionConfig, step: int) -> tuple[str, _Trial]:
-    """Pick the side to absorb from next, and return it with its trial.
+                 cfg: ContractionConfig, step: int,
+                 carry: _Trial | None = None) -> tuple[str, _Trial, _Trial | None]:
+    """Pick the side to absorb from next. Returns it, its trial, and a trial
+    of left's next layer to carry into the next decision (or None).
 
-    Adaptive mode trial-absorbs the next layer from each side on copies, in
-    site order and without a compression sweep, and keeps the one
-    yielding the smaller chain (ties go left). Fixed mode
+    Adaptive mode keeps the side whose next layer yields the smaller chain
+    (ties go left), and absorbs each layer once in the common case. A layer
+    with no two-qubit gate ("1q") leaves the count at ``total_elements(m)``
+    with no work. Left's trial reads right's bond ranks on the way, so
+    right's count comes without absorbing right's layer (see
+    :class:`_SpectrumReader` for why that count is exact):
+
+    - 1q / 1q: absorb left's layer (the tie goes left).
+    - 1q / 2q: sweep right; keep it if its count is smaller, else absorb
+      left's layer.
+    - 2q / 2q: sweep left while reading right's layer; keep left if its
+      count is at most right's, else sweep right.
+    - 2q / 1q: absorb right's layer, then sweep left on that chain while
+      reading right's next layer. A one-qubit layer changes no spectrum, so
+      left's count there is its count on ``m``. If left wins, sweep it again
+      on ``m`` (rare). Else keep right's layer and return the left trial as
+      the carry: it is exactly the sweep the next decision would run, so
+      that decision uses it as long as ``m`` and left's layer are the
+      chain and layer it was made for.
+
+    At ``epsilon`` 0 nothing is read (:func:`_readable`): a 2q / 2q
+    decision sweeps both layers and compares their counts. Fixed mode
     alternates every ``k`` layers. An exhausted side always yields to the
     other; both exhausted is an error.
     """
-    if not left.gates and not right.gates:
+    if left.exhausted and right.exhausted:
         raise ValueError("both sides are exhausted")
-    if not left.gates:
-        return "right", _trial_absorb(m, right, "right", cfg)
-    if not right.gates:
-        return "left", _trial_absorb(m, left, "left", cfg)
+    if carry is not None and (carry.start is not m or carry.layer is not left.layer()):
+        carry = None
+    if left.exhausted:
+        return "right", _sweep(m, right, cfg), None
+    if right.exhausted:
+        return "left", carry or _sweep(m, left, cfg), None
     k = cfg.fixed_frequency
     if k is not None:
         which = "left" if (step // k) % 2 == 0 else "right"
-        side = left if which == "left" else right
-        return which, _trial_absorb(m, side, which, cfg)
-    trial_l = _trial_absorb(m, left, "left", cfg)
-    trial_r = _trial_absorb(m, right, "right", cfg)
-    if trial_l.elements <= trial_r.elements:
-        return "left", trial_l
-    return "right", trial_r
+        return which, _sweep(m, left if which == "left" else right, cfg), None
+    size = total_elements(m)
+    if not _entangles(left.layer()):
+        if _entangles(right.layer()):
+            trial = _sweep(m, right, cfg)
+            if trial.elements < size:
+                return "right", trial, None
+        return "left", _sweep(m, left, cfg), None
+    if _entangles(right.layer()):
+        trial = carry or _sweep(m, left, cfg, read=_readable(right.layer(), cfg))
+        if trial.predicted is not None and trial.elements <= trial.predicted:
+            return "left", trial, None
+        other = _sweep(m, right, cfg)
+        if trial.predicted is None and trial.elements <= other.elements:
+            return "left", trial, None
+        return "right", other, None
+    if carry is not None and carry.elements <= size:
+        return "left", carry, None
+    ones = _sweep(m, right, cfg)
+    trial = _sweep(ones.m, left, cfg, read=_readable(right.layer(1), cfg))
+    if carry is None and trial.elements <= size:
+        again = _sweep(m, left, cfg)
+        if again.elements <= size:
+            return "left", again, None
+    return "right", ones, trial
 
 
 def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,
                  n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(Circuit(n, tuple(side.gates)), side.front)
+    logical = strip_transpilation_swaps(Circuit(n, tuple(side.remaining())), side.front)
     sigma = side.front.inverse().compose(extracted)
     relabeled = reindex(logical, sigma.inverse())
     routed = route_linear(relabeled, "forward")
     drift = routed.output_layout
     pi_out = pi_out.compose(side.back).compose(sigma).compose(drift.inverse())
-    new_side = _Side(list(routed.circuit.gates), QubitPermutation.identity(n), drift)
+    new_side = _Side("left", list(routed.circuit.gates), QubitPermutation.identity(n), drift)
     return pi_out, new_side
 
 
 def _rewire_right(pi_in: QubitPermutation, side: _Side, extracted: QubitPermutation,
                   n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(Circuit(n, tuple(side.gates)), side.front)
+    logical = strip_transpilation_swaps(Circuit(n, tuple(side.remaining())), side.front)
     sigma = extracted.compose(side.back)
     relabeled = reindex(logical, sigma)
     routed = route_linear(relabeled, "reverse")
     drift = routed.input_layout
     pi_in = drift.compose(sigma).compose(side.front.inverse()).compose(pi_in)
-    new_side = _Side(list(routed.circuit.gates), drift, QubitPermutation.identity(n))
+    new_side = _Side("right", list(routed.circuit.gates), drift, QubitPermutation.identity(n))
     return pi_in, new_side
 
 
@@ -281,8 +487,8 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
 
     pi_out = routed.output_layout.inverse()
     pi_in = QubitPermutation.identity(n)
-    left = _Side(list(second.gates), front=cut, back=routed.output_layout)
-    right = _Side(list(first.gates), front=QubitPermutation.identity(n), back=cut)
+    left = _Side("left", list(second.gates), front=cut, back=routed.output_layout)
+    right = _Side("right", list(first.gates), front=QubitPermutation.identity(n), back=cut)
 
     m = identity_mpo(n)
     trace: list[TraceRecord] = []
@@ -293,35 +499,34 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     chi_saturations = 0
     stall_reductions: list[float] = []
 
-    while left.gates or right.gates:
+    carry = None
+    while not (left.exhausted and right.exhausted):
         # every absorption phase must consume at least one source gate:
         # extracted permutations re-enter the circuit as fresh routing swaps
         # at the next rewire, so swap-only phases would ping-pong forever
         source_gate_absorbed = False
-        while (total_elements(m) < cfg.tau or not source_gate_absorbed) and (
-            left.gates or right.gates
+        elements = total_elements(m)
+        while (elements < cfg.tau or not source_gate_absorbed) and not (
+            left.exhausted and right.exhausted
         ):
-            which, trial = _choose_side(left, right, m, cfg, step)
-            side = left if which == "left" else right
+            which, trial, carry = _choose_side(left, right, m, cfg, step, carry)
+            layer = (left if which == "left" else right).consume()
             m = trial.m
-            _consume_layer(side, trial.layer, from_back=(which == "right"))
-            side.gates = trial.remaining
-            consumed += trial.consumed_2q
+            elements = trial.elements
+            consumed += sum(1 for g in layer if g.is_two_qubit)
             consumed_source += sum(
-                1 for g in trial.layer if g.is_two_qubit and g.origin != ORIGIN_ROUTING
+                1 for g in layer if g.is_two_qubit and g.origin != ORIGIN_ROUTING
             )
-            if any(g.origin != ORIGIN_ROUTING for g in trial.layer):
+            if any(g.origin != ORIGIN_ROUTING for g in layer):
                 source_gate_absorbed = True
             step += 1
             if any(d >= cfg.chi_max for d in m.bond_dims()):
                 chi_saturations += 1
-            trace.append(
-                TraceRecord("absorb", consumed, trial.elements, time.perf_counter() - t0)
-            )
-        if not (left.gates or right.gates):
+            trace.append(TraceRecord("absorb", consumed, elements, time.perf_counter() - t0))
+        if left.exhausted and right.exhausted:
             break
 
-        before = total_elements(m)
+        before = elements
         result = unswap(m, cfg.unswap_config())
         m = compress(result.reduced, cfg.epsilon, cfg.chi_max)
         after = total_elements(m)

@@ -164,3 +164,65 @@ def two_svd_unswap_parallel(m, cfg):
         elements_before=before,
         elements_after=total_elements(state.m),
     )
+
+
+def extract_layer(gates, from_back: bool):
+    """Reference layer peeling: pop one maximal brick layer of
+    non-overlapping innermost gates by rescanning the whole list.
+
+    Scanning from the innermost end, a gate joins the layer iff none of its
+    qubits were touched by an earlier-scanned gate (taken or not). Returns
+    (layer in scan order, remaining gates in original order)."""
+    order = range(len(gates) - 1, -1, -1) if from_back else range(len(gates))
+    blocked: set[int] = set()
+    taken: set[int] = set()
+    layer = []
+    for idx in order:
+        g = gates[idx]
+        if blocked.isdisjoint(g.qubits):
+            taken.add(idx)
+            layer.append(g)
+        blocked.update(g.qubits)
+    remaining = [g for i, g in enumerate(gates) if i not in taken]
+    return layer, remaining
+
+
+def two_trial_absorb(m, gates, which: str, cfg):
+    """Reference trial: extract the next layer of ``gates`` from the
+    ``which`` side's inner end and absorb it in site order, from the end
+    nearer the center. Returns a ``driver._Trial``."""
+    from mirrorbreak.chains import absorb_gate, total_elements
+    from mirrorbreak.driver import _Trial
+
+    layer, _ = extract_layer(gates, from_back=(which == "right"))
+    start = m
+    ordered = sorted(layer, key=lambda g: min(g.qubits))
+    if m.center is not None and 2 * m.center > min(ordered[0].qubits) + min(ordered[-1].qubits):
+        ordered.reverse()
+    for g in ordered:
+        m = absorb_gate(m, g, which, cfg.epsilon, cfg.chi_max)
+    return _Trial(start, m, layer, total_elements(m))
+
+
+def two_trial_choose_side(left, right, m, cfg, step, carry=None):
+    """Reference side chooser with the signature of ``driver._choose_side``:
+    adaptive mode absorbs the next layer of both sides, each re-extracted
+    from the side's remaining gates, and keeps the smaller chain (ties go
+    left). It never returns a carry. ``driver._choose_side`` reads the
+    other side's count instead of absorbing it; its decisions must match."""
+    lg, rg = left.remaining(), right.remaining()
+    if not lg and not rg:
+        raise ValueError("both sides are exhausted")
+    if not lg:
+        return "right", two_trial_absorb(m, rg, "right", cfg), None
+    if not rg:
+        return "left", two_trial_absorb(m, lg, "left", cfg), None
+    k = cfg.fixed_frequency
+    if k is not None:
+        which = "left" if (step // k) % 2 == 0 else "right"
+        return which, two_trial_absorb(m, lg if which == "left" else rg, which, cfg), None
+    trial_l = two_trial_absorb(m, lg, "left", cfg)
+    trial_r = two_trial_absorb(m, rg, "right", cfg)
+    if trial_l.elements <= trial_r.elements:
+        return "left", trial_l, None
+    return "right", trial_r, None

@@ -430,6 +430,29 @@ class TestApplyToZero:
         psi = apply_to_zero(m, EXACT, 64)
         assert math.exp(psi.log_norm) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_lossy_result_does_not_depend_on_the_gauge(self, seed):
+        # the truncation sweep orthogonalizes first, so scrambling the gauge
+        # on every bond changes neither the kept state nor its bonds, even
+        # where the cutoff drops weight
+        n = 6
+        rng = np.random.default_rng(1950 + seed)
+        c = random_circuit(n, 6 * n, rng, adjacent_only=True)
+        m = absorb_circuit(identity_mpo(n), c, "left")
+        sites = list(m.sites)
+        for i in range(n - 1):
+            k = sites[i].shape[3]
+            x = np.eye(k) + 0.5 * rng.standard_normal((k, k))
+            sites[i] = sites[i] @ x
+            sites[i + 1] = np.tensordot(np.linalg.inv(x), sites[i + 1], axes=(1, 0))
+        scrambled = MatrixProductOperator(tuple(sites), m.log_norm)
+        lossy = 0.1
+        psi = apply_to_zero(m, lossy, 256)
+        assert sum(psi.bond_dims()) < sum(apply_to_zero(m, EXACT, 256).bond_dims())
+        psi_scrambled = apply_to_zero(scrambled, lossy, 256)
+        assert psi_scrambled.bond_dims() == psi.bond_dims()
+        np.testing.assert_allclose(mps_to_dense(psi_scrambled), mps_to_dense(psi), atol=1e-10)
+
 
 class TestSample:
     def test_zero_state_samples_only_zeros(self):

@@ -5,6 +5,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorbreak import driver
 from mirrorbreak.chains import (
@@ -17,14 +19,15 @@ from mirrorbreak.chains import (
     mps_to_dense,
     sample,
 )
-from mirrorbreak.circuit import Circuit, Gate, inverse_circuit
+from mirrorbreak.circuit import ORIGIN_ROUTING, Circuit, Gate, inverse_circuit
 from mirrorbreak.driver import (
     ContractionConfig,
     StallError,
     TraceRecord,
     _Side,
     _choose_side,
-    _trial_absorb,
+    _replay_elements,
+    _sweep,
     dense_output,
     emit_trace,
     parse_trace,
@@ -33,8 +36,9 @@ from mirrorbreak.driver import (
 )
 from mirrorbreak.oracle import peak_of, simulate
 from mirrorbreak.peaked import generate
-from mirrorbreak.routing import QubitPermutation
+from mirrorbreak.routing import QubitPermutation, advance_layout
 
+from . import oracles
 from .oracles import random_circuit
 
 TIGHT = ContractionConfig(epsilon=1e-10, chi_max=4096)
@@ -256,8 +260,8 @@ class TestSelectSide:
     def _sides(self, n, left_gates, right_gates):
         ident = QubitPermutation.identity(n)
         return (
-            _Side(list(left_gates), ident, ident),
-            _Side(list(right_gates), ident, ident),
+            _Side("left", list(left_gates), ident, ident),
+            _Side("right", list(right_gates), ident, ident),
         )
 
     def test_tie_goes_left(self):
@@ -340,8 +344,10 @@ class TestTrialAbsorb:
         for g in layer:
             expected = absorb_gate(expected, g, which, cfg.epsilon, cfg.chi_max)
         ident = QubitPermutation.identity(n)
-        trial = _trial_absorb(m, _Side(list(layer), ident, ident), which, cfg)
-        assert trial.remaining == []
+        side = _Side(which, list(layer), ident, ident)
+        trial = _sweep(m, side, cfg)
+        side.consume()
+        assert side.remaining() == []
         np.testing.assert_allclose(mpo_to_dense(trial.m), mpo_to_dense(expected), atol=1e-10)
         # one sweep: the center ends past the gate at the far end from the start
         los = [min(g.qubits) for g in layer if g.is_two_qubit]
@@ -352,17 +358,258 @@ class TestTrialAbsorb:
         # already truncated with the center on it
         swept = []
 
-        def checking(m, side, which, cfg, original=driver._trial_absorb):
-            trial = original(m, side, which, cfg)
+        def checking(m, side, cfg, read=None, original=driver._sweep):
+            trial = original(m, side, cfg, read)
             after = compress(trial.m, cfg.epsilon, cfg.chi_max)
             swept.append(after.bond_dims() == trial.m.bond_dims())
             return trial
 
-        monkeypatch.setattr(driver, "_trial_absorb", checking)
+        monkeypatch.setattr(driver, "_sweep", checking)
         inst = generate(n=8, depth=40, peak_weight=0.2, obfuscation_swaps=8, seed=21)
         result = run(inst.circuit, ContractionConfig(epsilon=1e-10, chi_max=4096, tau=400))
         assert any(rec.phase == "unswap" for rec in result.trace)
         assert swept and all(swept)
+
+
+def outputs(c: Circuit, cfg: ContractionConfig):
+    """Everything the chooser's decisions reach: trace tuples, final size,
+    output bond dims, samples and the output relabeling (or the partial trace
+    of a stall)."""
+    try:
+        result = run(c, cfg)
+    except StallError as exc:
+        return "stall", [(t.phase, t.unitaries_consumed, t.elements) for t in exc.trace]
+    return (
+        [(t.phase, t.unitaries_consumed, t.elements) for t in result.trace],
+        result.final_elements,
+        result.state.bond_dims(),
+        sample_output(result, 200, seed=3),
+        result.output_permutation.mapping,
+    )
+
+
+def assert_matches_two_trial_reference(monkeypatch, c, cfg):
+    ours = outputs(c, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(driver, "_choose_side", oracles.two_trial_choose_side)
+        reference = outputs(c, cfg)
+    assert ours == reference
+
+
+def _random_adaptive_case(seed: int) -> tuple[Circuit, ContractionConfig]:
+    """Even seeds: a long-range random circuit. Odd seeds: an obfuscated
+    peaked instance. Small tau forces unswaps and rewires on some."""
+    rng = np.random.default_rng(2600 + seed)
+    n = 3 + seed % 6
+    if seed % 2 == 0:
+        c = random_circuit(n, 14, rng)
+    else:
+        c = generate(n=n, depth=4 * n, peak_weight=0.3, obfuscation_swaps=2 * n,
+                     seed=2650 + seed).circuit
+    tau = (40 * n, 10**6)[seed % 4 // 2]
+    return c, ContractionConfig(epsilon=1e-10, chi_max=4096, tau=tau, stall_limit=50)
+
+
+class TestChooserAgainstTwoTrialReference:
+    """The chooser reads the other side's count instead of absorbing that
+    side's layer; with the parent's two-trial chooser patched in, every
+    output must be the same."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_adaptive_circuits(self, monkeypatch, seed):
+        assert_matches_two_trial_reference(monkeypatch, *_random_adaptive_case(seed))
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_epsilon_zero(self, monkeypatch, seed):
+        # rounding noise is kept at epsilon 0, so these cases (read counts
+        # would differ from the trials) sweep both layers
+        c, cfg = _random_adaptive_case(seed)
+        assert_matches_two_trial_reference(monkeypatch, c, dataclasses.replace(cfg, epsilon=0.0))
+
+    @pytest.mark.parametrize("n,num_gates,seed", [(5, 15, 0), (6, 20, 1), (8, 30, 2)])
+    def test_mirror_circuits(self, monkeypatch, n, num_gates, seed):
+        assert_matches_two_trial_reference(monkeypatch, mirror_circuit(n, num_gates, seed), TIGHT)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_obfuscated_twelve_qubit_instances(self, monkeypatch, seed):
+        inst = generate(n=12, depth=120, peak_weight=0.10, obfuscation_swaps=40, seed=seed)
+        cfg = ContractionConfig(epsilon=1e-8, chi_max=4096, tau=5000, stall_limit=40)
+        assert_matches_two_trial_reference(monkeypatch, inst.circuit, cfg)
+
+    def test_sawtooth_instance(self, monkeypatch):
+        inst = generate(n=12, depth=120, peak_weight=0.3, obfuscation_swaps=30, seed=5)
+        cfg = ContractionConfig(epsilon=1e-8, chi_max=4096, tau=5000, stall_limit=25)
+        assert_matches_two_trial_reference(monkeypatch, inst.circuit, cfg)
+
+
+def _same_sites(a: MatrixProductOperator, b: MatrixProductOperator) -> bool:
+    return len(a.sites) == len(b.sites) and all(
+        np.array_equal(x, y) for x, y in zip(a.sites, b.sites))
+
+
+class TestCarry:
+    CFG = ContractionConfig(epsilon=1e-10, chi_max=64)
+
+    def _sides(self, left_gates, right_gates):
+        ident = QubitPermutation.identity(2)
+        return (_Side("left", list(left_gates), ident, ident),
+                _Side("right", list(right_gates), ident, ident))
+
+    def _decide(self, left, right, m, step, carry=None):
+        """The chooser's pick, checked against the two-trial reference."""
+        which, trial, carry_out = _choose_side(left, right, m, self.CFG, step, carry)
+        ref_which, ref_trial, _ = oracles.two_trial_choose_side(left, right, m, self.CFG, step)
+        assert which == ref_which
+        assert trial.elements == ref_trial.elements
+        assert _same_sites(trial.m, ref_trial.m)
+        return which, trial, carry_out
+
+    def test_carry_is_used(self):
+        # right's inner layer is one-qubit and its next one entangles
+        left, right = self._sides([Gate("rzz", (0, 1), (1.1,))],
+                                  [Gate("rzz", (0, 1), (0.7,)), Gate("h", (0,)), Gate("h", (1,))])
+        which, trial, carry = self._decide(left, right, identity_mpo(2), 0)
+        assert which == "right" and carry is not None
+        assert carry.start is trial.m and carry.predicted is not None
+        # the carried sweep is the one the next decision would run, bit for bit
+        assert _same_sites(carry.m, _sweep(trial.m, left, self.CFG).m)
+        right.consume()
+        which, again, carry_out = self._decide(left, right, trial.m, 1, carry)
+        assert which == "left" and again is carry and carry_out is None
+
+    def test_left_wins_at_once(self):
+        # an identity-like entangler leaves the chain as small as a
+        # one-qubit layer, so left wins and is swept again on the original chain
+        left, right = self._sides([Gate("rzz", (0, 1), (0.0,))], [Gate("h", (0,))])
+        m = identity_mpo(2)
+        which, trial, carry = self._decide(left, right, m, 0)
+        assert which == "left" and carry is None
+        assert trial.start is m
+
+    def test_right_exhausted_after_its_one_qubit_layer(self):
+        left, right = self._sides([Gate("rzz", (0, 1), (1.1,))],
+                                  [Gate("h", (0,)), Gate("h", (1,))])
+        which, trial, carry = self._decide(left, right, identity_mpo(2), 0)
+        assert which == "right" and carry is not None and carry.predicted is None
+        right.consume()
+        assert right.exhausted
+        which, again, _ = self._decide(left, right, trial.m, 1, carry)
+        assert which == "left" and again is carry
+
+    def test_carry_dropped_when_the_chain_changed(self):
+        left, right = self._sides([Gate("rzz", (0, 1), (1.1,))],
+                                  [Gate("rzz", (0, 1), (0.7,)), Gate("h", (0,)), Gate("h", (1,))])
+        _, trial, carry = self._decide(left, right, identity_mpo(2), 0)
+        right.consume()
+        moved = move_center(trial.m, 0)
+        which, again, _ = self._decide(left, right, moved, 1, carry)
+        assert which == "left" and again is not carry and again.start is moved
+        # and when left's layer is not the one the carry was made for
+        rebuilt = _Side("left", list(left.gates), left.front, left.back)
+        which, again, _ = self._decide(rebuilt, right, trial.m, 1, carry)
+        assert which == "left" and again is not carry and again.start is trial.m
+
+
+class TestPrediction:
+    @pytest.mark.parametrize("center", [None, 0, -1, "mid"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predicted_count_equals_the_other_sides_trial(self, center, seed):
+        # right's layer undoes the first layer absorbed, so its bonds shrink
+        # and its neighbours hold slack that the trial's QR steps trim
+        rng = np.random.default_rng(2700 + seed)
+        n = 5 + seed % 3
+        cfg = ContractionConfig(epsilon=(1e-10, 1e-3)[seed % 2], chi_max=4096)
+        inner = brick_layer(n, seed % 2, rng)
+        m = identity_mpo(n)
+        for g in inner + list(random_circuit(n, 2 * n, rng, adjacent_only=True).gates):
+            m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
+        if center is None:
+            m = MatrixProductOperator(m.sites, m.log_norm, None)
+        else:
+            m = move_center(m, n // 2 if center == "mid" else center % n)
+        ident = QubitPermutation.identity(n)
+        left = _Side("left", brick_layer(n, (seed + 1) % 2, rng), ident, ident)
+        right = _Side("right", list(inverse_circuit(Circuit(n, tuple(inner))).gates), ident, ident)
+        trial = _sweep(m, left, cfg, read=right.layer())
+        assert trial.predicted == oracles.two_trial_absorb(m, right.remaining(), "right",
+                                                           cfg).elements
+        # reading leaves the kept sweep bit for bit as it was
+        assert _same_sites(trial.m, oracles.two_trial_absorb(m, left.remaining(), "left",
+                                                             cfg).m)
+
+
+    @pytest.mark.parametrize("center", [None, 0, 2, 4])
+    def test_slack_is_trimmed_as_the_trial_trims_it(self, center):
+        # zero-padded bonds hold more extent than min(rows, cols) of their
+        # sites; each QR step of the other side's trial trims the bond it
+        # crosses, and the replay must trim it the same way
+        n = 5
+        cfg = ContractionConfig(epsilon=1e-10, chi_max=4096)
+        m = identity_mpo(n)
+        for g in random_circuit(n, 6, np.random.default_rng(7), adjacent_only=True).gates:
+            m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
+        m = move_center(m, 2 if center is None else center)
+        sites = list(m.sites)
+        for b in range(n - 1):
+            a, c = sites[b], sites[b + 1]
+            sites[b] = np.concatenate([a, np.zeros(a.shape[:3] + (9,))], axis=3)
+            sites[b + 1] = np.concatenate([c, np.zeros((9,) + c.shape[1:])], axis=0)
+        m = MatrixProductOperator(tuple(sites), m.log_norm, m.center if center is not None else None)
+        ident = QubitPermutation.identity(n)
+        left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
+                     ident, ident)
+        right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident, ident)
+        actual = oracles.two_trial_absorb(m, right.remaining(), "right", cfg)
+        assert _sweep(m, left, cfg, read=right.layer()).predicted == actual.elements
+
+
+    def test_replay_keeps_at_most_the_blob_size(self):
+        # a split keeps at most min(rows, cols) of its (4l, 4r) blob, here 4
+        m = identity_mpo(3)
+        assert _replay_elements(m, [Gate("cx", (0, 1))], {0: 64}) == 16 + 16 + 4
+
+
+@st.composite
+def gate_lists(draw):
+    """Up to 24 gates on 2-6 qubits: one-qubit gates, source two-qubit gates
+    on any pair, and routing swaps."""
+    n = draw(st.integers(2, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["h", "cx", "swap", "routing"]))
+        a = draw(st.integers(0, n - 1))
+        if kind == "h":
+            gates.append(Gate("h", (a,)))
+            continue
+        b = draw(st.integers(0, n - 2))
+        pair = (a, b if b < a else b + 1)
+        if kind == "routing":
+            gates.append(Gate("swap", pair, origin=ORIGIN_ROUTING))
+        else:
+            gates.append(Gate(kind, pair))
+    return n, gates
+
+
+class TestPeeling:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=gate_lists(), which=st.sampled_from(["left", "right"]))
+    def test_matches_repeated_extraction(self, case, which):
+        n, gates = case
+        ident = QubitPermutation.identity(n)
+        side = _Side(which, list(gates), ident, ident)
+        remaining = list(gates)
+        layout = ident
+        while remaining:
+            assert not side.exhausted
+            layer, remaining = oracles.extract_layer(remaining, from_back=(which == "right"))
+            assert side.layer() == layer
+            assert side.consume() == layer
+            assert side.remaining() == remaining
+            for g in layer:
+                if g.origin == ORIGIN_ROUTING:
+                    layout = advance_layout(layout, *g.qubits)
+            assert (side.back if which == "right" else side.front) == layout
+        assert side.exhausted and side.layer() is None
 
 
 class TestDeterminism:

@@ -1,0 +1,51 @@
+"""Tests for ``tools/trajectory_digest.py``, the output-identity check that
+compares two checkouts on the benchmark instances."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "trajectory_digest.py"
+
+
+def digest(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
+                          timeout=600)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    path = tmp_path_factory.mktemp("digest") / "probs.json"
+    done = digest("--workload", "mirror-wide", "--seeds", "701", "--save", str(path))
+    assert done.returncode == 0, done.stderr
+    return done.stdout, path
+
+
+def test_one_line_with_digest_and_instance_count(saved):
+    stdout, path = saved
+    lines = stdout.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert line["workload"] == "mirror-wide"
+    assert line["instances"] == 5
+    assert re.fullmatch(r"[0-9a-f]{64}", line["sha256"])
+    assert len(json.loads(path.read_text())["mirror-wide"]) == 5
+
+
+def test_round_trip_against_saved_probabilities(saved):
+    stdout, path = saved
+    done = digest("--workload", "mirror-wide", "--seeds", "701", "--against", str(path))
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout)
+    assert line["max_peak_prob_diff"] == 0.0
+    assert line["sha256"] == json.loads(stdout)["sha256"]
+
+
+def test_bad_seeds_exit_2():
+    done = digest("--workload", "mirror-wide", "--seeds", "x")
+    assert done.returncode == 2
+    assert "--seeds" in done.stderr
