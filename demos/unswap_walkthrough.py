@@ -1,9 +1,11 @@
 """Extract a hidden wire permutation from an inflated operator chain.
 
 A permutation carries no entanglement, yet absorbed into a chain it inflates
-the bonds like entanglement would. The greedy extraction tests a swap on the
-fattest bond from the left, the right, or both sides, keeps whatever shrinks
-it, and repeats; the permutation ends up factored out exactly.
+the bonds like entanglement would. The greedy extraction sweeps batches of
+disjoint bonds, testing a swap on every bond of the batch from both sides,
+the left or the right, keeps each one that shrinks its bond, and repeats
+until a full cycle of batches shrinks nothing; the permutation ends up
+factored out exactly.
 """
 
 import numpy as np

@@ -1,8 +1,10 @@
 """Command-line frontend: generate instances, run contractions, sample, and
 emit traces and histograms for external plotting.
 
-Exit codes are a stable contract: 0 success, 2 usage error, 3 stall
-diagnosis, 4 I/O failure. Bitstrings print qubit 0 leftmost everywhere.
+Exit codes are a stable contract: 0 success, 1 peak mismatch (``verify``
+only), 2 usage error, 3 no result (a stall diagnosis, or an SVD that did not
+converge even after its perturbed retry), 4 I/O failure. Bitstrings print
+qubit 0 leftmost everywhere.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from .circuit import QasmError, parse_qasm
 from .driver import ContractionConfig, StallError, dense_output, emit_trace, run, sample_output
 from .oracle import bits_to_index, peak_of, simulate, tvd
 from .peaked import generate, write_instance
+from .tensor import SvdConvergenceError
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-EXIT_STALL = 3
+EXIT_NO_RESULT = 3
 EXIT_IO = 4
 
 VERIFY_MAX_QUBITS = 12
@@ -54,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--chi-max", type=int, default=8192)
     runp.add_argument("--tau", type=float, default=1e6)
     runp.add_argument("--max-unswap-iters", type=int, default=20)
-    runp.add_argument("--acceptance", choices=["strict", "relaxed"], default="strict")
     runp.add_argument("--side", default="adaptive", help="adaptive or fixed:<k>")
     runp.add_argument("--shots", type=int, default=1000)
     runp.add_argument("--seed", type=int, default=0)
@@ -127,7 +130,6 @@ def _cmd_run(args) -> int:
             chi_max=args.chi_max,
             tau=int(args.tau),
             max_unswap_iterations=args.max_unswap_iters,
-            acceptance=args.acceptance,
             side_mode=args.side,
         )
     except ValueError as exc:
@@ -140,6 +142,9 @@ def _cmd_run(args) -> int:
         samples = sample_output(result, args.shots, args.seed)
     except ValueError as exc:
         return _usage_error(exc)
+    except SvdConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_RESULT
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
         if args.trace:
@@ -148,7 +153,7 @@ def _cmd_run(args) -> int:
                     emit_trace(exc.trace, fh)
             except OSError:
                 pass  # the stall diagnosis is the primary outcome
-        return EXIT_STALL
+        return EXIT_NO_RESULT
 
     if args.trace:
         try:
@@ -187,9 +192,12 @@ def _cmd_verify(args) -> int:
         samples = sample_output(result, args.shots, args.seed)
     except ValueError as exc:
         return _usage_error(exc)
+    except SvdConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_RESULT
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
-        return EXIT_STALL
+        return EXIT_NO_RESULT
 
     reference = simulate(circuit)
     produced = dense_output(result)
@@ -208,7 +216,7 @@ def _cmd_verify(args) -> int:
     print(f"fidelity {fidelity:.10f}")
     print(f"tvd {sample_tvd:.6f} at {args.shots} shots")
     print(f"peak_match {str(match).lower()} (oracle {oracle_peak}, contracted {produced_peak})")
-    return EXIT_OK if match else 1
+    return EXIT_OK if match else EXIT_MISMATCH
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -57,7 +57,7 @@ from .routing import (
     route_linear,
     strip_transpilation_swaps,
 )
-from .tensor import truncation_rank
+from .tensor import singular_values, truncation_rank
 from .unswap import UnswapConfig, unswap
 
 
@@ -67,8 +67,6 @@ class ContractionConfig:
     chi_max: int = 8192
     tau: int = 1_000_000
     max_unswap_iterations: int = 20
-    acceptance: str = "strict"
-    unswap_strategy: str = "parity-parallel"
     side_mode: str = "adaptive"  # or "fixed:<k>"
     stall_limit: int = 3
 
@@ -99,8 +97,6 @@ class ContractionConfig:
         return UnswapConfig(
             epsilon=self.epsilon,
             chi_max=self.chi_max,
-            acceptance=self.acceptance,
-            strategy=self.unswap_strategy,
             max_outer_iterations=self.max_unswap_iterations,
         )
 
@@ -249,7 +245,7 @@ class _SpectrumReader:
     """Ranks of the other side's two-qubit gates, read during a kept sweep.
 
     Absorbing the other side's gate on pair (k, k+1) re-splits bond k alone,
-    to the ``truncation_rank`` of ``svd(op(theta), compute_uv=False)``, with
+    to the ``truncation_rank`` of the ``singular_values`` of ``op(theta)``, with
     ``theta`` the pair blob and the center on k or k+1. That holds at any
     point of the swept side's sweep, as long as the swept side's own gate on
     that same pair is not applied yet: its gates on other pairs and all
@@ -269,7 +265,7 @@ class _SpectrumReader:
         for bond in (center - 1, center):
             if bond in self.ops:
                 theta = self.ops.pop(bond)(_bond_dot(sites[bond], sites[bond + 1]))
-                s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
+                s = singular_values(theta.reshape(theta.shape[0] * 4, -1))
                 self.ranks[bond] = truncation_rank(s, self.cfg.epsilon, self.cfg.chi_max)
 
     def walk(self, m: MatrixProductOperator, bond: int) -> MatrixProductOperator:

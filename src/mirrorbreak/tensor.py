@@ -3,8 +3,9 @@
 Tensors are plain ``numpy.ndarray`` objects of dtype complex128 in row-major
 (C) layout; that linearization is the single source of truth for all index
 arithmetic in the package. Other modules contract, reshape and permute with
-numpy directly, and split tensors through :func:`svd_truncate` (or rank a
-spectrum through :func:`truncation_rank`).
+numpy directly, and split tensors through :func:`svd_truncate` (or take
+values-only spectra through :func:`singular_values` and rank them through
+:func:`truncation_rank`). Both retry a failed SVD the same way.
 """
 
 from __future__ import annotations
@@ -111,15 +112,21 @@ def _spectrum_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int:
     return min(r, chi_max)
 
 
-def _svd_with_retry(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Descending singular values of a matrix, or of each matrix in a
+    (k, rows, cols) stack, without the singular vectors."""
+    return _svd_with_retry(m, compute_uv=False)
+
+
+def _svd_with_retry(m: np.ndarray, compute_uv: bool = True):
     try:
-        return np.linalg.svd(m, full_matrices=False)
+        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         # one retry on a deterministically perturbed copy, then give up
         scale = 1e-14 * np.linalg.norm(m)
         rng = np.random.default_rng(0)
         perturbed = m + scale * rng.standard_normal(m.shape)
         try:
-            return np.linalg.svd(perturbed, full_matrices=False)
+            return np.linalg.svd(perturbed, full_matrices=False, compute_uv=compute_uv)
         except np.linalg.LinAlgError as exc:
             raise SvdConvergenceError("SVD failed to converge after perturbed retry") from exc

@@ -6,17 +6,17 @@ keeps the ones that shrink the targeted bond, factoring the operator as
 
     input = P_left . reduced . P_right
 
-where both factors are wire permutations. The sequential variant follows an
-availability-set loop over bonds ranked by extent; the parity-parallel
-variant sweeps batches of disjoint bonds per (side, parity) combination,
-which tests floor(N/2) candidates per step instead of one.
+where both factors are wire permutations. Candidates are tried in batches of
+disjoint bonds, one batch per (side, parity) combination, so a step tests
+floor(N/2) candidates instead of one; cycles repeat until one reduces no
+bond.
 
 A visit to a bond moves the center onto its pair and ranks the bond and its
-swap candidates from one values-only SVD of their stacked blobs; a pair is
-split again only for an accepted swap or to trim slack from the bond. The
-parity-parallel variant also skips visits that cannot accept (the same
-bond and side found nothing and no swap touched its pair since) and sweeps
-each batch from the end nearer the center.
+swap candidate from one values-only SVD of their stacked blobs; a pair is
+split again only for an accepted swap or to trim slack from the bond. Visits
+that cannot accept (the same bond and side found nothing and no swap touched
+its pair since) are skipped, and each batch is swept from the end nearer
+the center.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from .chains import (
     total_elements,
 )
 from .routing import QubitPermutation
-from .tensor import truncation_rank
-
-# hard ceiling on candidate evaluations, well above the availability-set bound
-_EVALUATION_SLACK = 16
+from .tensor import singular_values, truncation_rank
 
 _PARALLEL_CYCLE = (
     ("both", 0),
@@ -54,17 +51,9 @@ _PARALLEL_CYCLE = (
 class UnswapConfig:
     epsilon: float
     chi_max: int
-    acceptance: str = "strict"  # or "relaxed"
-    strategy: str = "sequential"  # or "parity-parallel"
     max_outer_iterations: int = 20
 
     def __post_init__(self):
-        if self.acceptance not in ("strict", "relaxed"):
-            raise ValueError(f"acceptance must be strict or relaxed, got {self.acceptance!r}")
-        if self.strategy not in ("sequential", "parity-parallel"):
-            raise ValueError(
-                f"strategy must be sequential or parity-parallel, got {self.strategy!r}"
-            )
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
 
@@ -107,113 +96,52 @@ class _Extraction:
         self.accepted += 1
 
 
-def _pair_ranks(
-    m: MatrixProductOperator, bond: int, sides: tuple[str, ...], cfg: UnswapConfig
-) -> list[int]:
+def _pair_ranks(m: MatrixProductOperator, bond: int, side: str, cfg: UnswapConfig) -> list[int]:
     """Truncation ranks of the (l, t1, b1, t2, b2, r) blob of sites (bond,
-    bond+1) and of each side's swap candidate, matricized between the
-    (l, t1, b1) and (t2, b2, r) legs. The blobs share one shape, so a single
-    values-only SVD call over their stack yields every spectrum."""
+    bond+1) and of its ``side`` swap candidate, matricized between the
+    (l, t1, b1) and (t2, b2, r) legs. The two blobs share one shape, so a
+    single values-only SVD call over their stack yields both spectra."""
     theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
-    stack = np.stack([theta] + [theta.transpose(SWAP_LEGS[side]) for side in sides])
-    spectra = np.linalg.svd(stack.reshape(len(stack), 4 * theta.shape[0], -1), compute_uv=False)
+    stack = np.stack([theta, theta.transpose(SWAP_LEGS[side])])
+    spectra = singular_values(stack.reshape(2, 4 * theta.shape[0], -1))
     return truncation_rank(spectra, cfg.epsilon, cfg.chi_max)
 
 
-def _try_bond(
-    state: _Extraction,
-    bond: int,
-    sides: tuple[str, ...],
-    cfg: UnswapConfig,
-    seen_this_pass: set | None,
-) -> bool:
-    """Evaluate swap candidates at one bond and accept the best admissible
-    one. Returns True on acceptance. Ties prefer fewer swapped sides (left
-    or right over both) and left over right, in the order of ``sides``.
+def _try_bond(state: _Extraction, bond: int, side: str, cfg: UnswapConfig) -> bool:
+    """Evaluate the ``side`` swap candidate at one bond and accept it iff it
+    shrinks the bond. Returns True on acceptance.
 
     The center moves onto the nearer site of the pair, so the pair blob's
-    singular values are the bond's Schmidt values and each candidate's are
-    those of the bond after its swap. One values-only SVD over the stack of
-    the blob and the candidates ranks them all, and only an accepted
-    candidate is materialized. When the bond's rank differs from its extent
-    the bond is first re-truncated and the candidates ranked again against
-    the re-split pair, so they are compared against an honest baseline
-    rather than stale slack.
+    singular values are the bond's Schmidt values and the candidate's are
+    those of the bond after the swap. One values-only SVD over the stack of
+    the blob and the candidate ranks both, and only an accepted candidate
+    is materialized. When the bond's rank is below its extent the bond is
+    first re-truncated and the candidate ranked again against the re-split
+    pair, so it is compared against an honest baseline rather than stale
+    slack. A rank at or above the extent (at ``epsilon`` 0 rounding noise
+    counts) leaves the bond as it is, so a visit never grows it.
     """
-    if seen_this_pass is not None:
-        sides = tuple(side for side in sides if (bond, side) not in seen_this_pass)
     center = state.m.center
     m = move_center(state.m, bond + 1 if center is not None and center > bond else bond)
-    baseline, *extents = _pair_ranks(m, bond, sides, cfg)
-    if baseline != m.sites[bond].shape[3]:
+    rank, candidate = _pair_ranks(m, bond, side, cfg)
+    if rank < m.sites[bond].shape[3]:
         m = _update_pair(m, bond, None, cfg.epsilon, cfg.chi_max)
-        baseline = m.sites[bond].shape[3]
-        _, *extents = _pair_ranks(m, bond, sides, cfg)
+        _, candidate = _pair_ranks(m, bond, side, cfg)
     state.m = m
-    if not sides:
-        return False
-    extent = min(extents)
-    side = sides[extents.index(extent)]
-    if extent < baseline or (cfg.acceptance == "relaxed" and extent == baseline):
-        if seen_this_pass is not None:
-            seen_this_pass.add((bond, side))
+    if candidate < m.sites[bond].shape[3]:
         # the center sits on the pair, so the swap is one split with no QR
         state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max), bond, side)
         return True
     return False
 
 
-def unswap_sequential(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
-    """Availability-set loop: pick the largest available bond (lowest index
-    on ties), evaluate left/right/both swap candidates with local
-    re-truncation, accept the best one iff it shrinks (strict) or does not
-    grow (relaxed) that bond; acceptance re-enables the neighboring bonds.
-    A pass ends when no bonds remain available; passes repeat until one
-    accepts nothing or ``max_outer_iterations`` is reached.
-    """
-    state = _Extraction(m)
-    before = total_elements(m)
-    n = m.num_sites
-    budget = cfg.max_outer_iterations * max(1, n - 1) * 3 * _EVALUATION_SLACK
-    evaluations = 0
-    for _ in range(cfg.max_outer_iterations):
-        available = set(range(n - 1))
-        seen = set() if cfg.acceptance == "relaxed" else None
-        accepted_this_pass = 0
-        while available:
-            evaluations += 1
-            if evaluations > budget:
-                raise RuntimeError("unswap exceeded its evaluation budget")
-            dims = state.m.bond_dims()
-            bond = max(available, key=lambda i: (dims[i], -i))
-            if _try_bond(state, bond, ("left", "right", "both"), cfg, seen):
-                accepted_this_pass += 1
-                available.discard(bond)
-                if bond - 1 >= 0:
-                    available.add(bond - 1)
-                if bond + 1 <= n - 2:
-                    available.add(bond + 1)
-            else:
-                available.discard(bond)
-        if accepted_this_pass == 0:
-            break
-    return UnswapResult(
-        reduced=state.m,
-        left_perm=state.left,
-        right_perm=state.right,
-        accepted_swaps=state.accepted,
-        elements_before=before,
-        elements_after=total_elements(state.m),
-    )
-
-
-def unswap_parallel(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
-    """Parity-batched variant: cycle through (both, left, right) x (even,
-    odd) batches; within a batch all candidate pairs are disjoint, so their
-    acceptance decisions are independent and each batch is swept from the
-    end nearer the center, which then crosses the chain once per batch.
-    Terminates when a full cycle produces no bond reduction, or after
-    ``max_outer_iterations`` cycles.
+def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
+    """Greedy extraction in parity batches: cycle through (both, left,
+    right) x (even, odd) batches; within a batch all candidate pairs are
+    disjoint, so their acceptance decisions are independent and each batch
+    is swept from the end nearer the center, which then crosses the chain
+    once per batch. Terminates when a full cycle produces no bond
+    reduction, or after ``max_outer_iterations`` cycles.
 
     A visit is skipped when the same (bond, side) accepted nothing before
     and no swap has been accepted on either site of its pair since. A
@@ -243,7 +171,7 @@ def unswap_parallel(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult
                     continue
                 visit += 1
                 dims_before = state.m.bond_dims()[bond]
-                if _try_bond(state, bond, (side,), cfg, None):
+                if _try_bond(state, bond, side, cfg):
                     swapped[bond] = swapped[bond + 1] = visit
                     if state.m.bond_dims()[bond] < dims_before:
                         reduced_any = True
@@ -260,8 +188,3 @@ def unswap_parallel(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult
         elements_after=total_elements(state.m),
     )
 
-
-def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
-    if cfg.strategy == "sequential":
-        return unswap_sequential(m, cfg)
-    return unswap_parallel(m, cfg)

@@ -118,8 +118,8 @@ def two_svd_unswap_parallel(m, cfg):
     """Reference parity-parallel unswap: every visit of every batch, each
     batch swept from bond 0, and each visit re-truncating its bond with a
     full U/S/V split before ranking its candidate with a second, values-only
-    SVD. ``unswap.unswap_parallel`` skips idle revisits, sweeps from the
-    center's end and ranks both with one SVD; its decisions must match."""
+    SVD. ``unswap.unswap`` skips idle revisits, sweeps from the center's end
+    and ranks both with one SVD; its decisions must match."""
     from mirrorbreak.chains import (
         SWAP_LEGS,
         _bond_dot,
@@ -138,7 +138,7 @@ def two_svd_unswap_parallel(m, cfg):
         theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
         s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
         extent = truncation_rank(s, cfg.epsilon, cfg.chi_max)
-        if extent < baseline or (cfg.acceptance == "relaxed" and extent == baseline):
+        if extent < baseline:
             state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max),
                          bond, side)
             return True

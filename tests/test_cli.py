@@ -34,7 +34,6 @@ class TestDefaults:
         assert args.chi_max == 8192
         assert args.tau == 1e6
         assert args.max_unswap_iters == 20
-        assert args.acceptance == "strict"
         assert args.side == "adaptive"
 
 
@@ -214,6 +213,21 @@ class TestVerify:
         code = main(["verify", "--circuit", str(path)])
         assert code == 2
         assert "capped" in capsys.readouterr().err
+
+
+class TestSvdNonConvergence:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_exits_3_without_traceback(self, instance_files, monkeypatch, capsys, command):
+        def always_fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic non-convergence")
+
+        qasm_path, _ = instance_files
+        monkeypatch.setattr(np.linalg, "svd", always_fails)
+        code = main([command, "--circuit", str(qasm_path), "--shots", "10"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "converge" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

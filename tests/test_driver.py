@@ -60,7 +60,6 @@ class TestConfig:
         assert cfg.chi_max == 8192
         assert cfg.tau == 10**6
         assert cfg.max_unswap_iterations == 20
-        assert cfg.acceptance == "strict"
         assert cfg.side_mode == "adaptive"
 
     def test_side_mode_parsing(self):
@@ -73,8 +72,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("max_unswap_iterations", 0),
-        ("acceptance", "loose"),
-        ("unswap_strategy", "greedy"),
         ("tau", 0),
         ("epsilon", -1e-3),
         ("epsilon", float("nan")),
@@ -148,9 +145,8 @@ class TestOracleEquivalenceWithUnswapping:
     """Small tau forces absorb -> unswap -> rewire cycles; this exercises the
     whole permutation algebra (strip, reindex, re-route, drift folding)."""
 
-    @pytest.mark.parametrize("strategy", ["sequential", "parity-parallel"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_peaked_instances_tiny_tau(self, strategy, seed):
+    def test_peaked_instances_tiny_tau(self, seed):
         n = 6
         inst = generate(n=n, depth=30, peak_weight=0.3, obfuscation_swaps=8,
                         seed=2200 + seed)
@@ -158,8 +154,7 @@ class TestOracleEquivalenceWithUnswapping:
         # cancel, so transient weak reductions are expected: keep the stall
         # diagnosis out of the way of this stress test
         cfg = ContractionConfig(
-            epsilon=1e-10, chi_max=4096, tau=40 * n, unswap_strategy=strategy,
-            stall_limit=50,
+            epsilon=1e-10, chi_max=4096, tau=40 * n, stall_limit=50,
         )
         result = run(inst.circuit, cfg)
         assert any(rec.phase == "unswap" for rec in result.trace)
@@ -562,6 +557,30 @@ class TestPrediction:
         actual = oracles.two_trial_absorb(m, right.remaining(), "right", cfg)
         assert _sweep(m, left, cfg, read=right.layer()).predicted == actual.elements
 
+
+    def test_failed_spectrum_is_retried(self, monkeypatch):
+        n = 5
+        cfg = ContractionConfig(epsilon=1e-10, chi_max=4096)
+        m = identity_mpo(n)
+        for g in random_circuit(n, 6, np.random.default_rng(7), adjacent_only=True).gates:
+            m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
+        ident = QubitPermutation.identity(n)
+        left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
+                     ident, ident)
+        right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident, ident)
+        expected = _sweep(m, left, cfg, read=right.layer()).predicted
+        real_svd = np.linalg.svd
+        failed = []
+
+        def first_spectrum_fails(*args, **kwargs):
+            if not failed and kwargs.get("compute_uv") is False:
+                failed.append(True)
+                raise np.linalg.LinAlgError("synthetic non-convergence")
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", first_spectrum_fails)
+        assert _sweep(m, left, cfg, read=right.layer()).predicted == expected
+        assert failed
 
     def test_replay_keeps_at_most_the_blob_size(self):
         # a split keeps at most min(rows, cols) of its (4l, 4r) blob, here 4
