@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class Gate:
             raise ValueError(f"{self.kind} acts on {nq} qubit(s), got {self.qubits}")
         if len(self.params) != np_:
             raise ValueError(f"{self.kind} takes {np_} parameter(s), got {len(self.params)}")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
         if nq == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"two-qubit gate on identical qubits {self.qubits}")
         if self.origin not in (ORIGIN_SOURCE, ORIGIN_ROUTING):
@@ -185,223 +188,343 @@ def split_at_midpoint(c: Circuit) -> tuple[Circuit, Circuit]:
 # --------------------------------------------------------------------------
 # OpenQASM 2.0 subset
 # --------------------------------------------------------------------------
+#
+# A program is read one ``;``-terminated statement at a time. A gate
+# statement is one match of ``_STATEMENT`` and the checks in
+# ``_Program._gate``. Every other statement, and every gate statement those
+# checks reject, is read token by token in the grammar's order by
+# ``_Program._statement``, which accepts it or raises its first error.
+# Comments are blanked first, so offsets, and the line and column computed
+# from them, are those of the source text.
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<float>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<string>"[^"]*")
-  | (?P<arrow>->)
-  | (?P<punct>[;,\[\]()*/+-])
-    """,
+_FLOAT = r"\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
+# a name is never matched short: the lookahead stops the regex engine
+# backtracking ``hq`` into ``h`` and ``q``
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*(?![A-Za-z0-9_.])"
+_OPERAND = r"(?P<reg{0}>" + _NAME + r")\s*\[\s*(?P<idx{0}>\d+)\s*\]\s*"
+
+_COMMENT = re.compile(r'("[^"\n]*")|//[^\n]*')
+_TOKEN = re.compile(
+    rf"""\s*(?:
+        (?P<float>{_FLOAT}) | (?P<int>\d+) | (?P<name>{_NAME}) | (?P<string>"[^"\n]*")
+      | (?P<arrow>->) | (?P<punct>[;,\[\]()*/+-])
+    )?""",
+    re.VERBOSE,
+)
+_LITERAL = rf"[-+]?(?:{_FLOAT}|\d+)"
+# A gate statement with one or two operands, or any other statement. A
+# parameter list of signed number literals is captured as ``literals``, any
+# other parameter text as ``params``.
+_STATEMENT = re.compile(
+    rf"""\s*(?:
+        (?P<kind>{_NAME}) \s*
+        (?: \( (?: \s* (?P<literals>{_LITERAL} \s* (?: , \s* {_LITERAL} \s* )* ) \)
+                 | (?P<params>[^;]*) \) ) \s* )?
+        {_OPERAND.format(0)} (?: , \s* {_OPERAND.format(1)} )? ;
+      | [^;\s] [^;]* ;? | ;
+    )""",
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise QasmError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            kind = m.lastgroup
-            pos = m.end()
-            if kind in ("ws", "comment"):
-                continue
-            tokens.append((kind, m.group(), lineno, m.start() + 1))
-    return tokens
+def _error(src: str, message: str, offset: int) -> QasmError:
+    line_start = src.rfind("\n", 0, offset) + 1
+    return QasmError(message, src.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._i = 0
+class _Token(NamedTuple):
+    kind: str
+    value: str
+    start: int
+    end: int
 
-    def peek(self):
-        return self._tokens[self._i] if self._i < len(self._tokens) else None
 
-    def next(self):
+class _Reader:
+    """Tokens of the comment-blanked source, read one at a time from ``pos``."""
+
+    def __init__(self, src: str, pos: int):
+        self.src = src
+        self.pos = pos
+        self.last: _Token | None = None
+
+    def error(self, message: str, offset: int) -> QasmError:
+        return _error(self.src, message, offset)
+
+    def peek(self) -> _Token | None:
+        m = _TOKEN.match(self.src, self.pos)
+        kind = m.lastgroup
+        if kind is None:
+            if m.end() < len(self.src):
+                raise self.error(f"unexpected character {self.src[m.end()]!r}", m.end())
+            return None
+        return _Token(kind, m[kind], m.start(kind), m.end())
+
+    def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self._tokens[-1] if self._tokens else ("", "", 1, 1)
-            raise QasmError("unexpected end of input", last[2], last[3])
-        self._i += 1
+            raise self.error("unexpected end of input", self.last.start if self.last else 0)
+        self.pos = tok.end
+        self.last = tok
         return tok
 
-    def expect(self, value: str):
+    def expect(self, value: str) -> _Token:
         tok = self.next()
-        if tok[1] != value:
-            raise QasmError(f"expected {value!r}, found {tok[1]!r}", tok[2], tok[3])
+        if tok.value != value:
+            raise self.error(f"expected {value!r}, found {tok.value!r}", tok.start)
         return tok
 
+    def integer(self, tok: _Token, what: str) -> int:
+        """The value of an int token; one with more digits than ``int()``
+        converts is an error."""
+        try:
+            return int(tok.value)
+        except ValueError:
+            raise self.error(f"{what} too large", tok.start) from None
 
-def _parse_angle(ts: _TokenStream) -> float:
+    def skip(self, value: str) -> bool:
+        """Read the next token if it is ``value``."""
+        tok = self.peek()
+        if tok is None or tok.value != value:
+            return False
+        self.next()
+        return True
+
+
+def _angle(ts: _Reader) -> float:
     """Arithmetic over numbers and pi with + - * / and parentheses."""
 
-    def parse_expr():
-        val = parse_term()
-        while True:
-            tok = ts.peek()
-            if tok and tok[1] in "+-":
-                ts.next()
-                rhs = parse_term()
-                val = val + rhs if tok[1] == "+" else val - rhs
-            else:
-                return val
+    def expr():
+        val = term()
+        while (tok := ts.peek()) and tok.value in ("+", "-"):
+            ts.next()
+            rhs = term()
+            val = val + rhs if tok.value == "+" else val - rhs
+        return val
 
-    def parse_term():
-        val = parse_factor()
-        while True:
-            tok = ts.peek()
-            if tok and tok[1] in "*/":
-                ts.next()
-                rhs = parse_factor()
-                if tok[1] == "*":
-                    val = val * rhs
-                else:
-                    val = val / rhs
+    def term():
+        val = factor()
+        while (tok := ts.peek()) and tok.value in ("*", "/"):
+            ts.next()
+            rhs = factor()
+            if tok.value == "*":
+                val = val * rhs
+            elif rhs == 0:
+                raise ts.error("division by zero in angle expression", tok.start)
             else:
-                return val
+                val = val / rhs
+        return val
 
-    def parse_factor():
+    def factor():
         tok = ts.next()
-        if tok[1] == "-":
-            return -parse_factor()
-        if tok[1] == "+":
-            return parse_factor()
-        if tok[1] == "(":
-            val = parse_expr()
+        if tok.value == "-":
+            return -factor()
+        if tok.value == "+":
+            return factor()
+        if tok.value == "(":
+            val = expr()
             ts.expect(")")
             return val
-        if tok[0] in ("float", "int"):
-            return float(tok[1])
-        if tok[1] == "pi":
+        if tok.kind in ("float", "int"):
+            return float(tok.value)
+        if tok.value == "pi":
             return math.pi
-        raise QasmError(f"bad angle expression near {tok[1]!r}", tok[2], tok[3])
+        raise ts.error(f"bad angle expression near {tok.value!r}", tok.start)
 
-    return parse_expr()
+    try:
+        return expr()
+    except RecursionError:
+        raise ts.error("angle expression nested too deeply", ts.last.start) from None
 
 
-def _parse_qubit_operand(ts: _TokenStream, qreg: str, size: int) -> int:
-    tok = ts.next()
-    if tok[0] != "name" or tok[1] != qreg:
-        raise QasmError(f"expected qubit register {qreg!r}, found {tok[1]!r}", tok[2], tok[3])
-    ts.expect("[")
-    idx_tok = ts.next()
-    if idx_tok[0] != "int":
-        raise QasmError("expected qubit index", idx_tok[2], idx_tok[3])
-    idx = int(idx_tok[1])
-    if idx >= size:
-        raise QasmError(f"qubit index {idx} out of register bounds [0, {size})", idx_tok[2], idx_tok[3])
-    ts.expect("]")
-    return idx
+def _angles(ts: _Reader) -> tuple[float, ...]:
+    """A comma-separated list of angles."""
+    vals = [_angle(ts)]
+    while ts.skip(","):
+        vals.append(_angle(ts))
+    return tuple(vals)
+
+
+class _Program:
+    """One parse: the quantum register and the gates read so far."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.qreg: str | None = None
+        self.size = 0
+        self.gates: list[Gate] = []
+
+    def parse(self) -> Circuit:
+        resume = self._header()
+        for m in _STATEMENT.finditer(self.src, resume):
+            if m.start() < resume:
+                continue  # already read as part of the previous statement
+            gate = self._gate(m) if m["kind"] in GATE_ARITY else None
+            if gate is None:
+                resume = self._statement(m.start())
+            else:
+                self.gates.append(gate)
+        if self.qreg is None:
+            raise QasmError("program declares no quantum register", 1, 1)
+        return Circuit(self.size, tuple(self.gates))
+
+    def _header(self) -> int:
+        ts = _Reader(self.src, 0)
+        tok = ts.next()
+        if tok.value != "OPENQASM":
+            raise ts.error("program must start with 'OPENQASM 2.0;'", tok.start)
+        ver = ts.next()
+        if ver.value != "2.0":
+            raise ts.error(f"unsupported OPENQASM version {ver.value!r}", ver.start)
+        ts.expect(";")
+        return ts.pos
+
+    def _gate(self, m: re.Match) -> Gate | None:
+        """The gate of a statement matched by the gate branch of
+        ``_STATEMENT``, or None if it fails a check."""
+        kind, literals, text, reg0, idx0, reg1, idx1 = m.groups()
+        qreg = self.qreg
+        if qreg is None or reg0 != qreg or reg1 not in (None, qreg):
+            return None
+        try:
+            qubits = (int(idx0),) if reg1 is None else (int(idx0), int(idx1))
+        except ValueError:  # more digits than int() converts
+            return None
+        if max(qubits) >= self.size:
+            return None
+        if literals is not None:
+            params = tuple(map(float, literals.split(",")))
+        elif text is None:
+            params = ()
+        else:
+            params = self._expressions(m.start("params"), m.end("params"))
+            if params is None:
+                return None
+        try:
+            return Gate(kind, qubits, params)
+        except ValueError:  # arity, parameter count, repeated qubit, non-finite angle
+            return None
+
+    def _expressions(self, start: int, end: int) -> tuple[float, ...] | None:
+        """The angles in ``src[start:end]``, or None unless they fill it."""
+        ts = _Reader(self.src, start)
+        try:
+            params = _angles(ts)
+            return params if ts.peek().start == end else None
+        except QasmError:
+            return None
+
+    def _statement(self, pos: int) -> int:
+        """Read the statement at ``pos`` token by token. Return the offset
+        after it, or raise its first error."""
+        ts = _Reader(self.src, pos)
+        first = ts.next()
+        if first.value == "include":
+            name = ts.next()
+            if name.kind != "string":
+                raise ts.error("expected include file name", name.start)
+            ts.expect(";")
+        elif first.value == "qreg":
+            self._qreg(ts, first)
+        elif first.value == "creg":
+            ts.next()
+            ts.expect("[")
+            ts.next()
+            ts.expect("]")
+            ts.expect(";")
+        elif first.value in ("measure", "barrier"):
+            # measurements are dropped: skip to the terminating semicolon
+            while ts.next().value != ";":
+                pass
+        elif first.value in GATE_ARITY:
+            raise self._gate_error(ts, first)
+        else:
+            raise ts.error(f"unsupported construct {first.value!r}", first.start)
+        return ts.pos
+
+    def _qreg(self, ts: _Reader, first: _Token) -> None:
+        if self.qreg is not None:
+            raise ts.error("multiple quantum registers are not supported", first.start)
+        name = ts.next()
+        ts.expect("[")
+        size = ts.next()
+        if size.kind != "int":
+            raise ts.error(f"register size must be an integer, found {size.value!r}", size.start)
+        n = ts.integer(size, "register size")
+        if n < 1:
+            raise ts.error("register size must be positive", size.start)
+        ts.expect("]")
+        ts.expect(";")
+        self.qreg, self.size = name.value, n
+
+    def _operand(self, ts: _Reader) -> int:
+        tok = ts.next()
+        if tok.kind != "name" or tok.value != self.qreg:
+            raise ts.error(f"expected qubit register {self.qreg!r}, found {tok.value!r}", tok.start)
+        ts.expect("[")
+        idx = ts.next()
+        if idx.kind != "int":
+            raise ts.error("expected qubit index", idx.start)
+        qubit = ts.integer(idx, "qubit index")
+        if qubit >= self.size:
+            raise ts.error(f"qubit index {qubit} out of register bounds [0, {self.size})", idx.start)
+        ts.expect("]")
+        return qubit
+
+    def _gate_error(self, ts: _Reader, first: _Token) -> QasmError:
+        """The first error, in the grammar's order, of a gate statement that
+        ``_gate`` rejected. A statement that passes every check here has a
+        non-finite angle, the one check the grammar leaves to ``Gate``."""
+        kind = first.value
+        if self.qreg is None:
+            return ts.error("gate before qreg declaration", first.start)
+        nq, nparams = GATE_ARITY[kind]
+        params: tuple[float, ...] = ()
+        if nparams:
+            ts.expect("(")
+            params = _angles(ts)
+            ts.expect(")")
+            if len(params) != nparams:
+                return ts.error(f"{kind} takes {nparams} parameter(s), got {len(params)}", first.start)
+        qubits = [self._operand(ts)]
+        while ts.skip(","):
+            qubits.append(self._operand(ts))
+        ts.expect(";")
+        if len(qubits) != nq:
+            return ts.error(f"{kind} acts on {nq} qubit(s), got {len(qubits)}", first.start)
+        if nq == 2 and qubits[0] == qubits[1]:
+            return ts.error(f"{kind} needs distinct qubits", first.start)
+        return ts.error(f"{kind} angles must be finite, got {params}", first.start)
+
+
+def _bad_character(src: str) -> QasmError | None:
+    """The error at the first character of ``src`` that starts no token."""
+    for m in _TOKEN.finditer(src):
+        if m.lastgroup is None:
+            if m.end() == len(src):
+                return None
+            return _error(src, f"unexpected character {src[m.end()]!r}", m.end())
+    return None
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse an OpenQASM 2.0 program restricted to one quantum register and
     the gate set h/x/rx/ry/rz/u3/cx/rzz/swap. ``include``, ``creg``,
     ``barrier`` and measurements are accepted and ignored; anything else is
-    rejected with a named error.
+    rejected with a named error. Statements may span lines and share them,
+    ``//`` comments run to the end of their line, and angles are finite
+    expressions over numbers and ``pi`` with ``+ - * /`` and parentheses.
+
+    Errors carry the line and column of the offending token. A character
+    that starts no token is reported before any other error, wherever it is.
     """
-    ts = _TokenStream(_tokenize(text))
-    tok = ts.next()
-    if tok[1] != "OPENQASM":
-        raise QasmError("program must start with 'OPENQASM 2.0;'", tok[2], tok[3])
-    ver = ts.next()
-    if ver[1] != "2.0":
-        raise QasmError(f"unsupported OPENQASM version {ver[1]!r}", ver[2], ver[3])
-    ts.expect(";")
-
-    qreg_name = None
-    qreg_size = 0
-    creg_names: set[str] = set()
-    gates: list[Gate] = []
-
-    while True:
-        tok = ts.peek()
-        if tok is None:
-            break
-        kind, value, line, col = ts.next()
-
-        if value == "include":
-            fname = ts.next()
-            if fname[0] != "string":
-                raise QasmError("expected include file name", fname[2], fname[3])
-            ts.expect(";")
-            continue
-
-        if value == "qreg":
-            if qreg_name is not None:
-                raise QasmError("multiple quantum registers are not supported", line, col)
-            name_tok = ts.next()
-            qreg_name = name_tok[1]
-            ts.expect("[")
-            size_tok = ts.next()
-            qreg_size = int(size_tok[1])
-            if qreg_size < 1:
-                raise QasmError("register size must be positive", size_tok[2], size_tok[3])
-            ts.expect("]")
-            ts.expect(";")
-            continue
-
-        if value == "creg":
-            name_tok = ts.next()
-            creg_names.add(name_tok[1])
-            ts.expect("[")
-            ts.next()
-            ts.expect("]")
-            ts.expect(";")
-            continue
-
-        if value in ("measure", "barrier"):
-            # skip to the terminating semicolon; measurements are dropped
-            while True:
-                t = ts.next()
-                if t[1] == ";":
-                    break
-            continue
-
-        if value in GATE_ARITY:
-            if qreg_name is None:
-                raise QasmError("gate before qreg declaration", line, col)
-            nq, nparams = GATE_ARITY[value]
-            params: tuple[float, ...] = ()
-            if nparams:
-                ts.expect("(")
-                vals = [_parse_angle(ts)]
-                while ts.peek() and ts.peek()[1] == ",":
-                    ts.next()
-                    vals.append(_parse_angle(ts))
-                ts.expect(")")
-                if len(vals) != nparams:
-                    raise QasmError(
-                        f"{value} takes {nparams} parameter(s), got {len(vals)}", line, col
-                    )
-                params = tuple(vals)
-            qubits = [_parse_qubit_operand(ts, qreg_name, qreg_size)]
-            while ts.peek() and ts.peek()[1] == ",":
-                ts.next()
-                qubits.append(_parse_qubit_operand(ts, qreg_name, qreg_size))
-            ts.expect(";")
-            if len(qubits) != nq:
-                raise QasmError(
-                    f"{value} acts on {nq} qubit(s), got {len(qubits)}", line, col
-                )
-            if nq == 2 and qubits[0] == qubits[1]:
-                raise QasmError(f"{value} needs distinct qubits", line, col)
-            gates.append(Gate(value, tuple(qubits), params))
-            continue
-
-        raise QasmError(f"unsupported construct {value!r}", line, col)
-
-    if qreg_name is None:
-        raise QasmError("program declares no quantum register", 1, 1)
-    return Circuit(qreg_size, tuple(gates))
+    src = _COMMENT.sub(lambda m: m[1] or " " * len(m[0]), text) if "//" in text else text
+    try:
+        return _Program(src).parse()
+    except QasmError:
+        bad = _bad_character(src)
+        if bad is None:
+            raise
+        raise bad from None
 
 
 def serialize_qasm(c: Circuit) -> str:

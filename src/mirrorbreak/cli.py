@@ -2,7 +2,8 @@
 emit traces and histograms for external plotting.
 
 Exit codes are a stable contract: 0 success, 1 peak mismatch (``verify``
-only), 2 usage error, 3 no result (a stall diagnosis, or an SVD that did not
+only), 2 usage error (a circuit file that is not UTF-8 or not valid QASM
+counts as one), 3 no result (a stall diagnosis, or an SVD that did not
 converge even after its perturbed retry), 4 I/O failure. Bitstrings print
 qubit 0 leftmost everywhere.
 """
@@ -75,10 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_circuit(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     try:
         return parse_qasm(text)
     except QasmError as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -86,12 +87,13 @@ class ContractionConfig:
     def fixed_frequency(self) -> int | None:
         if self.side_mode == "adaptive":
             return None
-        if self.side_mode.startswith("fixed:"):
-            k = int(self.side_mode.split(":", 1)[1])
-            if k < 1:
-                raise ValueError("fixed side frequency must be >= 1")
-            return k
-        raise ValueError(f"side_mode must be adaptive or fixed:<k>, got {self.side_mode!r}")
+        fixed = re.fullmatch(r"fixed:([0-9]+)", self.side_mode)
+        if fixed is None:
+            raise ValueError(f"side_mode must be adaptive or fixed:<k>, got {self.side_mode!r}")
+        k = int(fixed[1])
+        if k < 1:
+            raise ValueError("fixed side frequency must be >= 1")
+        return k
 
     def unswap_config(self) -> UnswapConfig:
         return UnswapConfig(

@@ -6,7 +6,12 @@ and avoids the code paths under test.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
+
+from mirrorbreak.circuit import QasmError
 
 
 def embed_unitary(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -226,3 +231,231 @@ def two_trial_choose_side(left, right, m, cfg, step, carry=None):
     if trial_l.elements <= trial_r.elements:
         return "left", trial_l, None
     return "right", trial_r, None
+
+# --------------------------------------------------------------------------
+# Reference OpenQASM parser: tokenize the whole program, then recursive
+# descent over the token list.
+# --------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<float>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
+  | (?P<int>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<string>"[^"]*")
+  | (?P<arrow>->)
+  | (?P<punct>[;,\[\]()*/+-])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str):
+    tokens = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        pos = 0
+        while pos < len(line):
+            m = _TOKEN_RE.match(line, pos)
+            if m is None:
+                raise QasmError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            kind = m.lastgroup
+            pos = m.end()
+            if kind in ("ws", "comment"):
+                continue
+            tokens.append((kind, m.group(), lineno, m.start() + 1))
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._i = 0
+
+    def peek(self):
+        return self._tokens[self._i] if self._i < len(self._tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            last = self._tokens[-1] if self._tokens else ("", "", 1, 1)
+            raise QasmError("unexpected end of input", last[2], last[3])
+        self._i += 1
+        return tok
+
+    def expect(self, value: str):
+        tok = self.next()
+        if tok[1] != value:
+            raise QasmError(f"expected {value!r}, found {tok[1]!r}", tok[2], tok[3])
+        return tok
+
+
+def _parse_angle(ts: _TokenStream) -> float:
+    """Arithmetic over numbers and pi with + - * / and parentheses."""
+
+    def parse_expr():
+        val = parse_term()
+        while True:
+            tok = ts.peek()
+            if tok and tok[1] in "+-":
+                ts.next()
+                rhs = parse_term()
+                val = val + rhs if tok[1] == "+" else val - rhs
+            else:
+                return val
+
+    def parse_term():
+        val = parse_factor()
+        while True:
+            tok = ts.peek()
+            if tok and tok[1] in "*/":
+                ts.next()
+                rhs = parse_factor()
+                if tok[1] == "*":
+                    val = val * rhs
+                else:
+                    val = val / rhs
+            else:
+                return val
+
+    def parse_factor():
+        tok = ts.next()
+        if tok[1] == "-":
+            return -parse_factor()
+        if tok[1] == "+":
+            return parse_factor()
+        if tok[1] == "(":
+            val = parse_expr()
+            ts.expect(")")
+            return val
+        if tok[0] in ("float", "int"):
+            return float(tok[1])
+        if tok[1] == "pi":
+            return math.pi
+        raise QasmError(f"bad angle expression near {tok[1]!r}", tok[2], tok[3])
+
+    return parse_expr()
+
+
+def _parse_qubit_operand(ts: _TokenStream, qreg: str, size: int) -> int:
+    tok = ts.next()
+    if tok[0] != "name" or tok[1] != qreg:
+        raise QasmError(f"expected qubit register {qreg!r}, found {tok[1]!r}", tok[2], tok[3])
+    ts.expect("[")
+    idx_tok = ts.next()
+    if idx_tok[0] != "int":
+        raise QasmError("expected qubit index", idx_tok[2], idx_tok[3])
+    idx = int(idx_tok[1])
+    if idx >= size:
+        raise QasmError(f"qubit index {idx} out of register bounds [0, {size})", idx_tok[2], idx_tok[3])
+    ts.expect("]")
+    return idx
+
+
+def reference_parse_qasm(text: str):
+    """Reference OpenQASM 2.0 subset parser: the whole program is tokenized
+    first, then read by recursive descent over the token list. Errors are
+    ``QasmError`` with the line and column of the token at fault, except
+    that a non-integer register size, a division by zero and a non-finite
+    angle escape as ``ValueError``/``ZeroDivisionError``. ``parse_qasm``
+    must return an equal ``Circuit`` wherever this one does (or reject a
+    non-finite angle), and the same error wherever this one raises
+    ``QasmError``.
+    """
+    from mirrorbreak.circuit import GATE_ARITY, Circuit, Gate
+
+    ts = _TokenStream(_tokenize(text))
+    tok = ts.next()
+    if tok[1] != "OPENQASM":
+        raise QasmError("program must start with 'OPENQASM 2.0;'", tok[2], tok[3])
+    ver = ts.next()
+    if ver[1] != "2.0":
+        raise QasmError(f"unsupported OPENQASM version {ver[1]!r}", ver[2], ver[3])
+    ts.expect(";")
+
+    qreg_name = None
+    qreg_size = 0
+    creg_names: set[str] = set()
+    gates: list[Gate] = []
+
+    while True:
+        tok = ts.peek()
+        if tok is None:
+            break
+        kind, value, line, col = ts.next()
+
+        if value == "include":
+            fname = ts.next()
+            if fname[0] != "string":
+                raise QasmError("expected include file name", fname[2], fname[3])
+            ts.expect(";")
+            continue
+
+        if value == "qreg":
+            if qreg_name is not None:
+                raise QasmError("multiple quantum registers are not supported", line, col)
+            name_tok = ts.next()
+            qreg_name = name_tok[1]
+            ts.expect("[")
+            size_tok = ts.next()
+            qreg_size = int(size_tok[1])
+            if qreg_size < 1:
+                raise QasmError("register size must be positive", size_tok[2], size_tok[3])
+            ts.expect("]")
+            ts.expect(";")
+            continue
+
+        if value == "creg":
+            name_tok = ts.next()
+            creg_names.add(name_tok[1])
+            ts.expect("[")
+            ts.next()
+            ts.expect("]")
+            ts.expect(";")
+            continue
+
+        if value in ("measure", "barrier"):
+            # skip to the terminating semicolon; measurements are dropped
+            while True:
+                t = ts.next()
+                if t[1] == ";":
+                    break
+            continue
+
+        if value in GATE_ARITY:
+            if qreg_name is None:
+                raise QasmError("gate before qreg declaration", line, col)
+            nq, nparams = GATE_ARITY[value]
+            params: tuple[float, ...] = ()
+            if nparams:
+                ts.expect("(")
+                vals = [_parse_angle(ts)]
+                while ts.peek() and ts.peek()[1] == ",":
+                    ts.next()
+                    vals.append(_parse_angle(ts))
+                ts.expect(")")
+                if len(vals) != nparams:
+                    raise QasmError(
+                        f"{value} takes {nparams} parameter(s), got {len(vals)}", line, col
+                    )
+                params = tuple(vals)
+            qubits = [_parse_qubit_operand(ts, qreg_name, qreg_size)]
+            while ts.peek() and ts.peek()[1] == ",":
+                ts.next()
+                qubits.append(_parse_qubit_operand(ts, qreg_name, qreg_size))
+            ts.expect(";")
+            if len(qubits) != nq:
+                raise QasmError(
+                    f"{value} acts on {nq} qubit(s), got {len(qubits)}", line, col
+                )
+            if nq == 2 and qubits[0] == qubits[1]:
+                raise QasmError(f"{value} needs distinct qubits", line, col)
+            gates.append(Gate(value, tuple(qubits), params))
+            continue
+
+        raise QasmError(f"unsupported construct {value!r}", line, col)
+
+    if qreg_name is None:
+        raise QasmError("program declares no quantum register", 1, 1)
+    return Circuit(qreg_size, tuple(gates))

@@ -1,9 +1,19 @@
 """Tests for the circuit IR, gate unitaries, QASM round trips, and splitting."""
 
+import math
+import re
+
+try:
+    from re import _parser as sre_parse  # Python >= 3.11
+except ImportError:
+    import sre_parse
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import expm
 
+from mirrorbreak import circuit as circuit_module
 from mirrorbreak.circuit import (
     Circuit,
     Gate,
@@ -16,7 +26,8 @@ from mirrorbreak.circuit import (
     split_at_midpoint,
 )
 
-from .oracles import random_circuit
+from .oracles import random_circuit, reference_parse_qasm
+from .qasm_fuzz import mutated_qasm
 
 
 # ------------------------------------------------------------------ #
@@ -177,13 +188,146 @@ class TestParseQasm:
         with pytest.raises(QasmError, match="before qreg"):
             parse_qasm("OPENQASM 2.0;\nh q[0];\nqreg q[1];\n")
 
+    def test_patterns_need_no_python_3_11_syntax(self):
+        # possessive quantifiers and atomic groups are new in Python 3.11;
+        # on 3.10, which the package supports, they fail at import
+        def opcodes(node):
+            if isinstance(node, sre_parse.SubPattern):
+                for op, av in node.data:
+                    yield op.name
+                    yield from opcodes(av)
+            elif isinstance(node, (tuple, list)):
+                for x in node:
+                    yield from opcodes(x)
+
+        patterns = [v for v in vars(circuit_module).values() if isinstance(v, re.Pattern)]
+        assert len(patterns) >= 3
+        for pattern in patterns:
+            used = set(opcodes(sre_parse.parse(pattern.pattern, pattern.flags)))
+            assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
+
+
+# one malformed program per error the token-list reference parser raises
+REFERENCE_ERRORS = {
+    "unexpected character": "OPENQASM 2.0;\nqreg q[2];\nfoo;\nx q[1]; @\n",
+    "unexpected end of input": "OPENQASM 2.0;\nqreg q[2];\nh q[0]\n",
+    "unexpected end of empty input": "// nothing here\n",
+    "expected token": "OPENQASM 2.0;\nqreg q[2];\nh q[0] q[1];\n",
+    "bad angle expression": "OPENQASM 2.0;\nqreg q[2];\nrx(pi/q) q[0];\n",
+    "expected qubit register": "OPENQASM 2.0;\nqreg q[2];\nh r[0];\n",
+    "expected qubit index": "OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n  q[a];\n",
+    "qubit out of bounds": "OPENQASM 2.0;\nqreg q[2];\nh q[2];\n",
+    "missing header": "qreg q[2];\nh q[0];\n",
+    "unsupported version": "OPENQASM 3.0;\nqreg q[1];\n",
+    "expected include file name": "OPENQASM 2.0;\ninclude qelib1.inc;\nqreg q[1];\n",
+    "multiple registers": "OPENQASM 2.0;\nqreg q[2];\nqreg r[2];\n",
+    "register size not positive": "OPENQASM 2.0;\nqreg q[0];\n",
+    "gate before qreg": "OPENQASM 2.0;\nh q[0];\nqreg q[1];\n",
+    "parameter count": "OPENQASM 2.0;\nqreg q[2];\nu3(1, 2) q[0];\n",
+    "qubit count": "OPENQASM 2.0;\nqreg q[2];\nh q[0]; cx q[0];\n",
+    "repeated qubit": "OPENQASM 2.0;\nqreg q[2];\ncx q[1], q[1];\n",
+    "unsupported construct": "OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];\n",
+    "gate name run into register": "OPENQASM 2.0;\nqreg q[2];\nhq[0];\n",
+    "no register": 'OPENQASM 2.0;\ninclude "qelib1.inc";\n',
+}
+
+# malformed programs the reference let escape as another exception or
+# accepted with a non-finite angle: (program, error)
+NEW_ERRORS = {
+    "register size a name": ("OPENQASM 2.0;\nqreg q[x];\n",
+                             "line 2, column 8: register size must be an integer, found 'x'"),
+    "register size a float": ("OPENQASM 2.0;\nqreg q[2.0];\n",
+                              "line 2, column 8: register size must be an integer, found '2.0'"),
+    "division by zero": ("OPENQASM 2.0;\nqreg q[1];\nrx(1/0) q[0];\n",
+                         "line 3, column 5: division by zero in angle expression"),
+    "infinite angle": ("OPENQASM 2.0;\nqreg q[1];\nh q[0];  rx(1e999) q[0];\n",
+                       "line 3, column 10: rx angles must be finite, got (inf,)"),
+    "nan angle": ("OPENQASM 2.0;\nqreg q[1];\nu3(0, 1e999-1e999, 0) q[0];\n",
+                  "line 3, column 1: u3 angles must be finite, got (0.0, nan, 0.0)"),
+    # more digits than int() converts from a string
+    "register size too long": ("OPENQASM 2.0;\nqreg q[" + "9" * 5000 + "];\n",
+                               "line 2, column 8: register size too large"),
+    "qubit index too long": ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[" + "1" * 5000 + "];\n",
+                             "line 3, column 12: qubit index too large"),
+}
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return exc
+
+
+class TestParserAgainstReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_ERRORS))
+    def test_same_error_as_reference(self, name):
+        text = REFERENCE_ERRORS[name]
+        with pytest.raises(QasmError) as ref:
+            reference_parse_qasm(text)
+        with pytest.raises(QasmError) as new:
+            parse_qasm(text)
+        assert str(new.value) == str(ref.value)
+        assert (new.value.line, new.value.column) == (ref.value.line, ref.value.column)
+
+    @pytest.mark.parametrize("name", sorted(NEW_ERRORS))
+    def test_reference_escapes_are_qasm_errors(self, name):
+        text, message = NEW_ERRORS[name]
+        with pytest.raises((ValueError, ZeroDivisionError)) as ref:
+            reference_parse_qasm(text)
+        assert not isinstance(ref.value, QasmError)
+        with pytest.raises(QasmError) as new:
+            parse_qasm(text)
+        assert str(new.value) == message
+
+    def test_layout_and_comments_match_reference(self):
+        text = (
+            "OPENQASM // version follows\n 2.0;include \"a;b//c.inc\";\n"
+            "qreg q\n[3]; creg c[3];  // comment with ; and \"\n"
+            "rx(\n  -3*pi/4 // three quarters\n) q[0]; cx q[0],\nq[2];\n"
+            "u3(1e-3, -(pi + .5)/2, +7.) q[1]; barrier q;\n"
+            "measure q[0] -> c[0];\nrzz(0.5)q[1],q[2];"
+        )
+        c = parse_qasm(text)
+        assert c == reference_parse_qasm(text)
+        assert [g.kind for g in c.gates] == ["rx", "cx", "u3", "rzz"]
+        assert c.gates[0].params == (-3 * math.pi / 4,)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_qasm())
+    def test_mutated_programs_match_reference(self, text):
+        ref = outcome(reference_parse_qasm, text)
+        new = outcome(parse_qasm, text)
+        if isinstance(ref, Circuit):
+            assert new == ref, text
+        else:
+            assert isinstance(new, QasmError), (text, new)
+            if isinstance(ref, QasmError):
+                assert str(new) == str(ref), text
+
+
+class TestDeepAngles:
+    @pytest.mark.parametrize("angle", ["(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"])
+    def test_deep_nesting_is_a_qasm_error(self, angle):
+        with pytest.raises(QasmError, match="nested too deeply"):
+            parse_qasm(HEADER + f"qreg q[1];\nrx({angle}) q[0];\n")
+
+
+class TestNonFiniteAngles:
+    def test_gate_rejects_non_finite_parameters(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Gate("rx", (0,), (bad,))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_serialize_then_parse_is_identity(self, seed):
         rng = np.random.default_rng(200 + seed)
         c = random_circuit(5, 12, rng)
-        again = parse_qasm(serialize_qasm(c))
+        text = serialize_qasm(c)
+        again = parse_qasm(text)
+        assert again == reference_parse_qasm(text)
         assert again.num_qubits == c.num_qubits
         assert len(again.gates) == len(c.gates)
         for g1, g2 in zip(c.gates, again.gates):

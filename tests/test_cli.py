@@ -7,13 +7,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mirrorbreak.circuit import Circuit, Gate, inverse_circuit, serialize_qasm
+from mirrorbreak.circuit import Circuit, Gate, QasmError, inverse_circuit, parse_qasm, serialize_qasm
 from mirrorbreak.cli import _build_parser, main
 
 from .oracles import random_circuit
+from .qasm_fuzz import mutated_qasm
 
 
 @pytest.fixture
@@ -135,6 +136,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bad.qasm" in err and "line 3" in err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("body,message", [
+        ("qreg q[x];\n", "line 2, column 8: register size must be an integer"),
+        ("qreg q[2.0];\n", "line 2, column 8: register size must be an integer"),
+        ("qreg q[1];\nrx(1/0) q[0];\n", "line 3, column 5: division by zero"),
+        ("qreg q[1];\nrx(1e999) q[0];\n", "line 3, column 1: rx angles must be finite"),
+        ("qreg q[1];\nrx(1e999-1e999) q[0];\n", "line 3, column 1: rx angles must be finite"),
+    ])
+    def test_bad_qasm_values_exit_2(self, tmp_path, capsys, command, body, message):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("OPENQASM 2.0;\n" + body)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--circuit", str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_non_utf8_circuit_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "utf16.qasm"
+        bad.write_bytes(b"\xff\xfe" + "OPENQASM 2.0;".encode("utf-16-le"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--circuit", str(bad)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
     def test_stall_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(31)
         c = random_circuit(8, 40, rng)
@@ -166,6 +194,9 @@ class TestRun:
         (["--epsilon", "nan"], "epsilon must be finite"),
         (["--epsilon", "inf"], "epsilon must be finite"),
         (["--seed", "-1"], "--seed must be >= 0"),
+        (["--side", "fixed:x"], "side_mode must be adaptive or fixed:<k>, got 'fixed:x'"),
+        (["--side", "fixed:"], "side_mode must be adaptive or fixed:<k>, got 'fixed:'"),
+        (["--side", "fixed:1.5"], "side_mode must be adaptive or fixed:<k>, got 'fixed:1.5'"),
     ])
     def test_invalid_run_values_exit_2(self, instance_files, capsys, flags, message):
         qasm_path, _ = instance_files
@@ -294,3 +325,23 @@ class TestVerifyExitCodeFuzz:
         # verify also exits 1 on a peak mismatch
         check_fuzzed_exit(small_instance, data, broken, "verify", VERIFY_FLAGS,
                           (0, 1, 2, 3, 4))
+
+
+class TestFuzzedQasmExitCode:
+    """Mutated QASM text through ``run`` and ``verify``: a documented exit
+    code and no traceback; text the parser rejects exits 2."""
+
+    @pytest.mark.parametrize("command,codes", [("run", (0, 2, 3, 4)), ("verify", (0, 1, 2, 3, 4))])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), text=mutated_qasm())
+    def test_exit_code_is_documented(self, tmp_path_factory, data, text, command, codes):
+        try:
+            parsed = parse_qasm(text)
+        except QasmError:
+            parsed = None
+        # a duplicated digit can widen the register; keep chains small
+        assume(parsed is None or parsed.num_qubits <= 8)
+        path = tmp_path_factory.mktemp("qasm") / "fuzzed.qasm"
+        path.write_text(text)
+        flags = {"--shots": (st.integers(1, 20), None)}
+        check_fuzzed_exit(path, data, set(), command, flags, (2,) if parsed is None else codes)

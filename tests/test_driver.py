@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,12 @@ class TestConfig:
             ContractionConfig(side_mode="random")
         with pytest.raises(ValueError, match="frequency"):
             ContractionConfig(side_mode="fixed:0")
+
+    @pytest.mark.parametrize("mode", ["fixed:x", "fixed:", "fixed:1.5", "fixed:-1", "fixed: 2"])
+    def test_malformed_fixed_mode_names_the_option(self, mode):
+        message = f"side_mode must be adaptive or fixed:<k>, got {mode!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ContractionConfig(side_mode=mode)
 
     @pytest.mark.parametrize("field,value", [
         ("max_unswap_iterations", 0),
