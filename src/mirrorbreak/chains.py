@@ -385,6 +385,10 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
     environment row, so the contraction at each site costs one row per
     distinct prefix (a handful on a peaked state) rather than one per shot;
     every shot still draws its own uniform against its row's probability.
+    While every shot sits on one row (a peaked state until its first
+    uncertain qubit), each uniform is compared with that row's one
+    probability and a single count tells whether the row splits; the
+    shots' row indices stay 0 until it does.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -401,8 +405,13 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
         probs = np.sum(np.abs(amps) ** 2, axis=2)  # (rows, 2)
         totals = probs.sum(axis=1)
         p_one = probs[:, 1] / totals
-        draw = rng.random(shots) < p_one[node]
+        one_row = len(envs) == 1
+        draw = rng.random(shots) < (p_one[0] if one_row else p_one[node])
         bits[:, i] = draw
+        if one_row and np.count_nonzero(draw) in (0, shots):
+            bit = int(draw[0])  # every shot takes this child, so stays on row 0
+            envs = amps[:, bit] / np.sqrt(probs[:, bit])[:, None]
+            continue
         # children are numbered 2*row + bit; keep the ones some shot reached
         child = 2 * node + draw
         reached = np.bincount(child, minlength=2 * len(envs)) > 0

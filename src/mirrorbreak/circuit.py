@@ -344,6 +344,19 @@ def _angles(ts: _Reader) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _register(ts: _Reader) -> tuple[_Token, _Token]:
+    """The name and size tokens of a register declaration, read up to the
+    size."""
+    name = ts.next()
+    if name.kind != "name":
+        raise ts.error(f"expected register name, found {name.value!r}", name.start)
+    ts.expect("[")
+    size = ts.next()
+    if size.kind != "int":
+        raise ts.error(f"register size must be an integer, found {size.value!r}", size.start)
+    return name, size
+
+
 class _Program:
     """One parse: the quantum register and the gates read so far."""
 
@@ -426,9 +439,7 @@ class _Program:
         elif first.value == "qreg":
             self._qreg(ts, first)
         elif first.value == "creg":
-            ts.next()
-            ts.expect("[")
-            ts.next()
+            _register(ts)
             ts.expect("]")
             ts.expect(";")
         elif first.value in ("measure", "barrier"):
@@ -444,11 +455,7 @@ class _Program:
     def _qreg(self, ts: _Reader, first: _Token) -> None:
         if self.qreg is not None:
             raise ts.error("multiple quantum registers are not supported", first.start)
-        name = ts.next()
-        ts.expect("[")
-        size = ts.next()
-        if size.kind != "int":
-            raise ts.error(f"register size must be an integer, found {size.value!r}", size.start)
+        name, size = _register(ts)
         n = ts.integer(size, "register size")
         if n < 1:
             raise ts.error("register size must be positive", size.start)

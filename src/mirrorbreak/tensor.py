@@ -6,10 +6,17 @@ arithmetic in the package. Other modules contract, reshape and permute with
 numpy directly, and split tensors through :func:`svd_truncate` (or take
 values-only spectra through :func:`singular_values` and rank them through
 :func:`truncation_rank`). Both retry a failed SVD the same way.
+
+A rank is found without a scan: one reverse cumulative sum of the squared
+values gives the weight of every tail, and a binary search counts the tails
+within the budget (a stack of spectra compares all its rows' tails with
+their budgets at once). The kept rank is what is left, at least 1, extended
+over values tied with the last one kept and capped at ``chi_max``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,20 +72,19 @@ def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> Tru
         raise ValueError("epsilon must be >= 0")
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("tensor contains non-finite amplitudes")
 
-    rows = int(np.prod(t.shape[:split], dtype=np.int64))
-    cols = int(np.prod(t.shape[split:], dtype=np.int64))
+    rows = math.prod(t.shape[:split])
+    cols = math.prod(t.shape[split:])
     m = t.reshape(rows, cols)
-    if not np.any(m):
+    if not m.any():
         raise ZeroTensorError("cannot decompose an all-zero tensor")
 
     u, s, v = _svd_with_retry(m)
-    r = truncation_rank(s, epsilon, chi_max)
-
     weights = s * s
     total = float(weights.sum())
+    r = _spectrum_rank(s, weights, total, epsilon, chi_max)
     discarded = float(weights[r:].sum() / total)
     return TruncatedSVD(u=u[:, :r], s=s[:r].copy(), v=v[:r, :], discarded_weight=discarded)
 
@@ -91,23 +97,33 @@ def truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int | list[i
     A (k, m) stack of spectra gives a list of k ranks, one per row, each
     ranked exactly as that row alone would be.
     """
-    if s.ndim == 2:
-        return [_spectrum_rank(row, epsilon, chi_max) for row in s]
-    return _spectrum_rank(s, epsilon, chi_max)
-
-
-def _spectrum_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int:
     weights = s * s
-    total = float(weights.sum())
-    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    budget = (epsilon * epsilon) * total
-    r = len(s)
-    for k in range(1, len(s) + 1):
-        if suffix[k] <= budget:
-            r = k
-            break
-    boundary = s[r - 1]
-    while r < len(s) and s[r] >= boundary - TIE_TOLERANCE:
+    if s.ndim == 1:
+        return _spectrum_rank(s, weights, float(weights.sum()), epsilon, chi_max)
+    # _spectrum_rank on every row at once: count each row's droppable tail
+    n = s.shape[1]
+    budgets = (epsilon * epsilon) * weights.sum(axis=1, keepdims=True)
+    dropped = (weights[:, ::-1].cumsum(axis=1) <= budgets).sum(axis=1)
+    return [_keep_ties(row, max(n - d, 1), chi_max)
+            for row, d in zip(s.tolist(), dropped.tolist())]
+
+
+def _spectrum_rank(s: np.ndarray, weights: np.ndarray, total: float, epsilon: float,
+                   chi_max: int) -> int:
+    """Rank of one descending spectrum ``s`` with squared values ``weights``
+    summing to ``total``."""
+    # tail[j] is the weight of the j + 1 smallest values; they may be
+    # dropped while it stays within the budget
+    tail = weights[::-1].cumsum()
+    dropped = int(tail.searchsorted((epsilon * epsilon) * total, side="right"))
+    return _keep_ties(s.tolist(), max(len(s) - dropped, 1), chi_max)
+
+
+def _keep_ties(s: list[float], r: int, chi_max: int) -> int:
+    """Extend the first ``r`` values of descending ``s`` over the values
+    tied with the last of them, then cap at ``chi_max``."""
+    floor = s[r - 1] - TIE_TOLERANCE
+    while r < len(s) and s[r] >= floor:
         r += 1
     return min(r, chi_max)
 

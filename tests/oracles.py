@@ -94,6 +94,27 @@ def random_circuit(n: int, num_two_qubit: int, rng, adjacent_only: bool = False,
     return Circuit(n, tuple(gates))
 
 
+def reference_truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int:
+    """Reference rank of one descending spectrum: scan k = 1, 2, ... for the
+    first whose suffix weight fits the budget, then extend over ties.
+    ``tensor.truncation_rank`` and ``tensor.svd_truncate`` must agree."""
+    from mirrorbreak.tensor import TIE_TOLERANCE
+
+    weights = s * s
+    total = float(weights.sum())
+    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
+    budget = (epsilon * epsilon) * total
+    r = len(s)
+    for k in range(1, len(s) + 1):
+        if suffix[k] <= budget:
+            r = k
+            break
+    boundary = s[r - 1]
+    while r < len(s) and s[r] >= boundary - TIE_TOLERANCE:
+        r += 1
+    return min(r, chi_max)
+
+
 def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
     """Reference sampler: the left-to-right conditional sweep with one
     environment row per shot. Takes the same right-canonical sites and draws
@@ -353,6 +374,13 @@ def _parse_qubit_operand(ts: _TokenStream, qreg: str, size: int) -> int:
     return idx
 
 
+def _parse_register_name(ts: _TokenStream):
+    tok = ts.next()
+    if tok[0] != "name":
+        raise QasmError(f"expected register name, found {tok[1]!r}", tok[2], tok[3])
+    return tok
+
+
 def reference_parse_qasm(text: str):
     """Reference OpenQASM 2.0 subset parser: the whole program is tokenized
     first, then read by recursive descent over the token list. Errors are
@@ -395,7 +423,7 @@ def reference_parse_qasm(text: str):
         if value == "qreg":
             if qreg_name is not None:
                 raise QasmError("multiple quantum registers are not supported", line, col)
-            name_tok = ts.next()
+            name_tok = _parse_register_name(ts)
             qreg_name = name_tok[1]
             ts.expect("[")
             size_tok = ts.next()
@@ -407,10 +435,13 @@ def reference_parse_qasm(text: str):
             continue
 
         if value == "creg":
-            name_tok = ts.next()
+            name_tok = _parse_register_name(ts)
             creg_names.add(name_tok[1])
             ts.expect("[")
-            ts.next()
+            size_tok = ts.next()
+            if size_tok[0] != "int":
+                raise QasmError(f"register size must be an integer, found {size_tok[1]!r}",
+                                size_tok[2], size_tok[3])
             ts.expect("]")
             ts.expect(";")
             continue

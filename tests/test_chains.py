@@ -519,6 +519,41 @@ class TestSample:
             np.testing.assert_array_equal(
                 _sample_bits(psi, 4000, seed), per_shot_sample_bits(psi, 4000, seed))
 
+    @staticmethod
+    def _state(n, gates):
+        return apply_to_zero(absorb_circuit(identity_mpo(n), Circuit(n, tuple(gates)), "left"),
+                             EXACT, 16)
+
+    def test_basis_state_matches_per_shot_sweep(self):
+        # every conditional probability is exactly 0 or 1
+        psi = self._state(6, [Gate("x", (q,)) for q in (0, 3, 4)])
+        np.testing.assert_array_equal(
+            _sample_bits(psi, 300, seed=11), per_shot_sample_bits(psi, 300, seed=11))
+        assert set(sample(psi, 300, seed=11)) == {"100110"}
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_split_at_a_middle_site_matches_per_shot_sweep(self, seed):
+        # all shots share one row over sites 0-2, split on the h at site 3,
+        # and each half is deterministic again from site 4 on
+        psi = self._state(7, [Gate("x", (1,)), Gate("h", (3,)), Gate("cx", (3, 4)),
+                              Gate("x", (6,))])
+        bits = _sample_bits(psi, 500, seed)
+        np.testing.assert_array_equal(bits, per_shot_sample_bits(psi, 500, seed))
+        assert 0 < bits[:, 3].sum() < 500
+        np.testing.assert_array_equal(bits[:, 4], bits[:, 3])
+        assert (bits[:, [1, 6]] == 1).all() and (bits[:, [0, 2, 5]] == 0).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_shot_matches_per_shot_sweep(self, seed):
+        # one shot never splits its row: qubits 0-2 copy a random bit,
+        # qubit 3 is 0, and qubit 5 copies a second random bit on qubit 4
+        psi = self._state(6, [Gate("h", (0,)), Gate("cx", (0, 1)), Gate("cx", (1, 2)),
+                              Gate("h", (4,)), Gate("cx", (4, 5))])
+        bits = _sample_bits(psi, 1, seed)
+        np.testing.assert_array_equal(bits, per_shot_sample_bits(psi, 1, seed))
+        assert bits[0, 0] == bits[0, 1] == bits[0, 2] and bits[0, 3] == 0
+        assert bits[0, 4] == bits[0, 5]
+
     def test_mapping_moves_each_bit(self):
         m = absorb_gate(identity_mpo(4), Gate("h", (0,)), "left", EXACT, 4)
         m = absorb_gate(m, Gate("x", (2,)), "left", EXACT, 4)

@@ -222,6 +222,9 @@ REFERENCE_ERRORS = {
     "expected include file name": "OPENQASM 2.0;\ninclude qelib1.inc;\nqreg q[1];\n",
     "multiple registers": "OPENQASM 2.0;\nqreg q[2];\nqreg r[2];\n",
     "register size not positive": "OPENQASM 2.0;\nqreg q[0];\n",
+    "register name not a name": "OPENQASM 2.0;\nqreg ;[2];\n",
+    "classical register name not a name": "OPENQASM 2.0;\nqreg q[2];\ncreg 5[2];\n",
+    "classical register size not an integer": "OPENQASM 2.0;\nqreg q[2];\ncreg c[;];\n",
     "gate before qreg": "OPENQASM 2.0;\nh q[0];\nqreg q[1];\n",
     "parameter count": "OPENQASM 2.0;\nqreg q[2];\nu3(1, 2) q[0];\n",
     "qubit count": "OPENQASM 2.0;\nqreg q[2];\nh q[0]; cx q[0];\n",

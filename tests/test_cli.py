@@ -140,6 +140,8 @@ class TestRun:
     @pytest.mark.parametrize("body,message", [
         ("qreg q[x];\n", "line 2, column 8: register size must be an integer"),
         ("qreg q[2.0];\n", "line 2, column 8: register size must be an integer"),
+        ("qreg ;[2];\n", "line 2, column 6: expected register name, found ';'"),
+        ("qreg q[2];\ncreg c[;];\n", "line 3, column 8: register size must be an integer"),
         ("qreg q[1];\nrx(1/0) q[0];\n", "line 3, column 5: division by zero"),
         ("qreg q[1];\nrx(1e999) q[0];\n", "line 3, column 1: rx angles must be finite"),
         ("qreg q[1];\nrx(1e999-1e999) q[0];\n", "line 3, column 1: rx angles must be finite"),

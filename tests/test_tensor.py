@@ -1,9 +1,16 @@
 """Tests for the truncated SVD."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorbreak.tensor import TruncatedSVD, ZeroTensorError, svd_truncate, truncation_rank
+
+from .oracles import reference_truncation_rank
 
 
 def rand_complex(rng, shape):
@@ -166,3 +173,82 @@ class TestTruncationRank:
     def test_single_spectrum_returns_plain_int(self):
         r = truncation_rank(np.array([1.0, 0.5]), 1e-8, 4)
         assert type(r) is int and r == 2
+
+
+# ------------------------------------------------------------------ #
+# ranks against the reference scan
+# ------------------------------------------------------------------ #
+
+# gaps between neighbours: exact ties, ties within TIE_TOLERANCE, ties just
+# outside it, and ordinary gaps
+GAPS = st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 1e-11]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def descending_spectrum(draw, m: int) -> np.ndarray:
+    """A descending spectrum of length ``m`` with a positive largest value:
+    values from 1e2 down to 1e-300, near and exact ties, zero tails."""
+    values = [draw(st.floats(1e-300, 1e2))]
+    for _ in range(m - 1):
+        if draw(st.booleans()):
+            values.append(values[-1] - draw(GAPS))
+        else:
+            values.append(draw(st.floats(1e-300, 1e2) | st.just(0.0)))
+    s = np.sort(np.maximum(values, 0.0))[::-1].copy()
+    zeros = draw(st.integers(0, m - 1))  # a zero tail
+    s[m - zeros:] = 0.0
+    return s
+
+
+@st.composite
+def ranking_cases(draw):
+    """A (k, m) stack of descending spectra, an epsilon and a chi_max. The
+    epsilon is often one whose budget lands on the weight of a tail of the
+    first row, or one ulp either side of it, so the cut falls on a
+    boundary."""
+    m = draw(st.integers(1, 12))
+    stack = np.stack([draw(descending_spectrum(m)) for _ in range(draw(st.integers(1, 4)))])
+    weights = stack[0] * stack[0]
+    total = float(weights.sum())
+    tail = float(np.concatenate([[0.0], np.cumsum(weights[::-1])])[draw(st.integers(0, m))])
+    at_cut = math.sqrt(tail / total) if total > 0 else 0.0
+    epsilon = draw(st.sampled_from([0.0, at_cut, math.nextafter(at_cut, 0.0),
+                                    math.nextafter(at_cut, 1.0)])
+                   | st.floats(0.0, 1.5) | st.floats(1e-300, 1e-6))
+    return stack, epsilon, draw(st.integers(1, m + 1))
+
+
+# Eight values whose total summed pairwise (as numpy sums 8 or more) is
+# below their left-to-right sum in either direction. This epsilon's budget
+# covers the weight of the three smallest values only when taken from a
+# left-to-right total, so a rank computed from one is caught.
+PAIRWISE_TOTAL = (np.array([[0.864, 0.553, 0.492, 0.447, 0.279, 0.258, 0.106, 0.057]] * 2),
+                  0.2214259267003994, 8)
+
+
+def split_with_spectrum(s: np.ndarray, epsilon: float, chi_max: int) -> TruncatedSVD:
+    """``svd_truncate`` of a tensor whose SVD returns exactly the spectrum ``s``."""
+    eye = np.eye(len(s), dtype=np.complex128)
+    with mock.patch.object(np.linalg, "svd", return_value=(eye, s, eye)):
+        return svd_truncate(np.ones((len(s), len(s)), dtype=np.complex128), 1, epsilon, chi_max)
+
+
+class TestRankAgainstReference:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=ranking_cases())
+    @example(case=PAIRWISE_TOTAL)
+    def test_rank_and_discarded_weight_match_reference(self, case):
+        stack, epsilon, chi_max = case
+        expected = [reference_truncation_rank(row, epsilon, chi_max) for row in stack]
+        assert truncation_rank(stack, epsilon, chi_max) == expected
+        for row, r in zip(stack, expected):
+            rank = truncation_rank(row, epsilon, chi_max)
+            assert type(rank) is int and rank == r
+            weights = row * row
+            # a spectrum whose squares all underflow has no relative weight
+            with np.errstate(invalid="ignore"):
+                dec = split_with_spectrum(row, epsilon, chi_max)
+                discarded = float(weights[r:].sum() / float(weights.sum()))
+            assert dec.rank == r
+            assert dec.discarded_weight == discarded or (
+                math.isnan(dec.discarded_weight) and math.isnan(discarded))

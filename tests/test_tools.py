@@ -36,6 +36,18 @@ def test_one_line_with_digest_and_instance_count(saved):
     assert len(json.loads(path.read_text())["mirror-wide"]) == 5
 
 
+def test_mirror_wide_digest_is_pinned(saved):
+    """The benchmark's mirror-wide outputs at seed 701 are pinned: element
+    trajectories, samples and permutations. Its trace holds only integers,
+    its samples are all zeros and its permutations are identity maps, so the
+    digest does not depend on BLAS rounding. A change that alters
+    trajectories on purpose (a different unswap or side rule) re-pins this
+    digest and says so in CHANGES.md."""
+    stdout, _ = saved
+    assert json.loads(stdout)["sha256"] == (
+        "51657a698dd0e9dff0d3385af92e6a6a1715c4031c1415f9635a12ead4629cf2")
+
+
 def test_round_trip_against_saved_probabilities(saved):
     stdout, path = saved
     done = digest("--workload", "mirror-wide", "--seeds", "701", "--against", str(path))
