@@ -205,6 +205,12 @@ def _touched(n: int, center: int | None, lo: int, hi: int) -> tuple[int, int]:
     return min(center, lo), max(center + 1, hi)
 
 
+def pair_site(center: int | None, bond: int) -> int:
+    """The site of pair (bond, bond+1) nearer the center: bond+1 when the
+    center stands above the pair, else bond (also when it is unknown)."""
+    return bond + 1 if center is not None and center > bond else bond
+
+
 def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
     """Exact (QR-based) move of the orthogonality center to ``target``."""
     sites = list(m.sites)
@@ -228,8 +234,7 @@ def _update_pair(
     split is the locally optimal truncation of that bond."""
     sites = list(m.sites)
     if m.center not in (bond, bond + 1):
-        above = m.center is not None and m.center > bond
-        _shift_center(sites, m.center, bond + 1 if above else bond)
+        _shift_center(sites, m.center, pair_site(m.center, bond))
     theta = _bond_dot(sites[bond], sites[bond + 1])
     if op is not None:
         theta = op(theta)

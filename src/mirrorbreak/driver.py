@@ -18,10 +18,10 @@ bit relabeling.
 Side selection. Each side's gate list is peeled once into brick layers from
 its inner end. Adaptive mode absorbs the next layer of the side that leaves
 the smaller chain. It absorbs each layer once in the common case: while one
-side's layer is swept into the chain, the other side's layer is ranked from
-values-only spectra of its pair blobs at the center positions the sweep
-passes, and those ranks are replayed into an element count
-(:func:`_choose_side` lists the four cases).
+side's layer is swept into the chain, the other side's two-qubit gates are
+ranked from values-only spectra of their pair blobs wherever the sweep's
+center lands next to them, and those ranks are replayed into an element
+count (:func:`_choose_side` lists the four cases).
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from .chains import (
     MatrixProductState,
     _bond_dot,
     _gate_op,
-    _shift_center,
-    _touched,
     absorb_gate,
     apply_to_zero,
     compress,
     identity_mpo,
+    move_center,
     mps_to_dense,
+    pair_site,
     sample,
     total_elements,
 )
@@ -234,84 +234,14 @@ class _Trial:
     """``layer`` absorbed into the chain ``start``, giving ``m`` with
     ``elements`` elements. ``predicted`` is the element count the other
     side's layer read during the same sweep would give on ``start`` (None
-    when no layer was read)."""
+    when no layer was read, or when the sweep's center never landed next to
+    one of its two-qubit gates)."""
 
     start: MatrixProductOperator
     m: MatrixProductOperator
     layer: list[Gate]
     elements: int
     predicted: int | None = None
-
-
-class _SpectrumReader:
-    """Ranks of the other side's two-qubit gates, read during a kept sweep.
-
-    Absorbing the other side's gate on pair (k, k+1) re-splits bond k alone,
-    to the ``truncation_rank`` of the ``singular_values`` of ``op(theta)``, with
-    ``theta`` the pair blob and the center on k or k+1. That holds at any
-    point of the swept side's sweep, as long as the swept side's own gate on
-    that same pair is not applied yet: its gates on other pairs and all
-    one-qubit gates act on one side of cut k and leave its spectrum alone.
-    So each pair is read the first time the sweep's center stands on it,
-    which for a pair the swept side also acts on is just before its gate
-    there is absorbed. Pairs the sweep never passes are read afterwards on a
-    copy of the swept chain (:meth:`reach`).
-    """
-
-    def __init__(self, layer: list[Gate], which: str, cfg: ContractionConfig):
-        self.ops = {min(g.qubits): _gate_op(g, which) for g in layer if g.is_two_qubit}
-        self.ranks: dict[int, int] = {}
-        self.cfg = cfg
-
-    def read(self, sites, center: int) -> None:
-        for bond in (center - 1, center):
-            if bond in self.ops:
-                theta = self.ops.pop(bond)(_bond_dot(sites[bond], sites[bond + 1]))
-                s = singular_values(theta.reshape(theta.shape[0] * 4, -1))
-                self.ranks[bond] = truncation_rank(s, self.cfg.epsilon, self.cfg.chi_max)
-
-    def walk(self, m: MatrixProductOperator, bond: int) -> MatrixProductOperator:
-        """Move the center onto pair (bond, bond+1) by the QR steps
-        ``absorb_gate`` would take, reading at every position passed. Once
-        every pair is read, ``m`` is returned as it is and ``absorb_gate``
-        takes those steps itself."""
-        if not self.ops:
-            return m
-        c = m.center
-        if c in (bond, bond + 1):
-            self.read(m.sites, c)
-            return m
-        target = bond + 1 if c is not None and c > bond else bond
-        sites = list(m.sites)
-        if c is None:
-            _shift_center(sites, None, target)
-            self.read(sites, target)
-        else:
-            self.read(sites, c)
-            self._step(sites, c, target)
-        lo, hi = _touched(len(sites), c, target, target + 1)
-        return MatrixProductOperator._derived(sites, m.log_norm, target, lo, hi)
-
-    def reach(self, m: MatrixProductOperator) -> None:
-        """Read the pairs the sweep did not pass, moving the center of a copy
-        of the swept chain's site list to each in turn, nearest first. The
-        swept side has no gate on those pairs."""
-        sites = list(m.sites)
-        c = m.center
-        self.read(sites, c)
-        while self.ops:
-            bond = min(self.ops, key=lambda b: abs(b - c))
-            target = bond + 1 if c > bond else bond
-            self._step(sites, c, target)
-            c = target
-
-    def _step(self, sites, center: int, target: int) -> None:
-        """Move the center of the site list one QR step at a time, reading
-        at each new position."""
-        step = 1 if target > center else -1
-        for pos in range(center, target, step):
-            _shift_center(sites, pos, pos + step)
-            self.read(sites, pos + step)
 
 
 def _replay_elements(m: MatrixProductOperator, layer: list[Gate], ranks: dict[int, int]) -> int:
@@ -328,7 +258,7 @@ def _replay_elements(m: MatrixProductOperator, layer: list[Gate], ranks: dict[in
             continue
         bond = min(g.qubits)
         if center not in (bond, bond + 1):
-            target = bond + 1 if center is not None and center > bond else bond
+            target = pair_site(center, bond)
             if center is None or center < target:
                 for i in range(center or 0, target):
                     dims[i + 1] = min(4 * dims[i], dims[i + 1])
@@ -348,23 +278,37 @@ def _sweep(start: MatrixProductOperator, side: _Side, cfg: ContractionConfig,
     local unitary leaves the Schmidt spectra of all other bonds unchanged,
     so a sweep would trim nothing.
 
-    With ``read``, a layer of the other side, the sweep also reads that
-    layer's bond ranks at the center positions it passes
-    (:class:`_SpectrumReader`) and replays them into the element count that
-    layer would give on ``start`` (:func:`_replay_elements`)."""
+    With ``read``, a layer of the other side, the sweep also ranks that
+    layer's two-qubit gates. Before each of its own two-qubit gates it moves
+    the center onto the gate's pair, as ``absorb_gate`` would, and ranks the
+    other side's gates on the two bonds at the center: the truncation rank
+    of the values-only spectrum of the gate applied to the pair blob. That
+    is the rank the other side's own trial splits the bond to, because the
+    swept side's gates so far act on one side of that cut and leave its
+    spectrum alone. When every gate got ranked, the ranks are replayed into
+    the element count the layer would give on ``start``
+    (:func:`_replay_elements`); otherwise ``predicted`` stays None."""
     layer = side.layer()
-    reader = None
+    ops = {}
     if read is not None:
-        reader = _SpectrumReader(read, "right" if side.which == "left" else "left", cfg)
+        other = "right" if side.which == "left" else "left"
+        ops = {min(g.qubits): _gate_op(g, other) for g in read if g.is_two_qubit}
+    ranks: dict[int, int] = {}
     m = start
     for g in _absorb_order(layer, m.center):
-        if reader is not None and g.is_two_qubit:
-            m = reader.walk(m, min(g.qubits))
+        if ops and g.is_two_qubit:
+            bond = min(g.qubits)
+            if m.center not in (bond, bond + 1):
+                m = move_center(m, pair_site(m.center, bond))
+            for b in (m.center - 1, m.center):
+                if b in ops:
+                    theta = ops.pop(b)(_bond_dot(m.sites[b], m.sites[b + 1]))
+                    s = singular_values(theta.reshape(theta.shape[0] * 4, -1))
+                    ranks[b] = truncation_rank(s, cfg.epsilon, cfg.chi_max)
         m = absorb_gate(m, g, side.which, cfg.epsilon, cfg.chi_max)
     predicted = None
-    if reader is not None:
-        reader.reach(m)
-        predicted = _replay_elements(start, read, reader.ranks)
+    if read is not None and not ops:
+        predicted = _replay_elements(start, read, ranks)
     return _Trial(start, m, layer, total_elements(m), predicted)
 
 
@@ -377,15 +321,17 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     Adaptive mode keeps the side whose next layer yields the smaller chain
     (ties go left), and absorbs each layer once in the common case. A layer
     with no two-qubit gate ("1q") leaves the count at ``total_elements(m)``
-    with no work. Left's trial reads right's bond ranks on the way, so
-    right's count comes without absorbing right's layer (see
-    :class:`_SpectrumReader` for why that count is exact):
+    with no work. Left's trial ranks right's gates where its center lands,
+    so right's count comes without absorbing right's layer whenever every
+    one of those gates sits next to a landing (see :func:`_sweep` for why
+    that count is exact):
 
     - 1q / 1q: absorb left's layer (the tie goes left).
     - 1q / 2q: sweep right; keep it if its count is smaller, else absorb
       left's layer.
     - 2q / 2q: sweep left while reading right's layer; keep left if its
-      count is at most right's, else sweep right.
+      count is at most right's, else sweep right. When the read predicted
+      no count, compare left's count with right's swept one.
     - 2q / 1q: absorb right's layer, then sweep left on that chain while
       reading right's next layer. A one-qubit layer changes no spectrum, so
       left's count there is its count on ``m``. If left wins, sweep it again

@@ -85,6 +85,9 @@ def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> Tru
     weights = s * s
     total = float(weights.sum())
     r = _spectrum_rank(s, weights, total, epsilon, chi_max)
+    if total == 0.0:  # every squared value underflows: weigh them against the largest
+        weights = (s / s[0]) ** 2
+        total = float(weights.sum())
     discarded = float(weights[r:].sum() / total)
     return TruncatedSVD(u=u[:, :r], s=s[:r].copy(), v=v[:r, :], discarded_weight=discarded)
 

@@ -32,6 +32,7 @@ from .chains import (
     _update_pair,
     apply_swap_boundary,
     move_center,
+    pair_site,
     total_elements,
 )
 from .routing import QubitPermutation
@@ -121,8 +122,7 @@ def _try_bond(state: _Extraction, bond: int, side: str, cfg: UnswapConfig) -> bo
     slack. A rank at or above the extent (at ``epsilon`` 0 rounding noise
     counts) leaves the bond as it is, so a visit never grows it.
     """
-    center = state.m.center
-    m = move_center(state.m, bond + 1 if center is not None and center > bond else bond)
+    m = move_center(state.m, pair_site(state.m.center, bond))
     rank, candidate = _pair_ranks(m, bond, side, cfg)
     if rank < m.sites[bond].shape[3]:
         m = _update_pair(m, bond, None, cfg.epsilon, cfg.chi_max)

@@ -222,12 +222,34 @@ def two_trial_absorb(m, gates, which: str, cfg):
 
     layer, _ = extract_layer(gates, from_back=(which == "right"))
     start = m
-    ordered = sorted(layer, key=lambda g: min(g.qubits))
-    if m.center is not None and 2 * m.center > min(ordered[0].qubits) + min(ordered[-1].qubits):
-        ordered.reverse()
-    for g in ordered:
+    for g in site_order(layer, m.center):
         m = absorb_gate(m, g, which, cfg.epsilon, cfg.chi_max)
     return _Trial(start, m, layer, total_elements(m))
+
+
+def site_order(layer, center):
+    """The layer by site, from the end nearer the center."""
+    ordered = sorted(layer, key=lambda g: min(g.qubits))
+    if center is not None and 2 * center > min(ordered[0].qubits) + min(ordered[-1].qubits):
+        ordered.reverse()
+    return ordered
+
+
+def landed_bonds(center, layer) -> set[int]:
+    """Bonds next to a center position where a site-order sweep of ``layer``
+    stands just before one of its two-qubit gates. Before the gate on pair
+    (b, b+1) the center moves onto the pair's site nearer it (b when it is
+    unknown or below, b+1 when above); the split leaves it on b+1. A
+    position p is next to bonds p-1 and p."""
+    bonds = set()
+    for g in site_order(layer, center):
+        if g.is_two_qubit:
+            b = min(g.qubits)
+            if center not in (b, b + 1):
+                center = b + 1 if center is not None and center > b else b
+            bonds |= {center - 1, center}
+            center = b + 1
+    return bonds
 
 
 def two_trial_choose_side(left, right, m, cfg, step, carry=None):

@@ -512,6 +512,30 @@ class TestCarry:
         assert which == "left" and again is not carry and again.start is trial.m
 
 
+def expected_prediction(m, swept, read, which, cfg):
+    """The count a sweep of ``swept`` must predict for ``read``, the other
+    side's layer (``which``): the other side's own trial count when every
+    two-qubit gate of ``read`` sits on a bond next to a landing of the
+    sweep's center, else None."""
+    landed = oracles.landed_bonds(m.center, swept)
+    if all(min(g.qubits) in landed for g in read if g.is_two_qubit):
+        return oracles.two_trial_absorb(m, read, which, cfg).elements
+    return None
+
+
+def brick_mirror(n: int, layers: int, seed: int) -> Circuit:
+    """A u3-dressed rzz brickwork followed by its inverse, so both sides'
+    layers sit on the same pairs."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for layer in range(layers):
+        for i in range(layer % 2, n - 1, 2):
+            gates += [Gate("u3", (q,), tuple(rng.uniform(-np.pi, np.pi, 3))) for q in (i, i + 1)]
+            gates.append(Gate("rzz", (i, i + 1), (float(rng.uniform(0.2, 2.9)),)))
+    block = Circuit(n, tuple(gates))
+    return Circuit(n, block.gates + inverse_circuit(block).gates)
+
+
 class TestPrediction:
     @pytest.mark.parametrize("center", [None, 0, -1, "mid"])
     @pytest.mark.parametrize("seed", range(4))
@@ -533,18 +557,19 @@ class TestPrediction:
         left = _Side("left", brick_layer(n, (seed + 1) % 2, rng), ident, ident)
         right = _Side("right", list(inverse_circuit(Circuit(n, tuple(inner))).gates), ident, ident)
         trial = _sweep(m, left, cfg, read=right.layer())
-        assert trial.predicted == oracles.two_trial_absorb(m, right.remaining(), "right",
-                                                           cfg).elements
+        assert trial.predicted == expected_prediction(m, left.layer(), right.layer(), "right",
+                                                      cfg)
         # reading leaves the kept sweep bit for bit as it was
         assert _same_sites(trial.m, oracles.two_trial_absorb(m, left.remaining(), "left",
                                                              cfg).m)
-
 
     @pytest.mark.parametrize("center", [None, 0, 2, 4])
     def test_slack_is_trimmed_as_the_trial_trims_it(self, center):
         # zero-padded bonds hold more extent than min(rows, cols) of their
         # sites; each QR step of the other side's trial trims the bond it
-        # crosses, and the replay must trim it the same way
+        # crosses, and the replay must trim it the same way. The first read
+        # layer sits apart from the swept pairs, the second on them, where
+        # every center predicts
         n = 5
         cfg = ContractionConfig(epsilon=1e-10, chi_max=4096)
         m = identity_mpo(n)
@@ -560,10 +585,12 @@ class TestPrediction:
         ident = QubitPermutation.identity(n)
         left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
                      ident, ident)
-        right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident, ident)
-        actual = oracles.two_trial_absorb(m, right.remaining(), "right", cfg)
-        assert _sweep(m, left, cfg, read=right.layer()).predicted == actual.elements
-
+        for pairs, predicts in ((((0, 1), (2, 3)), center in (None, 0)),
+                                (((1, 2), (3, 4)), True)):
+            read = [Gate("rzz", pairs[0], (0.9,)), Gate("swap", pairs[1])]
+            predicted = _sweep(m, left, cfg, read=read).predicted
+            assert predicted == expected_prediction(m, left.layer(), read, "right", cfg)
+            assert (predicted is not None) == predicts
 
     def test_failed_spectrum_is_retried(self, monkeypatch):
         n = 5
@@ -571,11 +598,13 @@ class TestPrediction:
         m = identity_mpo(n)
         for g in random_circuit(n, 6, np.random.default_rng(7), adjacent_only=True).gates:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
+        m = move_center(m, 0)
         ident = QubitPermutation.identity(n)
         left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
                      ident, ident)
         right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident, ident)
-        expected = _sweep(m, left, cfg, read=right.layer()).predicted
+        expected = oracles.two_trial_absorb(m, right.remaining(), "right", cfg).elements
+        assert _sweep(m, left, cfg, read=right.layer()).predicted == expected
         real_svd = np.linalg.svd
         failed = []
 
@@ -588,6 +617,26 @@ class TestPrediction:
         monkeypatch.setattr(np.linalg, "svd", first_spectrum_fails)
         assert _sweep(m, left, cfg, read=right.layer()).predicted == expected
         assert failed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_read_of_a_brick_mirror_predicts(self, monkeypatch, seed):
+        # both sides' layers sit on the same pairs, so the sweep lands next
+        # to every gate it reads and never sweeps the other side to compare
+        cfg = ContractionConfig(epsilon=1e-8, chi_max=4096)
+        reads = []
+
+        def recording_sweep(start, side, cfg, read=None):
+            trial = _sweep(start, side, cfg, read)
+            if read is not None:
+                reads.append((start, side.which, read, trial.predicted))
+            return trial
+
+        monkeypatch.setattr(driver, "_sweep", recording_sweep)
+        run(brick_mirror(8, 6, 3100 + seed), cfg)
+        assert reads
+        for start, which, read, predicted in reads:
+            other = "right" if which == "left" else "left"
+            assert predicted == oracles.two_trial_absorb(start, read, other, cfg).elements
 
     def test_replay_keeps_at_most_the_blob_size(self):
         # a split keeps at most min(rows, cols) of its (4l, 4r) blob, here 4

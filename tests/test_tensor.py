@@ -105,6 +105,17 @@ class TestSvdTruncate:
         with pytest.raises(ZeroTensorError):
             svd_truncate(np.zeros((3, 3), dtype=complex), split=1, epsilon=0.0, chi_max=3)
 
+    @pytest.mark.parametrize("chi_max, rank, discarded", [(8, 3, 0.0), (1, 1, 5 / 14)])
+    def test_underflowing_spectrum_has_a_finite_discarded_weight(self, chi_max, rank,
+                                                                  discarded):
+        # every squared singular value underflows to 0, so the weight is
+        # taken relative to the largest value instead of 0/0
+        t = np.diag([3e-170, 2e-170, 1e-170]).astype(complex)
+        with np.errstate(invalid="raise", divide="raise"):
+            dec = svd_truncate(t, 1, 1e-3, chi_max)
+        assert dec.rank == rank
+        assert dec.discarded_weight == pytest.approx(discarded, rel=1e-12)
+
     def test_bad_split_raises(self):
         t = np.ones((2, 2), dtype=complex)
         with pytest.raises(ValueError):
@@ -245,10 +256,9 @@ class TestRankAgainstReference:
             rank = truncation_rank(row, epsilon, chi_max)
             assert type(rank) is int and rank == r
             weights = row * row
-            # a spectrum whose squares all underflow has no relative weight
-            with np.errstate(invalid="ignore"):
-                dec = split_with_spectrum(row, epsilon, chi_max)
-                discarded = float(weights[r:].sum() / float(weights.sum()))
+            if weights.sum() == 0.0:
+                # every square underflows: weights relative to the largest value
+                weights = (row / row[0]) ** 2
+            dec = split_with_spectrum(row, epsilon, chi_max)
             assert dec.rank == r
-            assert dec.discarded_weight == discarded or (
-                math.isnan(dec.discarded_weight) and math.isnan(discarded))
+            assert dec.discarded_weight == float(weights[r:].sum() / float(weights.sum()))
