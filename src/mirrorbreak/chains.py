@@ -211,6 +211,15 @@ def pair_site(center: int | None, bond: int) -> int:
     return bond + 1 if center is not None and center > bond else bond
 
 
+def landing_site(center: int | None, bond: int) -> int:
+    """The site of pair (bond, bond+1) a split leaves the center on, for a
+    center coming from ``center``: the site opposite the one it reached
+    (:func:`pair_site`). From above it reaches bond+1 and lands on bond,
+    otherwise it reaches bond and lands on bond+1, so a walk that goes on in
+    the direction it came starts one site nearer its next pair."""
+    return bond if pair_site(center, bond) == bond + 1 else bond + 1
+
+
 def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
     """Exact (QR-based) move of the orthogonality center to ``target``."""
     sites = list(m.sites)
@@ -229,21 +238,30 @@ def _update_pair(
     """The two-site update every local step goes through: move the center to
     the nearer of sites (bond, bond+1) unless it already sits on one, apply
     ``op`` (None: identity) to their (l, t1, b1, t2, b2, r) blob, and split
-    it back with a truncated SVD. The singular values stay on the right
-    factor, so the center ends on bond+1; with the center on the pair the
-    split is the locally optimal truncation of that bond."""
+    it back with a truncated SVD. With the center on the pair the split is
+    the locally optimal truncation of that bond. The singular values go on
+    the factor of :func:`landing_site`, the pair site opposite the one the
+    center reached, so a walk down the chain pays one QR step per pair, as a
+    walk up it does."""
     sites = list(m.sites)
-    if m.center not in (bond, bond + 1):
-        _shift_center(sites, m.center, pair_site(m.center, bond))
+    reached = pair_site(m.center, bond)
+    if m.center != reached:
+        _shift_center(sites, m.center, reached)
     theta = _bond_dot(sites[bond], sites[bond + 1])
     if op is not None:
         theta = op(theta)
     l, t1, b1, t2, b2, r = theta.shape
     dec = svd_truncate(theta, split=3, epsilon=epsilon, chi_max=chi_max)
-    sites[bond] = dec.u.reshape(l, t1, b1, dec.rank)
-    sites[bond + 1] = (dec.s[:, None] * dec.v).reshape(dec.rank, t2, b2, r)
+    landing = landing_site(m.center, bond)
+    u, v = dec.u, dec.v
+    if landing == bond:
+        u = u * dec.s[None, :]
+    else:
+        v = dec.s[:, None] * v
+    sites[bond] = u.reshape(l, t1, b1, dec.rank)
+    sites[bond + 1] = v.reshape(dec.rank, t2, b2, r)
     lo, hi = _touched(len(sites), m.center, bond, bond + 2)
-    return MatrixProductOperator._derived(sites, m.log_norm, bond + 1, lo, hi)
+    return MatrixProductOperator._derived(sites, m.log_norm, landing, lo, hi)
 
 
 def _gate_tensor(g: Gate) -> np.ndarray:
@@ -435,10 +453,16 @@ def sample(psi: MatrixProductState, shots: int, seed: int,
     bits = _sample_bits(psi, shots, seed)
     if mapping is not None:
         bits = bits[:, np.argsort(mapping)]
-    n = bits.shape[1]
-    bits += ord("0")  # in place: 0/1 become ASCII digits without another array
-    text = bits.tobytes().decode("ascii")
-    return [text[k * n:(k + 1) * n] for k in range(shots)]
+    # one newline-terminated line of ASCII digits per shot, cut by one split
+    lines = np.empty((shots, bits.shape[1] + 1), dtype=np.uint8)
+    np.add(bits, ord("0"), out=lines[:, :-1], casting="unsafe")
+    lines[:, -1] = ord("\n")
+    del bits  # each buffer is freed before the next copy is made
+    text = lines.tobytes().decode("ascii")
+    del lines
+    strings = text.split("\n")
+    strings.pop()  # the empty string after the last newline
+    return strings
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .chains import (
     apply_to_zero,
     compress,
     identity_mpo,
+    landing_site,
     move_center,
     mps_to_dense,
     pair_site,
@@ -247,9 +248,10 @@ class _Trial:
 def _replay_elements(m: MatrixProductOperator, layer: list[Gate], ranks: dict[int, int]) -> int:
     """Element count after absorbing ``layer`` into ``m`` in site order, the
     bond of each two-qubit gate re-split to ``ranks[bond]``, without touching
-    a tensor. The center walks the path ``absorb_gate`` would walk. Each QR
-    step on the way trims its bond to min(rows, cols), which matters where a
-    bond holds slack, and each split keeps at most min(rows, cols)."""
+    a tensor. The center walks the path ``absorb_gate`` would walk, each
+    split leaving it on the pair's :func:`~mirrorbreak.chains.landing_site`.
+    Each QR step on the way trims its bond to min(rows, cols), which matters
+    where a bond holds slack, and each split keeps at most min(rows, cols)."""
     n = m.num_sites
     dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
     center = m.center
@@ -266,7 +268,7 @@ def _replay_elements(m: MatrixProductOperator, layer: list[Gate], ranks: dict[in
                 for i in range(n - 1 if center is None else center, target, -1):
                     dims[i] = min(dims[i], 4 * dims[i + 1])
         dims[bond + 1] = min(ranks[bond], 4 * dims[bond], 4 * dims[bond + 2])
-        center = bond + 1
+        center = landing_site(center, bond)
     return 4 * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
@@ -280,36 +282,51 @@ def _sweep(start: MatrixProductOperator, side: _Side, cfg: ContractionConfig,
 
     With ``read``, a layer of the other side, the sweep also ranks that
     layer's two-qubit gates. Before each of its own two-qubit gates it moves
-    the center onto the gate's pair, as ``absorb_gate`` would, and ranks the
-    other side's gates on the two bonds at the center: the truncation rank
-    of the values-only spectrum of the gate applied to the pair blob. That
-    is the rank the other side's own trial splits the bond to, because the
+    the center onto the gate's pair, as ``absorb_gate`` would, and keeps the
+    pair blob of each of the other side's gates on the two bonds at the
+    center. Once every such gate has a blob, each gate is applied to its
+    blob and the truncation rank of the result's values-only spectrum is
+    the rank the other side's own trial splits the bond to, because the
     swept side's gates so far act on one side of that cut and leave its
-    spectrum alone. When every gate got ranked, the ranks are replayed into
-    the element count the layer would give on ``start``
-    (:func:`_replay_elements`); otherwise ``predicted`` stays None."""
+    spectrum alone. The ranks are replayed into the element count the layer
+    would give on ``start`` (:func:`_replay_elements`). When some gate sits
+    next to no landing, nothing is ranked and ``predicted`` stays None."""
     layer = side.layer()
     ops = {}
     if read is not None:
         other = "right" if side.which == "left" else "left"
         ops = {min(g.qubits): _gate_op(g, other) for g in read if g.is_two_qubit}
-    ranks: dict[int, int] = {}
+    blobs: dict[int, np.ndarray] = {}
     m = start
     for g in _absorb_order(layer, m.center):
-        if ops and g.is_two_qubit:
+        if len(blobs) < len(ops) and g.is_two_qubit:
             bond = min(g.qubits)
             if m.center not in (bond, bond + 1):
                 m = move_center(m, pair_site(m.center, bond))
             for b in (m.center - 1, m.center):
-                if b in ops:
-                    theta = ops.pop(b)(_bond_dot(m.sites[b], m.sites[b + 1]))
-                    s = singular_values(theta.reshape(theta.shape[0] * 4, -1))
-                    ranks[b] = truncation_rank(s, cfg.epsilon, cfg.chi_max)
+                if b in ops and b not in blobs:
+                    blobs[b] = _bond_dot(m.sites[b], m.sites[b + 1])
         m = absorb_gate(m, g, side.which, cfg.epsilon, cfg.chi_max)
     predicted = None
-    if read is not None and not ops:
+    if read is not None and len(blobs) == len(ops):
+        ranks = _blob_ranks({b: ops[b](theta) for b, theta in blobs.items()}, cfg)
         predicted = _replay_elements(start, read, ranks)
     return _Trial(start, m, layer, total_elements(m), predicted)
+
+
+def _blob_ranks(blobs: dict[int, np.ndarray], cfg: ContractionConfig) -> dict[int, int]:
+    """Truncation ranks of (l, t1, b1, t2, b2, r) pair blobs keyed by bond,
+    matricized between the (l, t1, b1) and (t2, b2, r) legs: one values-only
+    SVD over the stack of each blob shape, and one ranking of its spectra."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for b, theta in blobs.items():
+        by_shape.setdefault(theta.shape, []).append(b)
+    ranks = {}
+    for shape, bonds in by_shape.items():
+        stack = np.stack([blobs[b] for b in bonds]).reshape(len(bonds), 4 * shape[0], -1)
+        spectra = singular_values(stack)
+        ranks.update(zip(bonds, truncation_rank(spectra, cfg.epsilon, cfg.chi_max)))
+    return ranks
 
 
 def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,

@@ -11,12 +11,14 @@ disjoint bonds, one batch per (side, parity) combination, so a step tests
 floor(N/2) candidates instead of one; cycles repeat until one reduces no
 bond.
 
-A visit to a bond moves the center onto its pair and ranks the bond and its
-swap candidate from one values-only SVD of their stacked blobs; a pair is
-split again only for an accepted swap or to trim slack from the bond. Visits
-that cannot accept (the same bond and side found nothing and no swap touched
-its pair since) are skipped, and each batch is swept from the end nearer
-the center.
+A visit to a bond moves the center onto its pair and ranks the bond and the
+swap candidates of all three sides from one values-only SVD of their stacked
+blobs; a pair is split again only for an accepted swap or to trim slack from
+the bond. A visit accepts only its own side's candidate, but marks every side
+whose candidate would not shrink the bond as idle there. Visits that cannot
+accept (an earlier visit found the same bond and side idle and no swap
+touched its pair since) are skipped, and each batch is swept from the end
+nearer the center.
 """
 
 from __future__ import annotations
@@ -97,42 +99,46 @@ class _Extraction:
         self.accepted += 1
 
 
-def _pair_ranks(m: MatrixProductOperator, bond: int, side: str, cfg: UnswapConfig) -> list[int]:
+def _pair_ranks(m: MatrixProductOperator, bond: int,
+                cfg: UnswapConfig) -> tuple[int, dict[str, int]]:
     """Truncation ranks of the (l, t1, b1, t2, b2, r) blob of sites (bond,
-    bond+1) and of its ``side`` swap candidate, matricized between the
-    (l, t1, b1) and (t2, b2, r) legs. The two blobs share one shape, so a
-    single values-only SVD call over their stack yields both spectra."""
+    bond+1) and of its swap candidate on each side, matricized between the
+    (l, t1, b1) and (t2, b2, r) legs. The four blobs share one shape, so a
+    single values-only SVD call over their stack yields every spectrum."""
     theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
-    stack = np.stack([theta, theta.transpose(SWAP_LEGS[side])])
-    spectra = singular_values(stack.reshape(2, 4 * theta.shape[0], -1))
-    return truncation_rank(spectra, cfg.epsilon, cfg.chi_max)
+    stack = np.stack([theta, *(theta.transpose(axes) for axes in SWAP_LEGS.values())])
+    spectra = singular_values(stack.reshape(len(stack), 4 * theta.shape[0], -1))
+    rank, *candidates = truncation_rank(spectra, cfg.epsilon, cfg.chi_max)
+    return rank, dict(zip(SWAP_LEGS, candidates))
 
 
-def _try_bond(state: _Extraction, bond: int, side: str, cfg: UnswapConfig) -> bool:
-    """Evaluate the ``side`` swap candidate at one bond and accept it iff it
-    shrinks the bond. Returns True on acceptance.
+def _try_bond(state: _Extraction, bond: int, side: str, cfg: UnswapConfig) -> list[str]:
+    """Evaluate the swap candidates at one bond and accept the ``side`` one
+    iff it shrinks the bond. Returns the sides whose candidates would not
+    shrink it; ``side`` is among them iff nothing was accepted.
 
     The center moves onto the nearer site of the pair, so the pair blob's
-    singular values are the bond's Schmidt values and the candidate's are
-    those of the bond after the swap. One values-only SVD over the stack of
-    the blob and the candidate ranks both, and only an accepted candidate
-    is materialized. When the bond's rank is below its extent the bond is
-    first re-truncated and the candidate ranked again against the re-split
-    pair, so it is compared against an honest baseline rather than stale
-    slack. A rank at or above the extent (at ``epsilon`` 0 rounding noise
-    counts) leaves the bond as it is, so a visit never grows it.
+    singular values are the bond's Schmidt values and each candidate's are
+    those of the bond after that swap. One values-only SVD over the stack of
+    the blob and its three candidates ranks them all, and only an accepted
+    candidate is materialized. When the bond's rank is below its extent the
+    bond is first re-truncated and the candidates ranked again against the
+    re-split pair, so they are compared against an honest baseline rather
+    than stale slack. A rank at or above the extent (at ``epsilon`` 0
+    rounding noise counts) leaves the bond as it is, so a visit never grows
+    it.
     """
     m = move_center(state.m, pair_site(state.m.center, bond))
-    rank, candidate = _pair_ranks(m, bond, side, cfg)
+    rank, candidates = _pair_ranks(m, bond, cfg)
     if rank < m.sites[bond].shape[3]:
         m = _update_pair(m, bond, None, cfg.epsilon, cfg.chi_max)
-        _, candidate = _pair_ranks(m, bond, side, cfg)
+        _, candidates = _pair_ranks(m, bond, cfg)
     state.m = m
-    if candidate < m.sites[bond].shape[3]:
+    extent = m.sites[bond].shape[3]
+    if candidates[side] < extent:
         # the center sits on the pair, so the swap is one split with no QR
         state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max), bond, side)
-        return True
-    return False
+    return [s for s, r in candidates.items() if r >= extent]
 
 
 def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
@@ -143,13 +149,16 @@ def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
     once per batch. Terminates when a full cycle produces no bond
     reduction, or after ``max_outer_iterations`` cycles.
 
-    A visit is skipped when the same (bond, side) accepted nothing before
-    and no swap has been accepted on either site of its pair since. A
-    unitary wholly on one side of the cut changes neither the bond's
-    spectrum nor the candidate's, and only swaps at bonds b-1, b and b+1
-    touch the pair, so the skipped visit would again accept nothing. (The
-    swaps elsewhere also re-truncate their own bond, which shifts these
-    spectra by at most the weight that truncation drops.)
+    Every visit ranks all three sides' candidates, and one that accepts
+    nothing marks each side whose candidate would not shrink the bond idle
+    at it. A visit is skipped when its (bond, side) was marked idle and no
+    swap has been accepted on either site of its pair since. A unitary
+    wholly on one side of the cut changes neither the bond's spectrum nor
+    the candidates', and only swaps at bonds b-1, b and b+1 touch the pair,
+    so the skipped visit would again accept nothing. (The swaps elsewhere
+    also re-truncate their own bond, which shifts these spectra by at most
+    the weight that truncation drops.) The decisions are those of a sweep
+    that visits every (bond, side) of every batch.
     """
     state = _Extraction(m)
     before = total_elements(m)
@@ -171,12 +180,14 @@ def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
                     continue
                 visit += 1
                 dims_before = state.m.bond_dims()[bond]
-                if _try_bond(state, bond, side, cfg):
+                stuck = _try_bond(state, bond, side, cfg)
+                if side in stuck:
+                    for s in stuck:
+                        idle[(bond, s)] = visit
+                else:
                     swapped[bond] = swapped[bond + 1] = visit
                     if state.m.bond_dims()[bond] < dims_before:
                         reduced_any = True
-                else:
-                    idle[(bond, side)] = visit
         if not reduced_any:
             break
     return UnswapResult(

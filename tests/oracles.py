@@ -145,7 +145,8 @@ def two_svd_unswap_parallel(m, cfg):
     batch swept from bond 0, and each visit re-truncating its bond with a
     full U/S/V split before ranking its candidate with a second, values-only
     SVD. ``unswap.unswap`` skips idle revisits, sweeps from the center's end
-    and ranks both with one SVD; its decisions must match."""
+    and ranks the bond and all three sides' candidates with one SVD; its
+    decisions must match."""
     from mirrorbreak.chains import (
         SWAP_LEGS,
         _bond_dot,
@@ -239,8 +240,8 @@ def landed_bonds(center, layer) -> set[int]:
     """Bonds next to a center position where a site-order sweep of ``layer``
     stands just before one of its two-qubit gates. Before the gate on pair
     (b, b+1) the center moves onto the pair's site nearer it (b when it is
-    unknown or below, b+1 when above); the split leaves it on b+1. A
-    position p is next to bonds p-1 and p."""
+    unknown or below, b+1 when above); the split leaves it on the other
+    site of the pair. A position p is next to bonds p-1 and p."""
     bonds = set()
     for g in site_order(layer, center):
         if g.is_two_qubit:
@@ -248,7 +249,7 @@ def landed_bonds(center, layer) -> set[int]:
             if center not in (b, b + 1):
                 center = b + 1 if center is not None and center > b else b
             bonds |= {center - 1, center}
-            center = b + 1
+            center = b if center == b + 1 else b + 1
     return bonds
 
 

@@ -223,6 +223,32 @@ class TestCompress:
 
 
 class TestMoveCenter:
+    def test_downward_walk_takes_one_qr_step_per_pair(self, monkeypatch):
+        # each split lands on the pair site opposite the one the center
+        # reached, so from site 7 the walk steps 6->5, 4->3 and 2->1
+        n = 8
+        m = move_center(chain_with_center(n, 60, None), n - 1)
+        gates = [Gate("cx", (b, b + 1)) for b in (6, 4, 2, 0)]
+        steps = {"left": 0, "right": 0}
+
+        def counted(name, step):
+            def wrapped(sites, i):
+                steps[name] += 1
+                step(sites, i)
+            return wrapped
+
+        monkeypatch.setattr(chains, "_qr_left", counted("left", chains._qr_left))
+        monkeypatch.setattr(chains, "_qr_right", counted("right", chains._qr_right))
+        out = m
+        for g in gates:
+            out = absorb_gate(out, g, "left", EXACT, 256)
+        assert steps == {"left": 3, "right": 0}
+        assert out.center == 0
+        expected = mpo_to_dense(m)
+        for g in gates:
+            expected = embed(g, n) @ expected
+        np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
+
     def test_center_moves_do_not_change_operator(self):
         rng = np.random.default_rng(7)
         c = random_circuit(4, 6, rng, adjacent_only=True)
@@ -279,7 +305,9 @@ class TestDerivedChains:
         out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, side, EXACT, 64))
         (lo, hi), = ranges
         self.assert_checked_every_rewrite(m, out, lo, hi)
-        assert out.center == bond + 1
+        # the split lands opposite the pair site the center reached: bond
+        # when it came from above, else bond+1
+        assert out.center == (bond if m.center is not None and m.center > bond else bond + 1)
         if on_pair:
             # the center already sits on the pair: only the pair is rewritten
             assert (lo, hi) == (bond, bond + 2)
@@ -306,7 +334,7 @@ class TestDerivedChains:
             monkeypatch, lambda: apply_swap_boundary(m, bond, "left", EXACT, 64))
         (lo, hi), = ranges
         self.assert_checked_every_rewrite(m, out, lo, hi)
-        assert out.center == bond + 1
+        assert out.center == (bond if center == self.N - 1 else bond + 1)
 
     @pytest.mark.parametrize("center", [None, 0, N - 1])
     @pytest.mark.parametrize("target", [0, 2, N - 1])
@@ -495,9 +523,14 @@ class TestSample:
         rng = np.random.default_rng(1700 + n)
         c = random_circuit(n, 2 * n, rng, adjacent_only=True)
         psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
-        reference = ["".join("1" if b else "0" for b in row)
-                     for row in _sample_bits(psi, shots, seed=4)]
+        bits = _sample_bits(psi, shots, seed=4)
+        reference = ["".join("1" if b else "0" for b in row) for row in bits]
         assert sample(psi, shots, seed=4) == reference
+        # and the fixed-width cut of one ASCII buffer, with a bit relabeling
+        mapping = tuple(int(q) for q in rng.permutation(n))
+        text = (bits[:, np.argsort(mapping)] + ord("0")).tobytes().decode("ascii")
+        cut = [text[k * n:(k + 1) * n] for k in range(shots)]
+        assert sample(psi, shots, seed=4, mapping=mapping) == cut
 
     @pytest.mark.parametrize("n,shots,seed", [(6, 3000, 0), (8, 700, 1), (5, 1, 2)])
     def test_matches_per_shot_sweep(self, n, shots, seed):

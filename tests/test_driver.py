@@ -351,9 +351,10 @@ class TestTrialAbsorb:
         side.consume()
         assert side.remaining() == []
         np.testing.assert_allclose(mpo_to_dense(trial.m), mpo_to_dense(expected), atol=1e-10)
-        # one sweep: the center ends past the gate at the far end from the start
+        # one sweep: the center ends on the far pair from the start, on its
+        # site opposite the one it reached
         los = [min(g.qubits) for g in layer if g.is_two_qubit]
-        assert trial.m.center == (min(los) if start == -1 else max(los)) + 1
+        assert trial.m.center == (min(los) if start == -1 else max(los) + 1)
 
     def test_compress_leaves_absorbed_layers_unchanged(self, monkeypatch):
         # why the trial layers need no compression sweep: every bond is

@@ -48,6 +48,20 @@ def test_mirror_wide_digest_is_pinned(saved):
         "51657a698dd0e9dff0d3385af92e6a6a1715c4031c1415f9635a12ead4629cf2")
 
 
+def test_hidden_perm_digest_is_pinned():
+    """The benchmark's hidden-perm outputs at seed 701 are pinned too: every
+    unswap decision (accepted swaps, extracted permutations) shows in their
+    element trajectories and samples. Unlike mirror-wide's, these samples
+    are drawn from non-trivial probabilities, and ranks are cut at epsilon
+    1e-8, so a change of gauge or BLAS could in principle flip one. A
+    change that alters trajectories on purpose re-pins this digest and says
+    so in CHANGES.md."""
+    done = digest("--workload", "hidden-perm", "--seeds", "701")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["sha256"] == (
+        "28bb05c4473905159dc78c4cf82ce792d1a83de62caf19724c779a11c0095549")
+
+
 def test_round_trip_against_saved_probabilities(saved):
     stdout, path = saved
     done = digest("--workload", "mirror-wide", "--seeds", "701", "--against", str(path))

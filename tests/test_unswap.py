@@ -189,6 +189,18 @@ class TestParallelAgainstTwoSvdReference:
         assert_same_decisions(unswap(m, CFG), two_svd_unswap_parallel(m, CFG), m)
         assert visits["skipping"] < visits["reference"]
 
+    def test_one_visit_per_bond_when_no_side_shrinks(self, monkeypatch):
+        # the first visit of each bond ranks all three sides and marks the
+        # sides that cannot shrink it idle, so no later visit runs
+        moves = []
+        unswap_module = importlib.import_module("mirrorbreak.unswap")
+        move = unswap_module.move_center
+        monkeypatch.setattr(unswap_module, "move_center",
+                            lambda m, target: moves.append(target) or move(m, target))
+        res = unswap(identity_mpo(6), CFG)
+        assert res.accepted_swaps == 0
+        assert len(moves) == 5
+
     def test_padded_bond_retruncated_without_a_swap(self):
         # bond 0 of the identity padded with zero columns: the product is
         # unchanged, no swap helps, and the visit must still trim the slack
@@ -246,8 +258,9 @@ class TestSvdFailure:
         monkeypatch.setattr(np.linalg, "svd", always_fails)
         with pytest.raises(SvdConvergenceError):
             unswap(m, CFG)
-        # the blob and its candidate in one values-only call, then one retry
-        assert calls == [((2, 4, 4), False)] * 2
+        # the blob and its three candidates in one values-only call, then
+        # one retry
+        assert calls == [((4, 4, 4), False)] * 2
 
     def test_one_failure_is_retried(self, monkeypatch):
         m = absorb_gate(identity_mpo(3), Gate("swap", (1, 2)), "left", 1e-12, 64)
