@@ -10,7 +10,7 @@ factored out exactly.
 
 import numpy as np
 
-from mirrorbreak import QubitPermutation, UnswapConfig, identity_mpo, total_elements, unswap
+from mirrorbreak import QubitPermutation, identity_mpo, total_elements, unswap
 from mirrorbreak.chains import absorb_gate, compress, mpo_to_dense
 from mirrorbreak.circuit import Gate
 from mirrorbreak.oracle import permutation_unitary
@@ -28,7 +28,8 @@ m = compress(m, 1e-12, 4096)
 print("bond extents after absorption:", m.bond_dims())
 print("total elements:", total_elements(m), f"(identity baseline {4 * n})")
 
-res = unswap(m, UnswapConfig(epsilon=1e-10, chi_max=4096))
+# unswap is one greedy function of the chain and the two truncation numbers
+res = unswap(m, epsilon=1e-10, chi_max=4096)
 print("\nafter extraction:")
 print("  bond extents:", res.reduced.bond_dims())
 print("  accepted swaps:", res.accepted_swaps)

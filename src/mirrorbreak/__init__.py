@@ -24,7 +24,7 @@ from .circuit import Circuit, Gate, gate_unitary, parse_qasm, serialize_qasm, sp
 from .driver import ContractionConfig, SimulationResult, StallError, run, sample_output
 from .peaked import PeakedInstance, generate
 from .routing import QubitPermutation, reindex, route_linear, strip_transpilation_swaps
-from .unswap import UnswapConfig, UnswapResult, unswap
+from .unswap import UnswapResult, unswap
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "QubitPermutation",
     "SimulationResult",
     "StallError",
-    "UnswapConfig",
     "UnswapResult",
     "absorb_gate",
     "apply_swap_boundary",

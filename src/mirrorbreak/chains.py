@@ -470,31 +470,30 @@ def sample(psi: MatrixProductState, shots: int, seed: int,
 # --------------------------------------------------------------------------
 
 
+def _dense_product(sites, log_norm: float) -> np.ndarray:
+    """The sites contracted over their bonds left to right and scaled by
+    ``exp(log_norm)``: one array whose axes are the sites' physical legs, in
+    site order."""
+    if len(sites) > DENSE_GUARD_QUBITS:
+        raise ValueError(f"dense materialization capped at {DENSE_GUARD_QUBITS} sites")
+    cur = sites[0][0]
+    for s in sites[1:]:
+        cur = np.tensordot(cur, s, axes=(-1, 0))
+    return cur[..., 0] * math.exp(log_norm)
+
+
 def mpo_to_dense(m: MatrixProductOperator) -> np.ndarray:
     """Exact 2**n x 2**n matrix, row/column indices little-endian in the
     qubit number (qubit 0 = least significant bit)."""
     n = m.num_sites
-    if n > DENSE_GUARD_QUBITS:
-        raise ValueError(f"dense materialization capped at {DENSE_GUARD_QUBITS} sites")
-    cur = m.sites[0][0]  # (t0, b0, r)
-    for s in m.sites[1:]:
-        cur = np.tensordot(cur, s, axes=(-1, 0))
-    cur = cur[..., 0]  # axes: t0, b0, t1, b1, ...
+    cur = _dense_product(m.sites, m.log_norm)  # axes: t0, b0, t1, b1, ...
     tops = [2 * i for i in range(n)]
     bots = [2 * i + 1 for i in range(n)]
     order = tops[::-1] + bots[::-1]
-    dense = cur.transpose(order).reshape(2**n, 2**n)
-    return dense * math.exp(m.log_norm)
+    return cur.transpose(order).reshape(2**n, 2**n)
 
 
 def mps_to_dense(psi: MatrixProductState) -> np.ndarray:
     """Exact 2**n amplitude vector, little-endian in the qubit number."""
-    n = psi.num_sites
-    if n > DENSE_GUARD_QUBITS:
-        raise ValueError(f"dense materialization capped at {DENSE_GUARD_QUBITS} sites")
-    cur = psi.sites[0][0]  # (p0, r)
-    for s in psi.sites[1:]:
-        cur = np.tensordot(cur, s, axes=(-1, 0))
-    cur = cur[..., 0]
-    vec = cur.transpose(tuple(range(n))[::-1]).reshape(-1)
-    return vec * math.exp(psi.log_norm)
+    cur = _dense_product(psi.sites, psi.log_norm)  # axes: p0, p1, ...
+    return cur.transpose(tuple(range(psi.num_sites))[::-1]).reshape(-1)

@@ -124,40 +124,48 @@ def _usage_error(message) -> int:
     return EXIT_USAGE
 
 
-def _cmd_run(args) -> int:
-    circuit = _load_circuit(args.circuit)
-    if not math.isfinite(args.tau):
-        return _usage_error(f"--tau must be finite, got {args.tau}")
+def _contract(circuit, args, trace: str | None = None, **config):
+    """Contract ``circuit`` under the ``ContractionConfig`` fields in
+    ``config`` and draw ``args.shots`` samples with ``args.seed``. Returns
+    (result, samples); on a failure prints it and raises SystemExit with its
+    exit code, writing the partial trace of a stall to ``trace`` if given."""
     try:
-        cfg = ContractionConfig(
-            epsilon=args.epsilon,
-            chi_max=args.chi_max,
-            tau=int(args.tau),
-            max_unswap_iterations=args.max_unswap_iters,
-            side_mode=args.side,
-        )
+        cfg = ContractionConfig(**config)
     except ValueError as exc:
-        return _usage_error(exc)
+        raise SystemExit(_usage_error(exc))
     if args.shots < 1:
-        return _usage_error(f"--shots must be >= 1, got {args.shots}")
-
+        raise SystemExit(_usage_error(f"--shots must be >= 1, got {args.shots}"))
     try:
         result = run(circuit, cfg)
-        samples = sample_output(result, args.shots, args.seed)
+        return result, sample_output(result, args.shots, args.seed)
     except ValueError as exc:
-        return _usage_error(exc)
+        raise SystemExit(_usage_error(exc))
     except SvdConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
-        if args.trace:
+        if trace:
             try:
-                with open(args.trace, "w") as fh:
+                with open(trace, "w") as fh:
                     emit_trace(exc.trace, fh)
             except OSError:
                 pass  # the stall diagnosis is the primary outcome
-        return EXIT_NO_RESULT
+    raise SystemExit(EXIT_NO_RESULT)
+
+
+def _cmd_run(args, circuit) -> int:
+    if not math.isfinite(args.tau):
+        return _usage_error(f"--tau must be finite, got {args.tau}")
+    result, samples = _contract(
+        circuit,
+        args,
+        trace=args.trace,
+        epsilon=args.epsilon,
+        chi_max=args.chi_max,
+        tau=int(args.tau),
+        max_unswap_iterations=args.max_unswap_iters,
+        side_mode=args.side,
+    )
 
     if args.trace:
         try:
@@ -176,8 +184,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    circuit = _load_circuit(args.circuit)
+def _cmd_verify(args, circuit) -> int:
     if circuit.num_qubits > VERIFY_MAX_QUBITS:
         print(
             f"error: oracle verification is capped at {VERIFY_MAX_QUBITS} qubits, "
@@ -185,23 +192,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    try:
-        cfg = ContractionConfig(epsilon=args.epsilon)
-    except ValueError as exc:
-        return _usage_error(exc)
-    if args.shots < 1:
-        return _usage_error(f"--shots must be >= 1, got {args.shots}")
-    try:
-        result = run(circuit, cfg)
-        samples = sample_output(result, args.shots, args.seed)
-    except ValueError as exc:
-        return _usage_error(exc)
-    except SvdConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
-    except StallError as exc:
-        print(f"stall: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
+    result, samples = _contract(circuit, args, epsilon=args.epsilon)
 
     reference = simulate(circuit)
     produced = dense_output(result)
@@ -232,9 +223,12 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error(f"--seed must be >= 0, got {args.seed}")
     if args.command == "generate":
         return _cmd_generate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_verify(args)
+    circuit = _load_circuit(args.circuit)
+    command = _cmd_run if args.command == "run" else _cmd_verify
+    try:
+        return command(args, circuit)
+    except SystemExit as exc:  # a failure _contract or _write_histogram reported
+        return exc.code
 
 
 def entry() -> None:

@@ -60,7 +60,7 @@ from .routing import (
     strip_transpilation_swaps,
 )
 from .tensor import singular_values, truncation_rank
-from .unswap import UnswapConfig, unswap
+from .unswap import unswap
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ class ContractionConfig:
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         self.fixed_frequency  # validates side_mode
-        self.unswap_config()  # validates the unswap fields up front
+        if self.max_unswap_iterations < 1:
+            raise ValueError("max_unswap_iterations must be >= 1")
 
     @property
     def fixed_frequency(self) -> int | None:
@@ -95,13 +96,6 @@ class ContractionConfig:
         if k < 1:
             raise ValueError("fixed side frequency must be >= 1")
         return k
-
-    def unswap_config(self) -> UnswapConfig:
-        return UnswapConfig(
-            epsilon=self.epsilon,
-            chi_max=self.chi_max,
-            max_outer_iterations=self.max_unswap_iterations,
-        )
 
 
 @dataclass(frozen=True)
@@ -488,7 +482,7 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
             break
 
         before = elements
-        result = unswap(m, cfg.unswap_config())
+        result = unswap(m, cfg.epsilon, cfg.chi_max, cfg.max_unswap_iterations)
         m = compress(result.reduced, cfg.epsilon, cfg.chi_max)
         after = total_elements(m)
         trace.append(TraceRecord("unswap", consumed, after, time.perf_counter() - t0))

@@ -6,10 +6,12 @@ keeps the ones that shrink the targeted bond, factoring the operator as
 
     input = P_left . reduced . P_right
 
-where both factors are wire permutations. Candidates are tried in batches of
-disjoint bonds, one batch per (side, parity) combination, so a step tests
-floor(N/2) candidates instead of one; cycles repeat until one reduces no
-bond.
+where both factors are wire permutations. ``unswap(m, epsilon, chi_max)`` is
+one greedy function of the chain and the two truncation numbers, which
+carries the chain, both permutations and the accepted count as locals.
+Candidates are tried in batches of disjoint bonds, one batch per (side,
+parity) combination, so a step tests floor(N/2) candidates instead of one;
+cycles repeat until one reduces no bond.
 
 A visit to a bond moves the center onto its pair and ranks the bond and the
 swap candidates of all three sides from one values-only SVD of their stacked
@@ -51,17 +53,6 @@ _PARALLEL_CYCLE = (
 
 
 @dataclass(frozen=True)
-class UnswapConfig:
-    epsilon: float
-    chi_max: int
-    max_outer_iterations: int = 20
-
-    def __post_init__(self):
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
 class UnswapResult:
     reduced: MatrixProductOperator
     left_perm: QubitPermutation
@@ -71,36 +62,8 @@ class UnswapResult:
     elements_after: int
 
 
-class _Extraction:
-    """Working state: the chain plus the accumulated outer permutations.
-
-    Applying a swap S on the top legs turns M into S.M, so the original
-    factors as M = S.(S.M): the left permutation gains the swap (its own
-    inverse) on the inside. Operator order fixes the composition direction:
-    the left permutation composes new swaps on the right, the right
-    permutation on the left.
-    """
-
-    def __init__(self, m: MatrixProductOperator):
-        self.m = m
-        n = m.num_sites
-        self.left = QubitPermutation.identity(n)
-        self.right = QubitPermutation.identity(n)
-        self.accepted = 0
-
-    def accept(self, new_m: MatrixProductOperator, bond: int, side: str):
-        n = self.m.num_sites
-        tau = QubitPermutation.transposition(n, bond, bond + 1)
-        if side in ("left", "both"):
-            self.left = self.left.compose(tau)
-        if side in ("right", "both"):
-            self.right = tau.compose(self.right)
-        self.m = new_m
-        self.accepted += 1
-
-
-def _pair_ranks(m: MatrixProductOperator, bond: int,
-                cfg: UnswapConfig) -> tuple[int, dict[str, int]]:
+def _pair_ranks(m: MatrixProductOperator, bond: int, epsilon: float,
+                chi_max: int) -> tuple[int, dict[str, int]]:
     """Truncation ranks of the (l, t1, b1, t2, b2, r) blob of sites (bond,
     bond+1) and of its swap candidate on each side, matricized between the
     (l, t1, b1) and (t2, b2, r) legs. The four blobs share one shape, so a
@@ -108,14 +71,16 @@ def _pair_ranks(m: MatrixProductOperator, bond: int,
     theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
     stack = np.stack([theta, *(theta.transpose(axes) for axes in SWAP_LEGS.values())])
     spectra = singular_values(stack.reshape(len(stack), 4 * theta.shape[0], -1))
-    rank, *candidates = truncation_rank(spectra, cfg.epsilon, cfg.chi_max)
+    rank, *candidates = truncation_rank(spectra, epsilon, chi_max)
     return rank, dict(zip(SWAP_LEGS, candidates))
 
 
-def _try_bond(state: _Extraction, bond: int, side: str, cfg: UnswapConfig) -> list[str]:
+def _try_bond(m: MatrixProductOperator, bond: int, side: str, epsilon: float,
+              chi_max: int) -> tuple[MatrixProductOperator, list[str]]:
     """Evaluate the swap candidates at one bond and accept the ``side`` one
-    iff it shrinks the bond. Returns the sides whose candidates would not
-    shrink it; ``side`` is among them iff nothing was accepted.
+    iff it shrinks the bond. Returns the chain after the visit and the sides
+    whose candidates would not shrink the bond; ``side`` is among them iff
+    nothing was accepted.
 
     The center moves onto the nearer site of the pair, so the pair blob's
     singular values are the bond's Schmidt values and each candidate's are
@@ -128,26 +93,27 @@ def _try_bond(state: _Extraction, bond: int, side: str, cfg: UnswapConfig) -> li
     rounding noise counts) leaves the bond as it is, so a visit never grows
     it.
     """
-    m = move_center(state.m, pair_site(state.m.center, bond))
-    rank, candidates = _pair_ranks(m, bond, cfg)
+    m = move_center(m, pair_site(m.center, bond))
+    rank, candidates = _pair_ranks(m, bond, epsilon, chi_max)
     if rank < m.sites[bond].shape[3]:
-        m = _update_pair(m, bond, None, cfg.epsilon, cfg.chi_max)
-        _, candidates = _pair_ranks(m, bond, cfg)
-    state.m = m
+        m = _update_pair(m, bond, None, epsilon, chi_max)
+        _, candidates = _pair_ranks(m, bond, epsilon, chi_max)
     extent = m.sites[bond].shape[3]
-    if candidates[side] < extent:
+    stuck = [s for s, r in candidates.items() if r >= extent]
+    if side not in stuck:
         # the center sits on the pair, so the swap is one split with no QR
-        state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max), bond, side)
-    return [s for s, r in candidates.items() if r >= extent]
+        m = apply_swap_boundary(m, bond, side, epsilon, chi_max)
+    return m, stuck
 
 
-def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
+def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
+           max_iterations: int = 20) -> UnswapResult:
     """Greedy extraction in parity batches: cycle through (both, left,
     right) x (even, odd) batches; within a batch all candidate pairs are
     disjoint, so their acceptance decisions are independent and each batch
     is swept from the end nearer the center, which then crosses the chain
     once per batch. Terminates when a full cycle produces no bond
-    reduction, or after ``max_outer_iterations`` cycles.
+    reduction, or after ``max_iterations`` cycles.
 
     Every visit ranks all three sides' candidates, and one that accepts
     nothing marks each side whose candidate would not shrink the bond idle
@@ -159,43 +125,56 @@ def unswap(m: MatrixProductOperator, cfg: UnswapConfig) -> UnswapResult:
     also re-truncate their own bond, which shifts these spectra by at most
     the weight that truncation drops.) The decisions are those of a sweep
     that visits every (bond, side) of every batch.
+
+    Applying a swap S on the top legs turns M into S.M, so the original
+    factors as M = S.(S.M): the left permutation gains the swap (its own
+    inverse) on the inside. Operator order fixes the composition direction:
+    the left permutation composes new swaps on the right, the right
+    permutation on the left.
     """
-    state = _Extraction(m)
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     before = total_elements(m)
     n = m.num_sites
+    left = right = QubitPermutation.identity(n)
+    accepted = 0
     visit = 0
     swapped = [0] * n  # visit of the last accepted swap on each site
     idle: dict[tuple[int, str], int] = {}  # last visit of (bond, side) that accepted nothing
-    for _ in range(cfg.max_outer_iterations):
+    for _ in range(max_iterations):
         reduced_any = False
         for side, parity in _PARALLEL_CYCLE:
             bonds = range(parity, n - 1, 2)
             if not bonds:
                 continue
-            center = state.m.center
-            if center is not None and 2 * center > bonds[0] + bonds[-1]:
+            if m.center is not None and 2 * m.center > bonds[0] + bonds[-1]:
                 bonds = reversed(bonds)
             for bond in bonds:
                 if idle.get((bond, side), 0) > max(swapped[bond], swapped[bond + 1]):
                     continue
                 visit += 1
-                dims_before = state.m.bond_dims()[bond]
-                stuck = _try_bond(state, bond, side, cfg)
+                dims_before = m.bond_dims()[bond]
+                m, stuck = _try_bond(m, bond, side, epsilon, chi_max)
                 if side in stuck:
                     for s in stuck:
                         idle[(bond, s)] = visit
-                else:
-                    swapped[bond] = swapped[bond + 1] = visit
-                    if state.m.bond_dims()[bond] < dims_before:
-                        reduced_any = True
+                    continue
+                tau = QubitPermutation.transposition(n, bond, bond + 1)
+                if side in ("left", "both"):
+                    left = left.compose(tau)
+                if side in ("right", "both"):
+                    right = tau.compose(right)
+                accepted += 1
+                swapped[bond] = swapped[bond + 1] = visit
+                if m.bond_dims()[bond] < dims_before:
+                    reduced_any = True
         if not reduced_any:
             break
     return UnswapResult(
-        reduced=state.m,
-        left_perm=state.left,
-        right_perm=state.right,
-        accepted_swaps=state.accepted,
+        reduced=m,
+        left_perm=left,
+        right_perm=right,
+        accepted_swaps=accepted,
         elements_before=before,
-        elements_after=total_elements(state.m),
+        elements_after=total_elements(m),
     )
-

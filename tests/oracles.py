@@ -140,13 +140,19 @@ def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
     return bits
 
 
-def two_svd_unswap_parallel(m, cfg):
+def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
     """Reference parity-parallel unswap: every visit of every batch, each
     batch swept from bond 0, and each visit re-truncating its bond with a
     full U/S/V split before ranking its candidate with a second, values-only
     SVD. ``unswap.unswap`` skips idle revisits, sweeps from the center's end
     and ranks the bond and all three sides' candidates with one SVD; its
-    decisions must match."""
+    decisions must match.
+
+    The outer permutations are tracked as plain mapping lists, apart from
+    ``QubitPermutation.compose``: a swap S taken on the top legs leaves
+    M = S.(S.M), so the left factor becomes P_left.S, which exchanges two of
+    its entries; one on the bottom legs leaves M = (M.S).S, so the right
+    factor becomes S.P_right, which exchanges two of its values."""
     from mirrorbreak.chains import (
         SWAP_LEGS,
         _bond_dot,
@@ -155,41 +161,41 @@ def two_svd_unswap_parallel(m, cfg):
         move_center,
         total_elements,
     )
+    from mirrorbreak.routing import QubitPermutation
     from mirrorbreak.tensor import truncation_rank
-    from mirrorbreak.unswap import _PARALLEL_CYCLE, UnswapResult, _Extraction
+    from mirrorbreak.unswap import _PARALLEL_CYCLE, UnswapResult
 
-    def try_bond(state, bond, side):
-        m = _update_pair(move_center(state.m, bond), bond, None, cfg.epsilon, cfg.chi_max)
-        state.m = m
-        baseline = m.sites[bond].shape[3]
-        theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
-        s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
-        extent = truncation_rank(s, cfg.epsilon, cfg.chi_max)
-        if extent < baseline:
-            state.accept(apply_swap_boundary(m, bond, side, cfg.epsilon, cfg.chi_max),
-                         bond, side)
-            return True
-        return False
-
-    state = _Extraction(m)
     before = total_elements(m)
     n = m.num_sites
-    for _ in range(cfg.max_outer_iterations):
+    left, right = list(range(n)), list(range(n))
+    accepted = 0
+    for _ in range(max_iterations):
         reduced_any = False
         for side, parity in _PARALLEL_CYCLE:
             for bond in range(parity, n - 1, 2):
-                dims_before = state.m.bond_dims()[bond]
-                if try_bond(state, bond, side) and state.m.bond_dims()[bond] < dims_before:
+                dims_before = m.bond_dims()[bond]
+                m = _update_pair(move_center(m, bond), bond, None, epsilon, chi_max)
+                baseline = m.sites[bond].shape[3]
+                theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
+                s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
+                if truncation_rank(s, epsilon, chi_max) >= baseline:
+                    continue
+                m = apply_swap_boundary(m, bond, side, epsilon, chi_max)
+                accepted += 1
+                if side != "right":
+                    left[bond], left[bond + 1] = left[bond + 1], left[bond]
+                if side != "left":
+                    swap = {bond: bond + 1, bond + 1: bond}
+                    right = [swap.get(w, w) for w in right]
+                if m.bond_dims()[bond] < dims_before:
                     reduced_any = True
-        if not reduced_any:
-            break
     return UnswapResult(
-        reduced=state.m,
-        left_perm=state.left,
-        right_perm=state.right,
-        accepted_swaps=state.accepted,
+        reduced=m,
+        left_perm=QubitPermutation(tuple(left)),
+        right_perm=QubitPermutation(tuple(right)),
+        accepted_swaps=accepted,
         elements_before=before,
-        elements_after=total_elements(state.m),
+        elements_after=total_elements(m),
     )
 
 

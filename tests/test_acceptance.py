@@ -16,7 +16,7 @@ from mirrorbreak.driver import ContractionConfig, dense_output, run, sample_outp
 from mirrorbreak.oracle import bits_to_index, simulate, tvd
 from mirrorbreak.peaked import generate
 from mirrorbreak.routing import QubitPermutation, route_linear, strip_transpilation_swaps
-from mirrorbreak.unswap import UnswapConfig, unswap
+from mirrorbreak.unswap import unswap
 
 from .oracles import random_circuit
 from .test_routing import routed_equivalent
@@ -61,8 +61,7 @@ def test_criterion_2_permutation_extraction():
 
     def check(perm: QubitPermutation):
         m = permutation_mpo(perm)
-        cfg = UnswapConfig(epsilon=1e-10, chi_max=4096)
-        res = unswap(m, cfg)
+        res = unswap(m, 1e-10, 4096)
         ok = all(d == 1 for d in res.reduced.bond_dims())
         ok = ok and reconstruction_error(res, m) <= 1e-10
         if not ok:

@@ -190,7 +190,7 @@ class TestRun:
     @pytest.mark.parametrize("flags,message", [
         (["--tau", "1"], "below the identity chain size"),
         (["--shots", "0"], "--shots must be >= 1"),
-        (["--max-unswap-iters", "0"], "max_outer_iterations"),
+        (["--max-unswap-iters", "0"], "max_unswap_iterations"),
         (["--tau", "inf"], "--tau must be finite"),
         (["--tau", "nan"], "--tau must be finite"),
         (["--epsilon", "nan"], "epsilon must be finite"),

@@ -85,7 +85,7 @@ class TestConfig:
         ("epsilon", float("inf")),
     ])
     def test_invalid_fields_rejected_at_construction(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             ContractionConfig(**{field: value})
 
     def test_tau_floor_checked_at_run(self):

@@ -18,11 +18,11 @@ from mirrorbreak.circuit import Gate
 from mirrorbreak.oracle import permutation_unitary
 from mirrorbreak.routing import QubitPermutation
 from mirrorbreak.tensor import SvdConvergenceError
-from mirrorbreak.unswap import UnswapConfig, UnswapResult, unswap
+from mirrorbreak.unswap import UnswapResult, unswap
 
 from .oracles import random_circuit, two_svd_unswap_parallel
 
-CFG = UnswapConfig(epsilon=1e-10, chi_max=4096)
+EPSILON, CHI_MAX = 1e-10, 4096
 
 
 def permutation_mpo(perm: QubitPermutation, side: str = "left"):
@@ -70,8 +70,8 @@ def reconstruction_error(res: UnswapResult, original) -> float:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="max_outer_iterations"):
-            UnswapConfig(epsilon=0.0, chi_max=4, max_outer_iterations=0)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            unswap(identity_mpo(2), 0.0, 4, max_iterations=0)
 
 
 class TestSequential:
@@ -79,7 +79,7 @@ class TestSequential:
     sequential bond loop they were first written against)."""
 
     def test_identity_accepts_nothing(self):
-        res = unswap(identity_mpo(4), CFG)
+        res = unswap(identity_mpo(4), EPSILON, CHI_MAX)
         assert res.accepted_swaps == 0
         assert res.left_perm.is_identity()
         assert res.right_perm.is_identity()
@@ -87,7 +87,7 @@ class TestSequential:
 
     def test_single_swap_extracted(self):
         m = absorb_gate(identity_mpo(2), Gate("swap", (0, 1)), "left", 1e-12, 64)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert res.accepted_swaps >= 1
         assert res.reduced.bond_dims() == (1,)
         assert reconstruction_error(res, m) <= 1e-10
@@ -99,7 +99,7 @@ class TestSequential:
         rng = np.random.default_rng(1700 + seed)
         perm = QubitPermutation(tuple(int(x) for x in rng.permutation(5)))
         m = permutation_mpo(perm)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert all(d == 1 for d in res.reduced.bond_dims())
         assert reconstruction_error(res, m) <= 1e-10
 
@@ -107,14 +107,14 @@ class TestSequential:
         rng = np.random.default_rng(9)
         perm = QubitPermutation(tuple(int(x) for x in rng.permutation(6)))
         m = permutation_mpo(perm)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert res.elements_after <= res.elements_before
 
     def test_never_grows_elements_at_zero_epsilon(self):
         # at epsilon 0 every rounding-noise singular value counts, so a pair's
         # rank can exceed its bond's extent; re-splitting there would grow it
         m = permutation_mpo(QubitPermutation((3, 5, 0, 4, 1, 2)))
-        res = unswap(m, UnswapConfig(epsilon=0.0, chi_max=4096))
+        res = unswap(m, 0.0, 4096)
         assert res.elements_after <= res.elements_before
         assert reconstruction_error(res, m) <= 1e-10
 
@@ -123,13 +123,13 @@ class TestSequential:
         # random circuit chains have little permutation content; the
         # decomposition must stay sound regardless of reduction achieved
         m = random_chain(seed)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert reconstruction_error(res, m) <= 1e-8
 
 
 class TestParallel:
     def test_identity_terminates_after_one_cycle(self):
-        res = unswap(identity_mpo(5), CFG)
+        res = unswap(identity_mpo(5), EPSILON, CHI_MAX)
         assert res.accepted_swaps == 0
 
     def test_disjoint_swaps_extracted_together(self):
@@ -138,7 +138,7 @@ class TestParallel:
         m = absorb_gate(m, Gate("swap", (0, 1)), "left", 1e-12, 64)
         m = absorb_gate(m, Gate("swap", (2, 3)), "left", 1e-12, 64)
         m = compress(m, 1e-12, 64)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert all(d == 1 for d in res.reduced.bond_dims())
         assert reconstruction_error(res, m) <= 1e-10
 
@@ -150,10 +150,10 @@ class TestParallel:
         n = int(rng.integers(3, 7))
         perm = QubitPermutation(tuple(int(x) for x in rng.permutation(n)))
         m = permutation_mpo(perm)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert all(d == 1 for d in res.reduced.bond_dims())
         assert reconstruction_error(res, m) <= 1e-10
-        assert_same_decisions(res, two_svd_unswap_parallel(m, CFG), m)
+        assert_same_decisions(res, two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
 
 
 class TestParallelAgainstTwoSvdReference:
@@ -165,7 +165,7 @@ class TestParallelAgainstTwoSvdReference:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_circuit_chains(self, seed):
         m = random_chain(seed)
-        assert_same_decisions(unswap(m, CFG), two_svd_unswap_parallel(m, CFG), m)
+        assert_same_decisions(unswap(m, EPSILON, CHI_MAX), two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
 
     def test_idle_revisits_are_skipped(self, monkeypatch):
         # each visit moves the center once; the reference visits every
@@ -186,7 +186,7 @@ class TestParallelAgainstTwoSvdReference:
                             counted("reference", chains_module.move_center))
         perm = QubitPermutation((3, 5, 0, 4, 1, 2))
         m = permutation_mpo(perm)
-        assert_same_decisions(unswap(m, CFG), two_svd_unswap_parallel(m, CFG), m)
+        assert_same_decisions(unswap(m, EPSILON, CHI_MAX), two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
         assert visits["skipping"] < visits["reference"]
 
     def test_one_visit_per_bond_when_no_side_shrinks(self, monkeypatch):
@@ -197,7 +197,7 @@ class TestParallelAgainstTwoSvdReference:
         move = unswap_module.move_center
         monkeypatch.setattr(unswap_module, "move_center",
                             lambda m, target: moves.append(target) or move(m, target))
-        res = unswap(identity_mpo(6), CFG)
+        res = unswap(identity_mpo(6), EPSILON, CHI_MAX)
         assert res.accepted_swaps == 0
         assert len(moves) == 5
 
@@ -209,20 +209,20 @@ class TestParallelAgainstTwoSvdReference:
         pad[..., :1] = m.sites[0]
         right = np.concatenate([m.sites[1], np.ones((2, 2, 2, 1), dtype=np.complex128)])
         padded = MatrixProductOperator((pad, right, m.sites[2]))
-        res = unswap(padded, CFG)
+        res = unswap(padded, EPSILON, CHI_MAX)
         assert padded.bond_dims() == (3, 1)
         assert res.accepted_swaps == 0
         assert res.reduced.bond_dims() == (1, 1)
         assert reconstruction_error(res, padded) <= 1e-12
-        assert_same_decisions(res, two_svd_unswap_parallel(padded, CFG), padded)
+        assert_same_decisions(res, two_svd_unswap_parallel(padded, EPSILON, CHI_MAX), padded)
 
     @pytest.mark.parametrize("sites", [1, 2])
     def test_short_chains_run_both_parities(self, sites):
         m = identity_mpo(sites)
         if sites == 2:
             m = absorb_gate(m, Gate("swap", (0, 1)), "left", 1e-12, 64)
-        res = unswap(m, CFG)
-        assert_same_decisions(res, two_svd_unswap_parallel(m, CFG), m)
+        res = unswap(m, EPSILON, CHI_MAX)
+        assert_same_decisions(res, two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
         assert all(d == 1 for d in res.reduced.bond_dims())
 
 
@@ -232,7 +232,7 @@ class TestPermutationCompleteness:
             perm = QubitPermutation(mapping)
             for side in ("left", "right"):
                 m = permutation_mpo(perm, side)
-                res = unswap(m, CFG)
+                res = unswap(m, EPSILON, CHI_MAX)
                 assert all(d == 1 for d in res.reduced.bond_dims()), (mapping, side)
                 assert reconstruction_error(res, m) <= 1e-10
 
@@ -240,7 +240,7 @@ class TestPermutationCompleteness:
 class TestElementAccounting:
     def test_counts_reported(self):
         m = absorb_gate(identity_mpo(2), Gate("swap", (0, 1)), "left", 1e-12, 64)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert res.elements_before == total_elements(m)
         assert res.elements_after == total_elements(res.reduced)
         assert res.elements_after < res.elements_before
@@ -257,14 +257,14 @@ class TestSvdFailure:
         m = absorb_gate(identity_mpo(2), Gate("swap", (0, 1)), "left", 1e-12, 64)
         monkeypatch.setattr(np.linalg, "svd", always_fails)
         with pytest.raises(SvdConvergenceError):
-            unswap(m, CFG)
+            unswap(m, EPSILON, CHI_MAX)
         # the blob and its three candidates in one values-only call, then
         # one retry
         assert calls == [((4, 4, 4), False)] * 2
 
     def test_one_failure_is_retried(self, monkeypatch):
         m = absorb_gate(identity_mpo(3), Gate("swap", (1, 2)), "left", 1e-12, 64)
-        expected = unswap(m, CFG)
+        expected = unswap(m, EPSILON, CHI_MAX)
         real_svd = np.linalg.svd
         failed = []
 
@@ -275,7 +275,7 @@ class TestSvdFailure:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fails_once)
-        res = unswap(m, CFG)
+        res = unswap(m, EPSILON, CHI_MAX)
         assert failed
         assert res.accepted_swaps == expected.accepted_swaps
         assert res.reduced.bond_dims() == expected.reduced.bond_dims() == (1, 1)
