@@ -10,12 +10,19 @@ from the left realizes G.M and from the right M.G. Chains carry a scalar
 ``log_norm``: the represented object is exp(log_norm) times the contraction
 of the stored tensors.
 
-Every chain operation is built from three primitives: the QR step pair
-``_qr_right``/``_qr_left`` (which ``_shift_center`` strings into exact
-center moves), the canonical truncation sweep ``_truncate_sweep`` behind
-``compress`` and ``apply_to_zero``, and the two-site update
-``_update_pair`` behind two-qubit ``absorb_gate``, ``apply_swap_boundary``
-and the unswap module's bond re-truncation.
+Operator chains are kept right-canonical with their spectra: site 0 holds
+the norm, sites 1..n-1 are right-isometric, and ``spectra`` holds the
+Schmidt values of every internal bond (Vidal, PRL 91, 147902). The
+spectrum of any pair (b, b+1) is then that of one blob, the pair's sites
+contracted and weighted on their left leg by the spectrum of bond b-1
+(:func:`_pair_blob`), wherever the chain was last touched. Every two-qubit
+update (two-qubit ``absorb_gate``, ``apply_swap_boundary`` and the unswap
+module's bond re-truncation) is one split of that blob in ``_update_pair``
+that needs neither a center move nor an inverse spectrum (Hastings, J. Math.
+Phys. 50, 095207), and one-qubit gates leave every spectrum alone.
+``compress`` returns the spectra its truncation sweep finds. A chain
+without spectra (the public constructor, ``move_center``) is made
+canonical by one exact sweep (``_with_spectra``) at its first update.
 
 Operations are functional: they return new chains and never mutate inputs.
 Site arrays may be shared between chains, so callers must not write into
@@ -29,6 +36,7 @@ change.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -62,20 +70,25 @@ class MatrixProductOperator:
     log_norm: float = 0.0
     # index of the site holding the chain norm; None when unknown
     center: int | None = field(default=None, compare=False)
+    # Schmidt values of each internal bond of the stored chain (without the
+    # log_norm factor), set only by chain operations that keep the chain
+    # right-canonical with its center at site 0; None when not known
+    spectra: tuple[np.ndarray, ...] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
         _check_sites(self.sites, (2, 2), 0, len(self.sites))
 
     @classmethod
-    def _derived(cls, sites, log_norm: float, center: int | None,
-                 lo: int, hi: int) -> "MatrixProductOperator":
+    def _derived(cls, sites, log_norm: float, center: int | None, lo: int, hi: int,
+                 spectra=None) -> "MatrixProductOperator":
         """Chain whose sites outside [lo, hi) are those of an already
         validated chain; only the rewritten range is checked again."""
         m = object.__new__(cls)
         object.__setattr__(m, "sites", tuple(sites))
         object.__setattr__(m, "log_norm", log_norm)
         object.__setattr__(m, "center", center)
+        object.__setattr__(m, "spectra", None if spectra is None else tuple(spectra))
         _check_sites(m.sites, (2, 2), lo, hi)
         return m
 
@@ -107,11 +120,15 @@ class MatrixProductState:
 
 
 def identity_mpo(n: int) -> MatrixProductOperator:
-    """Identity operator with all bond extents 1."""
+    """Identity operator with all bond extents 1, right-canonical with its
+    spectra: sites 1..n-1 hold I/sqrt(2) and site 0 holds the whole
+    Frobenius norm 2**(n/2), which is also every bond's one Schmidt value."""
     if n < 1:
         raise ValueError("need at least one site")
-    site = np.eye(2, dtype=np.complex128).reshape(1, 2, 2, 1)
-    return MatrixProductOperator(tuple(site.copy() for _ in range(n)), 0.0, None)
+    eye = np.eye(2, dtype=np.complex128).reshape(1, 2, 2, 1)
+    sites = [eye * 2 ** ((n - 1) / 2)] + [eye / math.sqrt(2) for _ in range(n - 1)]
+    norm = np.array([np.linalg.norm(sites[0])])
+    return MatrixProductOperator._derived(sites, 0.0, 0, 0, n, [norm] * (n - 1))
 
 
 def total_elements(m: MatrixProductOperator) -> int:
@@ -181,51 +198,69 @@ def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> N
 
 
 def _truncate_sweep(sites: list[np.ndarray], center: int | None, epsilon: float,
-                    chi_max: int) -> float:
+                    chi_max: int) -> tuple[float, list[np.ndarray]]:
     """Canonical truncation, in place: a QR pass from ``center`` (None: from
     site 0) to the right end, then an SVD pass back that truncates every
     bond at the relative cutoff. Sites left of a known center are already
     left-isometric, so the pass starts there. Leaves sites 1..n-1
     right-isometric with the center at site 0, and returns the norm held
-    there."""
+    there and the kept singular values of every bond. Each bond's values
+    are its Schmidt values when its SVD runs; truncating bonds left of it
+    later moves them by at most the weight that truncation drops."""
     _shift_center(sites, 0 if center is None else center, len(sites) - 1)
+    spectra = [None] * (len(sites) - 1)
     for i in range(len(sites) - 1, 0, -1):
         s = sites[i]
         dec = svd_truncate(s, split=1, epsilon=epsilon, chi_max=chi_max)
         sites[i] = dec.v.reshape((dec.rank,) + s.shape[1:])
         sites[i - 1] = _bond_dot(sites[i - 1], dec.u * dec.s[None, :])
-    return float(np.linalg.norm(sites[0]))
-
-
-def _touched(n: int, center: int | None, lo: int, hi: int) -> tuple[int, int]:
-    """Sites rewritten by moving the center from ``center`` onto [lo, hi)
-    and then rewriting [lo, hi): the whole chain when the center is unknown."""
-    if center is None:
-        return 0, n
-    return min(center, lo), max(center + 1, hi)
-
-
-def pair_site(center: int | None, bond: int) -> int:
-    """The site of pair (bond, bond+1) nearer the center: bond+1 when the
-    center stands above the pair, else bond (also when it is unknown)."""
-    return bond + 1 if center is not None and center > bond else bond
-
-
-def landing_site(center: int | None, bond: int) -> int:
-    """The site of pair (bond, bond+1) a split leaves the center on, for a
-    center coming from ``center``: the site opposite the one it reached
-    (:func:`pair_site`). From above it reaches bond+1 and lands on bond,
-    otherwise it reaches bond and lands on bond+1, so a walk that goes on in
-    the direction it came starts one site nearer its next pair."""
-    return bond if pair_site(center, bond) == bond + 1 else bond + 1
+        spectra[i - 1] = dec.s
+    return float(np.linalg.norm(sites[0])), spectra
 
 
 def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
-    """Exact (QR-based) move of the orthogonality center to ``target``."""
+    """Exact (QR-based) move of the orthogonality center to ``target``. The
+    result carries no spectra."""
     sites = list(m.sites)
     _shift_center(sites, m.center, target)
-    lo, hi = _touched(len(sites), m.center, target, target + 1)
+    if m.center is None:  # every site was orthogonalized
+        lo, hi = 0, len(sites)
+    else:
+        lo, hi = min(m.center, target), max(m.center, target) + 1
     return MatrixProductOperator._derived(sites, m.log_norm, target, lo, hi)
+
+
+def _with_spectra(m: MatrixProductOperator) -> MatrixProductOperator:
+    """``m`` itself when its spectra are known; else the same operator made
+    right-canonical by one exact sweep (epsilon 0, no rank cap), with the
+    spectra that sweep finds."""
+    if m.spectra is not None:
+        return m
+    sites = list(m.sites)
+    _, spectra = _truncate_sweep(sites, m.center, 0.0, sys.maxsize)
+    return MatrixProductOperator._derived(sites, m.log_norm, 0, 0, len(sites), spectra)
+
+
+def _pair_blob(
+    m: MatrixProductOperator,
+    bond: int,
+    op: Callable[[np.ndarray], np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (l, t1, b1, t2, b2, r) blob of sites (bond, bond+1) of a chain
+    with spectra, with ``op`` applied (None: identity), and that blob with
+    its left leg weighted by the spectrum of bond-1. Bond 0 takes no weight:
+    its left leg is the chain's open end, and site 0 holds the norm. The
+    sites left of the pair contract to an isometry times that spectrum and
+    the sites right of it are right-isometric, so the weighted blob's
+    singular values are the bond's Schmidt values after ``op``. Every split
+    and every read of a pair goes through here, so a read ranks the very
+    values the split truncates."""
+    theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
+    if op is not None:
+        theta = op(theta)
+    if bond == 0:
+        return theta, theta
+    return theta, m.spectra[bond - 1].reshape(-1, 1, 1, 1, 1, 1) * theta
 
 
 def _update_pair(
@@ -235,33 +270,24 @@ def _update_pair(
     epsilon: float,
     chi_max: int,
 ) -> MatrixProductOperator:
-    """The two-site update every local step goes through: move the center to
-    the nearer of sites (bond, bond+1) unless it already sits on one, apply
-    ``op`` (None: identity) to their (l, t1, b1, t2, b2, r) blob, and split
-    it back with a truncated SVD. With the center on the pair the split is
-    the locally optimal truncation of that bond. The singular values go on
-    the factor of :func:`landing_site`, the pair site opposite the one the
-    center reached, so a walk down the chain pays one QR step per pair, as a
-    walk up it does."""
-    sites = list(m.sites)
-    reached = pair_site(m.center, bond)
-    if m.center != reached:
-        _shift_center(sites, m.center, reached)
-    theta = _bond_dot(sites[bond], sites[bond + 1])
-    if op is not None:
-        theta = op(theta)
+    """The two-site update every local step goes through: apply ``op``
+    (None: identity) to the pair blob of sites (bond, bond+1) and split its
+    weighted form (:func:`_pair_blob`) with a truncated SVD U.s.V, which is
+    the locally optimal truncation of that bond. Site bond+1 becomes V,
+    site bond becomes blob.V^dagger, which needs no inverse spectrum, and
+    the bond's spectrum becomes s. No other site or spectrum changes, and
+    the center stays on site 0."""
+    m = _with_spectra(m)
+    theta, weighted = _pair_blob(m, bond, op)
     l, t1, b1, t2, b2, r = theta.shape
-    dec = svd_truncate(theta, split=3, epsilon=epsilon, chi_max=chi_max)
-    landing = landing_site(m.center, bond)
-    u, v = dec.u, dec.v
-    if landing == bond:
-        u = u * dec.s[None, :]
-    else:
-        v = dec.s[:, None] * v
-    sites[bond] = u.reshape(l, t1, b1, dec.rank)
-    sites[bond + 1] = v.reshape(dec.rank, t2, b2, r)
-    lo, hi = _touched(len(sites), m.center, bond, bond + 2)
-    return MatrixProductOperator._derived(sites, m.log_norm, landing, lo, hi)
+    dec = svd_truncate(weighted, split=3, epsilon=epsilon, chi_max=chi_max)
+    sites = list(m.sites)
+    spectra = list(m.spectra)
+    sites[bond] = np.dot(theta.reshape(l * t1 * b1, -1), dec.v.conj().T).reshape(
+        l, t1, b1, dec.rank)
+    sites[bond + 1] = dec.v.reshape(dec.rank, t2, b2, r)
+    spectra[bond] = dec.s
+    return MatrixProductOperator._derived(sites, m.log_norm, 0, bond, bond + 2, spectra)
 
 
 def _gate_tensor(g: Gate) -> np.ndarray:
@@ -297,9 +323,9 @@ def absorb_gate(
     """Contract a gate into the chain. ``side="left"`` multiplies on the top
     (output) legs so the result represents G.M; ``side="right"`` multiplies
     on the bottom legs giving M.G. Two-qubit gates must act on adjacent
-    sites; the center is moved to the gate first so the truncated re-split
-    at the gate's bond is locally optimal. Single-qubit gates are a plain
-    contraction with no SVD.
+    sites, and re-split their bond from its Schmidt values, which is the
+    locally optimal truncation (:func:`_update_pair`). Single-qubit gates
+    are a plain contraction with no SVD.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
@@ -313,8 +339,8 @@ def absorb_gate(
             new = np.einsum("ltkr,kb->ltbr", site, u)
         sites = list(m.sites)
         sites[q] = new
-        # a unitary single-site contraction preserves the canonical structure
-        return MatrixProductOperator._derived(sites, m.log_norm, m.center, q, q + 1)
+        # a unitary on one site's leg keeps the canonical form and every spectrum
+        return MatrixProductOperator._derived(sites, m.log_norm, m.center, q, q + 1, m.spectra)
 
     a, b = g.qubits
     if abs(a - b) != 1:
@@ -355,14 +381,16 @@ def compress(
     """Two-sided sweep: left-to-right orthogonalization from the chain's
     center (site 0 when unknown), then right-to-left truncation at the
     relative cutoff. The chain comes back right-canonical
-    (center at site 0) with unit stored norm; the scale moves to log_norm.
+    (center at site 0) with unit stored norm and the spectra of the
+    truncation sweep; the scale moves to log_norm.
     """
     sites = list(m.sites)
-    f = _truncate_sweep(sites, m.center, epsilon, chi_max)
+    f, spectra = _truncate_sweep(sites, m.center, epsilon, chi_max)
     if f == 0.0:
         raise ValueError("compress reached an all-zero chain")
     sites[0] = sites[0] / f
-    return MatrixProductOperator(tuple(sites), m.log_norm + math.log(f), 0)
+    return MatrixProductOperator._derived(sites, m.log_norm + math.log(f), 0, 0, len(sites),
+                                          [s / f for s in spectra])
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +408,7 @@ def apply_to_zero(
     """
     mpo_scale = frobenius_norm(m)
     sites = [s[:, :, 0, :] for s in m.sites]
-    f = _truncate_sweep(sites, None, epsilon, chi_max)
+    f, _ = _truncate_sweep(sites, None, epsilon, chi_max)
     expected = mpo_scale / (2 ** (len(sites) / 2))
     if f < 1e-12 * expected:
         raise ValueError(

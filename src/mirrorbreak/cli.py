@@ -215,19 +215,20 @@ def _cmd_verify(args, circuit) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # every command seeds numpy, which rejects a negative seed without
-    # naming the flag
-    if args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
-    if args.command == "generate":
-        return _cmd_generate(args)
-    circuit = _load_circuit(args.circuit)
-    command = _cmd_run if args.command == "run" else _cmd_verify
+    """Run one command and return its exit code. Every failure is reported
+    through the return value, argparse rejections included."""
     try:
+        args = _build_parser().parse_args(argv)
+        # every command seeds numpy, which rejects a negative seed without
+        # naming the flag
+        if args.seed < 0:
+            return _usage_error(f"--seed must be >= 0, got {args.seed}")
+        if args.command == "generate":
+            return _cmd_generate(args)
+        circuit = _load_circuit(args.circuit)
+        command = _cmd_run if args.command == "run" else _cmd_verify
         return command(args, circuit)
-    except SystemExit as exc:  # a failure _contract or _write_histogram reported
+    except SystemExit as exc:  # raised by argparse, _load_circuit, _contract, _write_histogram
         return exc.code
 
 

@@ -17,11 +17,13 @@ bit relabeling.
 
 Side selection. Each side's gate list is peeled once into brick layers from
 its inner end. Adaptive mode absorbs the next layer of the side that leaves
-the smaller chain. It absorbs each layer once in the common case: while one
-side's layer is swept into the chain, the other side's two-qubit gates are
-ranked from values-only spectra of their pair blobs wherever the sweep's
-center lands next to them, and those ranks are replayed into an element
-count (:func:`_choose_side` lists the four cases).
+the smaller chain. The chain keeps every bond's Schmidt values, and each
+two-qubit gate of a layer is split from its own pair and the spectrum of
+the bond left of it, which no other gate of the layer touches. So a layer's
+element count is read from the start chain without absorbing it: each gate
+is applied to its weighted pair blob and the values-only spectrum is ranked
+(:func:`_read`). A decision absorbs and throws away at most one layer
+(:func:`_choose_side` lists the cases).
 """
 
 from __future__ import annotations
@@ -37,16 +39,14 @@ import numpy as np
 from .chains import (
     MatrixProductOperator,
     MatrixProductState,
-    _bond_dot,
     _gate_op,
+    _pair_blob,
+    _with_spectra,
     absorb_gate,
     apply_to_zero,
     compress,
     identity_mpo,
-    landing_site,
-    move_center,
     mps_to_dense,
-    pair_site,
     sample,
     total_elements,
 )
@@ -176,11 +176,9 @@ class _Side:
     def exhausted(self) -> bool:
         return self.taken == len(self.layers)
 
-    def layer(self, ahead: int = 0) -> list[Gate] | None:
-        """The next unconsumed layer, or the one ``ahead`` layers past it;
-        None past the last."""
-        k = self.taken + ahead
-        return self.layers[k] if k < len(self.layers) else None
+    def layer(self) -> list[Gate] | None:
+        """The next unconsumed layer; None past the last."""
+        return self.layers[self.taken] if self.taken < len(self.layers) else None
 
     def remaining(self) -> list[Gate]:
         """The unconsumed gates in list order."""
@@ -206,106 +204,31 @@ def _entangles(layer: list[Gate] | None) -> bool:
     return layer is not None and any(g.is_two_qubit for g in layer)
 
 
-def _readable(layer: list[Gate] | None, cfg: ContractionConfig) -> list[Gate] | None:
-    """The layer, if a sweep should read its count; else None. Only
-    entangling layers need reading. At ``epsilon`` 0 every rounding-noise
-    singular value is kept, so a bond's rank is the size of whichever blob it
-    is read from, and only the layer's own trial gives its count."""
-    return layer if cfg.epsilon > 0 and _entangles(layer) else None
-
-
-def _absorb_order(layer: list[Gate], center: int | None) -> list[Gate]:
-    """The layer by site, from the end nearer the center. Gates of one layer
-    act on disjoint qubits and commute, so the center crosses the chain once
-    per layer."""
-    ordered = sorted(layer, key=lambda g: min(g.qubits))
-    if center is not None and 2 * center > min(ordered[0].qubits) + min(ordered[-1].qubits):
-        ordered.reverse()
-    return ordered
-
-
-@dataclass
-class _Trial:
-    """``layer`` absorbed into the chain ``start``, giving ``m`` with
-    ``elements`` elements. ``predicted`` is the element count the other
-    side's layer read during the same sweep would give on ``start`` (None
-    when no layer was read, or when the sweep's center never landed next to
-    one of its two-qubit gates)."""
-
-    start: MatrixProductOperator
-    m: MatrixProductOperator
-    layer: list[Gate]
-    elements: int
-    predicted: int | None = None
-
-
-def _replay_elements(m: MatrixProductOperator, layer: list[Gate], ranks: dict[int, int]) -> int:
-    """Element count after absorbing ``layer`` into ``m`` in site order, the
-    bond of each two-qubit gate re-split to ``ranks[bond]``, without touching
-    a tensor. The center walks the path ``absorb_gate`` would walk, each
-    split leaving it on the pair's :func:`~mirrorbreak.chains.landing_site`.
-    Each QR step on the way trims its bond to min(rows, cols), which matters
-    where a bond holds slack, and each split keeps at most min(rows, cols)."""
-    n = m.num_sites
-    dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
-    center = m.center
-    for g in _absorb_order(layer, center):
-        if not g.is_two_qubit:
-            continue
-        bond = min(g.qubits)
-        if center not in (bond, bond + 1):
-            target = pair_site(center, bond)
-            if center is None or center < target:
-                for i in range(center or 0, target):
-                    dims[i + 1] = min(4 * dims[i], dims[i + 1])
-            if center is None or center > target:
-                for i in range(n - 1 if center is None else center, target, -1):
-                    dims[i] = min(dims[i], 4 * dims[i + 1])
-        dims[bond + 1] = min(ranks[bond], 4 * dims[bond], 4 * dims[bond + 2])
-        center = landing_site(center, bond)
-    return 4 * sum(a * b for a, b in zip(dims, dims[1:]))
-
-
-def _sweep(start: MatrixProductOperator, side: _Side, cfg: ContractionConfig,
-           read: list[Gate] | None = None) -> _Trial:
-    """Absorb the side's next layer into the chain in site order, one
-    ``absorb_gate`` per gate. No compression sweep follows: each two-qubit
-    gate is re-split at its own bond with the center on that bond, and a
-    local unitary leaves the Schmidt spectra of all other bonds unchanged,
-    so a sweep would trim nothing.
-
-    With ``read``, a layer of the other side, the sweep also ranks that
-    layer's two-qubit gates. Before each of its own two-qubit gates it moves
-    the center onto the gate's pair, as ``absorb_gate`` would, and keeps the
-    pair blob of each of the other side's gates on the two bonds at the
-    center. Once every such gate has a blob, each gate is applied to its
-    blob and the truncation rank of the result's values-only spectrum is
-    the rank the other side's own trial splits the bond to, because the
-    swept side's gates so far act on one side of that cut and leave its
-    spectrum alone. The ranks are replayed into the element count the layer
-    would give on ``start`` (:func:`_replay_elements`). When some gate sits
-    next to no landing, nothing is ranked and ``predicted`` stays None."""
-    layer = side.layer()
-    ops = {}
-    if read is not None:
-        other = "right" if side.which == "left" else "left"
-        ops = {min(g.qubits): _gate_op(g, other) for g in read if g.is_two_qubit}
-    blobs: dict[int, np.ndarray] = {}
-    m = start
-    for g in _absorb_order(layer, m.center):
-        if len(blobs) < len(ops) and g.is_two_qubit:
-            bond = min(g.qubits)
-            if m.center not in (bond, bond + 1):
-                m = move_center(m, pair_site(m.center, bond))
-            for b in (m.center - 1, m.center):
-                if b in ops and b not in blobs:
-                    blobs[b] = _bond_dot(m.sites[b], m.sites[b + 1])
+def _sweep(m: MatrixProductOperator, side: _Side, cfg: ContractionConfig) -> MatrixProductOperator:
+    """Absorb the side's next layer into the chain, one ``absorb_gate`` per
+    gate. The gates act on disjoint sites and each split touches only its
+    own pair and bond, so their order changes nothing. No compression sweep
+    follows: each two-qubit gate re-splits its own bond from that bond's
+    Schmidt values, and a local unitary leaves the spectra of all other
+    bonds unchanged, so a sweep would trim nothing."""
+    for g in side.layer():
         m = absorb_gate(m, g, side.which, cfg.epsilon, cfg.chi_max)
-    predicted = None
-    if read is not None and len(blobs) == len(ops):
-        ranks = _blob_ranks({b: ops[b](theta) for b, theta in blobs.items()}, cfg)
-        predicted = _replay_elements(start, read, ranks)
-    return _Trial(start, m, layer, total_elements(m), predicted)
+    return m
+
+
+def _read(m: MatrixProductOperator, side: _Side, cfg: ContractionConfig) -> int:
+    """Element count :func:`_sweep` would give on ``m`` (a chain with
+    spectra), without absorbing the layer. Each two-qubit gate is applied to
+    its weighted pair blob as its split would apply it, and the blob's
+    values-only spectrum is ranked as the split ranks it. No gate of the
+    layer touches another's pair or the bond left of it, so each rank is
+    the one its split keeps."""
+    blobs = {min(g.qubits): _pair_blob(m, min(g.qubits), _gate_op(g, side.which))[1]
+             for g in side.layer() if g.is_two_qubit}
+    dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
+    for bond, rank in _blob_ranks(blobs, cfg).items():
+        dims[bond + 1] = rank
+    return 4 * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
 def _blob_ranks(blobs: dict[int, np.ndarray], cfg: ContractionConfig) -> dict[int, int]:
@@ -323,75 +246,68 @@ def _blob_ranks(blobs: dict[int, np.ndarray], cfg: ContractionConfig) -> dict[in
     return ranks
 
 
+def _count(m: MatrixProductOperator, side: _Side,
+           cfg: ContractionConfig) -> tuple[int, MatrixProductOperator | None]:
+    """The element count the side's next layer gives on ``m``, and the swept
+    chain when counting it took a sweep. Above ``epsilon`` 0 the count is
+    read (:func:`_read`). At ``epsilon`` 0 every rounding-noise singular
+    value is kept, so a rank hangs on whether the SVD that computes it
+    rounds a value to exactly zero, and only the sweep gives the count."""
+    if cfg.epsilon > 0:
+        return _read(m, side, cfg), None
+    swept = _sweep(m, side, cfg)
+    return total_elements(swept), swept
+
+
 def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
-                 cfg: ContractionConfig, step: int,
-                 carry: _Trial | None = None) -> tuple[str, _Trial, _Trial | None]:
-    """Pick the side to absorb from next. Returns it, its trial, and a trial
-    of left's next layer to carry into the next decision (or None).
+                 cfg: ContractionConfig, step: int) -> tuple[str, MatrixProductOperator]:
+    """Pick the side to absorb from next; returns it and the chain with its
+    next layer absorbed.
 
-    Adaptive mode keeps the side whose next layer yields the smaller chain
-    (ties go left), and absorbs each layer once in the common case. A layer
-    with no two-qubit gate ("1q") leaves the count at ``total_elements(m)``
-    with no work. Left's trial ranks right's gates where its center lands,
-    so right's count comes without absorbing right's layer whenever every
-    one of those gates sits next to a landing (see :func:`_sweep` for why
-    that count is exact):
+    Adaptive mode keeps the side whose next layer yields the smaller chain,
+    ties going left. A layer with no two-qubit gate ("1q") leaves the count
+    at ``total_elements(m)`` with no work. A count is read from ``m``
+    (:func:`_count`), so only the winning layer is swept, except in the
+    2q / 2q case:
 
-    - 1q / 1q: absorb left's layer (the tie goes left).
-    - 1q / 2q: sweep right; keep it if its count is smaller, else absorb
-      left's layer.
-    - 2q / 2q: sweep left while reading right's layer; keep left if its
-      count is at most right's, else sweep right. When the read predicted
-      no count, compare left's count with right's swept one.
-    - 2q / 1q: absorb right's layer, then sweep left on that chain while
-      reading right's next layer. A one-qubit layer changes no spectrum, so
-      left's count there is its count on ``m``. If left wins, sweep it again
-      on ``m`` (rare). Else keep right's layer and return the left trial as
-      the carry: it is exactly the sweep the next decision would run, so
-      that decision uses it as long as ``m`` and left's layer are the
-      chain and layer it was made for.
+    - 1q / 1q: sweep left (the tie goes left).
+    - 1q / 2q: sweep right if its count is below the current size, else left.
+    - 2q / 1q: sweep left if its count is at most the current size, else
+      right.
+    - 2q / 2q: sweep left and count right; keep left if its count is at
+      most right's, else sweep right.
 
-    At ``epsilon`` 0 nothing is read (:func:`_readable`): a 2q / 2q
-    decision sweeps both layers and compares their counts. Fixed mode
-    alternates every ``k`` layers. An exhausted side always yields to the
-    other; both exhausted is an error.
+    Fixed mode alternates every ``k`` layers. An exhausted side always
+    yields to the other; both exhausted is an error.
     """
     if left.exhausted and right.exhausted:
         raise ValueError("both sides are exhausted")
-    if carry is not None and (carry.start is not m or carry.layer is not left.layer()):
-        carry = None
     if left.exhausted:
-        return "right", _sweep(m, right, cfg), None
+        return "right", _sweep(m, right, cfg)
     if right.exhausted:
-        return "left", carry or _sweep(m, left, cfg), None
+        return "left", _sweep(m, left, cfg)
     k = cfg.fixed_frequency
     if k is not None:
         which = "left" if (step // k) % 2 == 0 else "right"
-        return which, _sweep(m, left if which == "left" else right, cfg), None
+        return which, _sweep(m, left if which == "left" else right, cfg)
+    m = _with_spectra(m)
     size = total_elements(m)
     if not _entangles(left.layer()):
         if _entangles(right.layer()):
-            trial = _sweep(m, right, cfg)
-            if trial.elements < size:
-                return "right", trial, None
-        return "left", _sweep(m, left, cfg), None
-    if _entangles(right.layer()):
-        trial = carry or _sweep(m, left, cfg, read=_readable(right.layer(), cfg))
-        if trial.predicted is not None and trial.elements <= trial.predicted:
-            return "left", trial, None
-        other = _sweep(m, right, cfg)
-        if trial.predicted is None and trial.elements <= other.elements:
-            return "left", trial, None
-        return "right", other, None
-    if carry is not None and carry.elements <= size:
-        return "left", carry, None
-    ones = _sweep(m, right, cfg)
-    trial = _sweep(ones.m, left, cfg, read=_readable(right.layer(1), cfg))
-    if carry is None and trial.elements <= size:
-        again = _sweep(m, left, cfg)
-        if again.elements <= size:
-            return "left", again, None
-    return "right", ones, trial
+            count, swept = _count(m, right, cfg)
+            if count < size:
+                return "right", swept if swept is not None else _sweep(m, right, cfg)
+        return "left", _sweep(m, left, cfg)
+    if not _entangles(right.layer()):
+        count, swept = _count(m, left, cfg)
+        if count <= size:
+            return "left", swept if swept is not None else _sweep(m, left, cfg)
+        return "right", _sweep(m, right, cfg)
+    kept = _sweep(m, left, cfg)
+    count, swept = _count(m, right, cfg)
+    if total_elements(kept) <= count:
+        return "left", kept
+    return "right", swept if swept is not None else _sweep(m, right, cfg)
 
 
 def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,
@@ -454,7 +370,6 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     chi_saturations = 0
     stall_reductions: list[float] = []
 
-    carry = None
     while not (left.exhausted and right.exhausted):
         # every absorption phase must consume at least one source gate:
         # extracted permutations re-enter the circuit as fresh routing swaps
@@ -464,10 +379,9 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
         while (elements < cfg.tau or not source_gate_absorbed) and not (
             left.exhausted and right.exhausted
         ):
-            which, trial, carry = _choose_side(left, right, m, cfg, step, carry)
+            which, m = _choose_side(left, right, m, cfg, step)
             layer = (left if which == "left" else right).consume()
-            m = trial.m
-            elements = trial.elements
+            elements = total_elements(m)
             consumed += sum(1 for g in layer if g.is_two_qubit)
             consumed_source += sum(
                 1 for g in layer if g.is_two_qubit and g.origin != ORIGIN_ROUTING

@@ -13,14 +13,16 @@ Candidates are tried in batches of disjoint bonds, one batch per (side,
 parity) combination, so a step tests floor(N/2) candidates instead of one;
 cycles repeat until one reduces no bond.
 
-A visit to a bond moves the center onto its pair and ranks the bond and the
-swap candidates of all three sides from one values-only SVD of their stacked
-blobs; a pair is split again only for an accepted swap or to trim slack from
-the bond. A visit accepts only its own side's candidate, but marks every side
-whose candidate would not shrink the bond as idle there. Visits that cannot
-accept (an earlier visit found the same bond and side idle and no swap
-touched its pair since) are skipped, and each batch is swept from the end
-nearer the center.
+The chain keeps every bond's Schmidt values, so a visit to a bond needs no
+center move: it ranks the bond and the swap candidates of all three sides
+from one values-only SVD of the pair's weighted blob and its three swapped
+transposes; a pair is split again only for an accepted swap or to trim
+slack from the bond. A visit reads and writes only its own pair and bond
+and the spectrum of the bond left of it, so the visits of one batch are
+independent. A visit accepts only its own side's candidate, but marks every
+side whose candidate would not shrink the bond as idle there. Visits that
+cannot accept (an earlier visit found the same bond and side idle and no
+swap touched its pair since) are skipped.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import numpy as np
 from .chains import (
     SWAP_LEGS,
     MatrixProductOperator,
-    _bond_dot,
+    _pair_blob,
     _update_pair,
+    _with_spectra,
     apply_swap_boundary,
-    move_center,
-    pair_site,
     total_elements,
 )
+from .chains import move_center  # noqa: F401  unused; perfbench/run.py wraps this name
 from .routing import QubitPermutation
 from .tensor import singular_values, truncation_rank
 
@@ -64,11 +66,14 @@ class UnswapResult:
 
 def _pair_ranks(m: MatrixProductOperator, bond: int, epsilon: float,
                 chi_max: int) -> tuple[int, dict[str, int]]:
-    """Truncation ranks of the (l, t1, b1, t2, b2, r) blob of sites (bond,
-    bond+1) and of its swap candidate on each side, matricized between the
-    (l, t1, b1) and (t2, b2, r) legs. The four blobs share one shape, so a
-    single values-only SVD call over their stack yields every spectrum."""
-    theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
+    """Truncation ranks of the weighted (l, t1, b1, t2, b2, r) blob of sites
+    (bond, bond+1) and of its swap candidate on each side, matricized
+    between the (l, t1, b1) and (t2, b2, r) legs. A swap exchanges legs on
+    either side of the bond and the weight sits on the left bond leg, so
+    each candidate's transposed blob is the one its split would weight. The
+    four blobs share one shape, so a single values-only SVD call over their
+    stack yields every spectrum."""
+    _, theta = _pair_blob(m, bond, None)
     stack = np.stack([theta, *(theta.transpose(axes) for axes in SWAP_LEGS.values())])
     spectra = singular_values(stack.reshape(len(stack), 4 * theta.shape[0], -1))
     rank, *candidates = truncation_rank(spectra, epsilon, chi_max)
@@ -82,18 +87,16 @@ def _try_bond(m: MatrixProductOperator, bond: int, side: str, epsilon: float,
     whose candidates would not shrink the bond; ``side`` is among them iff
     nothing was accepted.
 
-    The center moves onto the nearer site of the pair, so the pair blob's
-    singular values are the bond's Schmidt values and each candidate's are
-    those of the bond after that swap. One values-only SVD over the stack of
-    the blob and its three candidates ranks them all, and only an accepted
-    candidate is materialized. When the bond's rank is below its extent the
-    bond is first re-truncated and the candidates ranked again against the
-    re-split pair, so they are compared against an honest baseline rather
-    than stale slack. A rank at or above the extent (at ``epsilon`` 0
-    rounding noise counts) leaves the bond as it is, so a visit never grows
-    it.
+    The weighted pair blob's singular values are the bond's Schmidt values
+    and each candidate's are those of the bond after that swap. One
+    values-only SVD over the stack of the blob and its three candidates
+    ranks them all, and only an accepted candidate is materialized. When
+    the bond's rank is below its extent the bond is first re-truncated and
+    the candidates ranked again against the re-split pair, so they are
+    compared against an honest baseline rather than stale slack. A rank at
+    or above the extent (at ``epsilon`` 0 rounding noise counts) leaves the
+    bond as it is, so a visit never grows it.
     """
-    m = move_center(m, pair_site(m.center, bond))
     rank, candidates = _pair_ranks(m, bond, epsilon, chi_max)
     if rank < m.sites[bond].shape[3]:
         m = _update_pair(m, bond, None, epsilon, chi_max)
@@ -101,7 +104,6 @@ def _try_bond(m: MatrixProductOperator, bond: int, side: str, epsilon: float,
     extent = m.sites[bond].shape[3]
     stuck = [s for s, r in candidates.items() if r >= extent]
     if side not in stuck:
-        # the center sits on the pair, so the swap is one split with no QR
         m = apply_swap_boundary(m, bond, side, epsilon, chi_max)
     return m, stuck
 
@@ -110,10 +112,10 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
            max_iterations: int = 20) -> UnswapResult:
     """Greedy extraction in parity batches: cycle through (both, left,
     right) x (even, odd) batches; within a batch all candidate pairs are
-    disjoint, so their acceptance decisions are independent and each batch
-    is swept from the end nearer the center, which then crosses the chain
-    once per batch. Terminates when a full cycle produces no bond
-    reduction, or after ``max_iterations`` cycles.
+    disjoint, so their acceptance decisions are independent. A chain without
+    spectra is made canonical first (``chains._with_spectra``). Terminates
+    when a full cycle produces no bond reduction, or after
+    ``max_iterations`` cycles.
 
     Every visit ranks all three sides' candidates, and one that accepts
     nothing marks each side whose candidate would not shrink the bond idle
@@ -135,6 +137,7 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     before = total_elements(m)
+    m = _with_spectra(m)
     n = m.num_sites
     left = right = QubitPermutation.identity(n)
     accepted = 0
@@ -144,12 +147,7 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
     for _ in range(max_iterations):
         reduced_any = False
         for side, parity in _PARALLEL_CYCLE:
-            bonds = range(parity, n - 1, 2)
-            if not bonds:
-                continue
-            if m.center is not None and 2 * m.center > bonds[0] + bonds[-1]:
-                bonds = reversed(bonds)
-            for bond in bonds:
+            for bond in range(parity, n - 1, 2):
                 if idle.get((bond, side), 0) > max(swapped[bond], swapped[bond + 1]):
                     continue
                 visit += 1

@@ -67,6 +67,31 @@ def operator_schmidt_rank(u: np.ndarray, tol: float = 1e-12) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
+def operator_spectrum(u: np.ndarray, bond: int) -> np.ndarray:
+    """Singular values of a dense 2**n x 2**n operator (little-endian in
+    the qubit number, as ``mpo_to_dense`` gives it) split between qubits
+    0..bond and bond+1..n-1, top and bottom legs together."""
+    n = u.shape[0].bit_length() - 1
+    # axes (t_{n-1}..t_0, b_{n-1}..b_0), reordered t_0, b_0, t_1, b_1, ...
+    t = u.reshape([2] * (2 * n))
+    t = t.transpose([axis for q in range(n) for axis in (n - 1 - q, 2 * n - 1 - q)])
+    return np.linalg.svd(t.reshape(4 ** (bond + 1), -1), compute_uv=False)
+
+
+def weak_brickwork(n: int, layers: int, rng) -> list:
+    """u3-dressed rzz brickwork with weak angles, whose Schmidt spectra are
+    skewed enough for a cutoff around 1e-2 to bite."""
+    from mirrorbreak.circuit import Gate
+
+    gates = []
+    for layer in range(layers):
+        for i in range(layer % 2, n - 1, 2):
+            for q in (i, i + 1):
+                gates.append(Gate("u3", (q,), tuple(float(x) for x in rng.uniform(-np.pi, np.pi, 3))))
+            gates.append(Gate("rzz", (i, i + 1), (float(rng.uniform(0.2, 0.6)),)))
+    return gates
+
+
 def random_circuit(n: int, num_two_qubit: int, rng, adjacent_only: bool = False,
                    one_qubit_per_two: int = 1):
     """Random circuit from the native gate set, for property tests."""
@@ -141,12 +166,12 @@ def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
 
 
 def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
-    """Reference parity-parallel unswap: every visit of every batch, each
-    batch swept from bond 0, and each visit re-truncating its bond with a
-    full U/S/V split before ranking its candidate with a second, values-only
-    SVD. ``unswap.unswap`` skips idle revisits, sweeps from the center's end
-    and ranks the bond and all three sides' candidates with one SVD; its
-    decisions must match.
+    """Reference parity-parallel unswap: every visit of every batch, and
+    each visit re-truncating its bond with a full U/S/V split before ranking
+    its candidate, the pair blob weighted by the spectrum of the bond left
+    of it, with a second, values-only SVD. ``unswap.unswap`` skips idle
+    revisits and ranks the bond and all three sides' candidates with one
+    SVD; its decisions must match.
 
     The outer permutations are tracked as plain mapping lists, apart from
     ``QubitPermutation.compose``: a swap S taken on the top legs leaves
@@ -158,7 +183,6 @@ def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
         _bond_dot,
         _update_pair,
         apply_swap_boundary,
-        move_center,
         total_elements,
     )
     from mirrorbreak.routing import QubitPermutation
@@ -174,9 +198,11 @@ def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
         for side, parity in _PARALLEL_CYCLE:
             for bond in range(parity, n - 1, 2):
                 dims_before = m.bond_dims()[bond]
-                m = _update_pair(move_center(m, bond), bond, None, epsilon, chi_max)
+                m = _update_pair(m, bond, None, epsilon, chi_max)
                 baseline = m.sites[bond].shape[3]
                 theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
+                if bond > 0:
+                    theta = m.spectra[bond - 1][:, None, None, None, None, None] * theta
                 s = np.linalg.svd(theta.reshape(theta.shape[0] * 4, -1), compute_uv=False)
                 if truncation_rank(s, epsilon, chi_max) >= baseline:
                     continue
@@ -222,65 +248,40 @@ def extract_layer(gates, from_back: bool):
 
 def two_trial_absorb(m, gates, which: str, cfg):
     """Reference trial: extract the next layer of ``gates`` from the
-    ``which`` side's inner end and absorb it in site order, from the end
-    nearer the center. Returns a ``driver._Trial``."""
-    from mirrorbreak.chains import absorb_gate, total_elements
-    from mirrorbreak.driver import _Trial
+    ``which`` side's inner end and absorb it gate by gate. Returns the
+    chain."""
+    from mirrorbreak.chains import absorb_gate
 
     layer, _ = extract_layer(gates, from_back=(which == "right"))
-    start = m
-    for g in site_order(layer, m.center):
+    for g in layer:
         m = absorb_gate(m, g, which, cfg.epsilon, cfg.chi_max)
-    return _Trial(start, m, layer, total_elements(m))
+    return m
 
 
-def site_order(layer, center):
-    """The layer by site, from the end nearer the center."""
-    ordered = sorted(layer, key=lambda g: min(g.qubits))
-    if center is not None and 2 * center > min(ordered[0].qubits) + min(ordered[-1].qubits):
-        ordered.reverse()
-    return ordered
-
-
-def landed_bonds(center, layer) -> set[int]:
-    """Bonds next to a center position where a site-order sweep of ``layer``
-    stands just before one of its two-qubit gates. Before the gate on pair
-    (b, b+1) the center moves onto the pair's site nearer it (b when it is
-    unknown or below, b+1 when above); the split leaves it on the other
-    site of the pair. A position p is next to bonds p-1 and p."""
-    bonds = set()
-    for g in site_order(layer, center):
-        if g.is_two_qubit:
-            b = min(g.qubits)
-            if center not in (b, b + 1):
-                center = b + 1 if center is not None and center > b else b
-            bonds |= {center - 1, center}
-            center = b if center == b + 1 else b + 1
-    return bonds
-
-
-def two_trial_choose_side(left, right, m, cfg, step, carry=None):
+def two_trial_choose_side(left, right, m, cfg, step):
     """Reference side chooser with the signature of ``driver._choose_side``:
     adaptive mode absorbs the next layer of both sides, each re-extracted
     from the side's remaining gates, and keeps the smaller chain (ties go
-    left). It never returns a carry. ``driver._choose_side`` reads the
-    other side's count instead of absorbing it; its decisions must match."""
+    left). ``driver._choose_side`` reads counts instead of absorbing layers;
+    its decisions must match."""
+    from mirrorbreak.chains import total_elements
+
     lg, rg = left.remaining(), right.remaining()
     if not lg and not rg:
         raise ValueError("both sides are exhausted")
     if not lg:
-        return "right", two_trial_absorb(m, rg, "right", cfg), None
+        return "right", two_trial_absorb(m, rg, "right", cfg)
     if not rg:
-        return "left", two_trial_absorb(m, lg, "left", cfg), None
+        return "left", two_trial_absorb(m, lg, "left", cfg)
     k = cfg.fixed_frequency
     if k is not None:
         which = "left" if (step // k) % 2 == 0 else "right"
-        return which, two_trial_absorb(m, lg if which == "left" else rg, which, cfg), None
+        return which, two_trial_absorb(m, lg if which == "left" else rg, which, cfg)
     trial_l = two_trial_absorb(m, lg, "left", cfg)
     trial_r = two_trial_absorb(m, rg, "right", cfg)
-    if trial_l.elements <= trial_r.elements:
-        return "left", trial_l, None
-    return "right", trial_r, None
+    if total_elements(trial_l) <= total_elements(trial_r):
+        return "left", trial_l
+    return "right", trial_r
 
 # --------------------------------------------------------------------------
 # Reference OpenQASM parser: tokenize the whole program, then recursive

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorbreak import chains
 from mirrorbreak.chains import (
@@ -26,8 +28,14 @@ from mirrorbreak.chains import (
 )
 from mirrorbreak.circuit import Circuit, Gate, gate_unitary, inverse_circuit
 from mirrorbreak.oracle import bits_to_index, simulate, tvd, unitary
+from mirrorbreak.unswap import unswap
 
-from .oracles import operator_schmidt_rank, per_shot_sample_bits, random_circuit
+from .oracles import (
+    operator_schmidt_rank,
+    operator_spectrum,
+    per_shot_sample_bits,
+    random_circuit,
+)
 
 EXACT = 1e-12  # epsilon for effectively exact truncation
 
@@ -223,32 +231,6 @@ class TestCompress:
 
 
 class TestMoveCenter:
-    def test_downward_walk_takes_one_qr_step_per_pair(self, monkeypatch):
-        # each split lands on the pair site opposite the one the center
-        # reached, so from site 7 the walk steps 6->5, 4->3 and 2->1
-        n = 8
-        m = move_center(chain_with_center(n, 60, None), n - 1)
-        gates = [Gate("cx", (b, b + 1)) for b in (6, 4, 2, 0)]
-        steps = {"left": 0, "right": 0}
-
-        def counted(name, step):
-            def wrapped(sites, i):
-                steps[name] += 1
-                step(sites, i)
-            return wrapped
-
-        monkeypatch.setattr(chains, "_qr_left", counted("left", chains._qr_left))
-        monkeypatch.setattr(chains, "_qr_right", counted("right", chains._qr_right))
-        out = m
-        for g in gates:
-            out = absorb_gate(out, g, "left", EXACT, 256)
-        assert steps == {"left": 3, "right": 0}
-        assert out.center == 0
-        expected = mpo_to_dense(m)
-        for g in gates:
-            expected = embed(g, n) @ expected
-        np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
-
     def test_center_moves_do_not_change_operator(self):
         rng = np.random.default_rng(7)
         c = random_circuit(4, 6, rng, adjacent_only=True)
@@ -257,15 +239,85 @@ class TestMoveCenter:
         for target in (3, 1, 2, 0):
             m = move_center(m, target)
             assert m.center == target
+            assert m.spectra is None
             np.testing.assert_allclose(mpo_to_dense(m), dense, atol=1e-10)
 
 
+def assert_canonical_with_spectra(m: MatrixProductOperator) -> None:
+    """Sites 1..n-1 are right-isometric, and each stored spectrum holds the
+    singular values of the stored operator split between qubits 0..b and
+    b+1..n-1 (the rest of them zero)."""
+    assert m.center == 0 and m.spectra is not None
+    for s in m.sites[1:]:
+        mat = s.reshape(s.shape[0], -1)
+        np.testing.assert_allclose(mat @ mat.conj().T, np.eye(s.shape[0]), atol=1e-10)
+    stored = mpo_to_dense(m) / math.exp(m.log_norm)
+    assert len(m.spectra) == m.num_sites - 1
+    for b, lam in enumerate(m.spectra):
+        sv = operator_spectrum(stored, b)
+        assert len(lam) == m.bond_dims()[b]
+        np.testing.assert_allclose(lam, sv[:len(lam)], rtol=0, atol=1e-10 * sv[0])
+        assert sv[len(lam):].max(initial=0.0) <= 1e-10 * sv[0]
+
+
+OPS = ("gate-left", "gate-right", "swap", "unswap", "compress")
+
+
+class TestSpectra:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 8), epsilon=st.sampled_from([0.0, 1e-8]),
+           moved=st.booleans(), ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=12),
+           seed=st.integers(0, 2**16))
+    def test_every_update_keeps_the_canonical_form(self, n, epsilon, moved, ops, seed):
+        rng = np.random.default_rng(seed)
+        # a moved center drops the spectra, so the first update canonicalizes
+        m = move_center(identity_mpo(n), n - 1) if moved else identity_mpo(n)
+        for op in ops:
+            if op.startswith("gate"):  # a one-qubit and a two-qubit gate
+                for g in random_circuit(n, 1, rng, adjacent_only=True).gates:
+                    m = absorb_gate(m, g, op[5:], epsilon, 10**9)
+            elif op == "swap":
+                side = ("left", "right", "both")[int(rng.integers(3))]
+                m = apply_swap_boundary(m, int(rng.integers(n - 1)), side, epsilon, 10**9)
+            elif op == "unswap":
+                m = unswap(m, epsilon, 10**9).reduced
+            else:
+                m = compress(m, epsilon, 10**9)
+        assert_canonical_with_spectra(m)
+
+    def test_updates_take_no_qr_step(self, monkeypatch):
+        # every split reads its pair and the spectrum left of it, wherever
+        # the last one was, so no update moves the center
+        n = 8
+        m = chain_with_center(n, 60, "spectra")
+        steps = []
+        for name in ("_qr_left", "_qr_right"):
+            step = getattr(chains, name)
+            monkeypatch.setattr(chains, name, lambda sites, i, step=step: steps.append(i) or
+                                step(sites, i))
+        gates = [Gate("cx", (b, b + 1)) for b in (6, 0, 4, 2, 5, 1)]
+        out = m
+        for g in gates:
+            out = absorb_gate(out, g, "left", EXACT, 256)
+        out = apply_swap_boundary(out, 3, "both", EXACT, 256)
+        assert steps == []
+        assert_canonical_with_spectra(out)
+        expected = mpo_to_dense(m)
+        for g in gates + [Gate("swap", (3, 4))]:
+            expected = embed(g, n) @ expected
+        expected = expected @ embed(Gate("swap", (3, 4)), n)
+        np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
+
+
 def chain_with_center(n: int, seed: int, center):
-    """Random chain with bonds > 1 and its center at ``center`` (None:
+    """Random chain with bonds > 1: with its spectra (``center`` is
+    "spectra"), else without them and with its center at ``center`` (None:
     unknown)."""
     rng = np.random.default_rng(seed)
     c = random_circuit(n, 3 * n, rng, adjacent_only=True)
     m = absorb_circuit(identity_mpo(n), c, "left")
+    if center == "spectra":
+        return m
     if center is None:
         return MatrixProductOperator(m.sites, m.log_norm)
     return move_center(m, center)
@@ -295,28 +347,34 @@ class TestDerivedChains:
             if a is not b:
                 assert lo <= j < hi, f"site {j} rewritten outside the checked range"
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1, "bond+1"])
+    def assert_split_of_pair(self, m, out, ranges, bond):
+        """``out`` is ``m`` with one update of pair (bond, bond+1)."""
+        assert out.center == 0 and out.spectra is not None
+        if m.spectra is None:
+            # one exact canonicalization rewrites the whole chain first
+            assert ranges == [(0, self.N), (bond, bond + 2)]
+            self.assert_checked_every_rewrite(m, out, 0, self.N)
+            return
+        # only the pair and the spectrum of its bond are rewritten
+        assert ranges == [(bond, bond + 2)]
+        self.assert_checked_every_rewrite(m, out, bond, bond + 2)
+        assert all(out.spectra[b] is m.spectra[b] for b in range(self.N - 1) if b != bond)
+
+    @pytest.mark.parametrize("center", [None, 0, N - 1, "bond+1", "spectra"])
     @pytest.mark.parametrize("bond", [0, 2, N - 2])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_absorb_two_qubit_gate(self, monkeypatch, center, bond, side):
-        on_pair = center == "bond+1"
-        m = chain_with_center(self.N, 10 + bond, bond + 1 if on_pair else center)
+        # a chain without spectra is canonicalized whatever its center, also
+        # when that center already sits on the pair
+        m = chain_with_center(self.N, 10 + bond, bond + 1 if center == "bond+1" else center)
         g = Gate("cx", (bond + 1, bond))
         out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, side, EXACT, 64))
-        (lo, hi), = ranges
-        self.assert_checked_every_rewrite(m, out, lo, hi)
-        # the split lands opposite the pair site the center reached: bond
-        # when it came from above, else bond+1
-        assert out.center == (bond if m.center is not None and m.center > bond else bond + 1)
-        if on_pair:
-            # the center already sits on the pair: only the pair is rewritten
-            assert (lo, hi) == (bond, bond + 2)
-            assert all(out.sites[j] is m.sites[j] for j in range(bond))
+        self.assert_split_of_pair(m, out, ranges, bond)
         u = mpo_to_dense(m)
         expected = embed(g, self.N) @ u if side == "left" else u @ embed(g, self.N)
         np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("center", [None, 0, N - 1, "spectra"])
     @pytest.mark.parametrize("q", [0, 3, N - 1])
     def test_absorb_single_qubit_gate(self, monkeypatch, center, q):
         m = chain_with_center(self.N, 20 + q, center)
@@ -325,18 +383,17 @@ class TestDerivedChains:
         assert ranges == [(q, q + 1)]
         self.assert_checked_every_rewrite(m, out, q, q + 1)
         assert out.center == m.center
+        assert out.spectra is m.spectra
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("center", [None, 0, N - 1, "spectra"])
     @pytest.mark.parametrize("bond", [0, 3, N - 2])
     def test_pair_swap(self, monkeypatch, center, bond):
         m = chain_with_center(self.N, 30 + bond, center)
         out, ranges = derived_calls(
             monkeypatch, lambda: apply_swap_boundary(m, bond, "left", EXACT, 64))
-        (lo, hi), = ranges
-        self.assert_checked_every_rewrite(m, out, lo, hi)
-        assert out.center == (bond if center == self.N - 1 else bond + 1)
+        self.assert_split_of_pair(m, out, ranges, bond)
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1])
+    @pytest.mark.parametrize("center", [None, 0, N - 1, "spectra"])
     @pytest.mark.parametrize("target", [0, 2, N - 1])
     def test_move_center(self, monkeypatch, center, target):
         m = chain_with_center(self.N, 40 + target, center)
@@ -346,6 +403,7 @@ class TestDerivedChains:
             assert (lo, hi) == (0, self.N)
         self.assert_checked_every_rewrite(m, out, lo, hi)
         assert out.center == target
+        assert out.spectra is None
         np.testing.assert_allclose(mpo_to_dense(out), mpo_to_dense(m), atol=1e-10)
 
     @pytest.mark.parametrize("make_bad,message", [

@@ -4,6 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from mirrorbreak.cli import _build_parser, main
 
 from .oracles import random_circuit
 from .qasm_fuzz import mutated_qasm
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -67,9 +74,26 @@ class TestGenerate:
         assert not (tmp_path / "x.qasm").exists()
 
     def test_missing_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--qubits", "4"])
-        assert exc.value.code == 2
+        assert main(["generate", "--qubits", "4"]) == 2
+
+
+class TestProcessExit:
+    """``main`` returns every failure's code; the process exits with it and
+    with the same message as before."""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["run"], 2, "error: the following arguments are required: --circuit"),
+        (["run", "--circuit", "missing.qasm"], 4, "error: cannot read missing.qasm"),
+        (["--help"], 0, ""),
+    ], ids=["argparse", "unreadable", "help"])
+    def test_exit_code_and_message(self, tmp_path, argv, code, message):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "mirrorbreak.cli", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == code
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestRun:
@@ -118,21 +142,15 @@ class TestRun:
             assert set(rec) == {"phase", "unitaries_consumed", "elements", "wall_time_s"}
 
     def test_missing_circuit_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run"])
-        assert exc.value.code == 2
+        assert main(["run"]) == 2
 
     def test_unreadable_circuit_exits_4(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--circuit", str(tmp_path / "missing.qasm")])
-        assert exc.value.code == 4
+        assert main(["run", "--circuit", str(tmp_path / "missing.qasm")]) == 4
 
     def test_qasm_error_reports_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\nqreg q[2];\nccx q[0],q[1],q[1];\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--circuit", str(bad)])
-        assert exc.value.code == 2
+        assert main(["run", "--circuit", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "bad.qasm" in err and "line 3" in err
 
@@ -149,9 +167,7 @@ class TestRun:
     def test_bad_qasm_values_exit_2(self, tmp_path, capsys, command, body, message):
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\n" + body)
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--circuit", str(bad)])
-        assert exc.value.code == 2
+        assert main([command, "--circuit", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}")
         assert "Traceback" not in err
@@ -160,9 +176,7 @@ class TestRun:
     def test_non_utf8_circuit_exits_2(self, tmp_path, capsys, command):
         bad = tmp_path / "utf16.qasm"
         bad.write_bytes(b"\xff\xfe" + "OPENQASM 2.0;".encode("utf-16-le"))
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--circuit", str(bad)])
-        assert exc.value.code == 2
+        assert main([command, "--circuit", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
 
     def test_stall_exits_3(self, tmp_path, capsys):
@@ -295,10 +309,7 @@ def check_fuzzed_exit(circuit, data, broken, command, flags, codes):
         argv.append(f"{flag}={value}")
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejections
-            code = exc.code
+        code = main(argv)
     assert code in codes, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if broken:

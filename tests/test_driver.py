@@ -1,6 +1,7 @@
 """End-to-end tests for the contraction driver."""
 
 import dataclasses
+import importlib
 import io
 import re
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorbreak import driver
+from mirrorbreak import chains, driver
 from mirrorbreak.chains import (
     MatrixProductOperator,
+    _with_spectra,
     absorb_gate,
     compress,
     identity_mpo,
@@ -19,6 +21,7 @@ from mirrorbreak.chains import (
     mpo_to_dense,
     mps_to_dense,
     sample,
+    total_elements,
 )
 from mirrorbreak.circuit import ORIGIN_ROUTING, Circuit, Gate, inverse_circuit
 from mirrorbreak.driver import (
@@ -27,7 +30,7 @@ from mirrorbreak.driver import (
     TraceRecord,
     _Side,
     _choose_side,
-    _replay_elements,
+    _read,
     _sweep,
     dense_output,
     emit_trace,
@@ -35,7 +38,7 @@ from mirrorbreak.driver import (
     run,
     sample_output,
 )
-from mirrorbreak.oracle import peak_of, simulate
+from mirrorbreak.oracle import peak_of, simulate, unitary
 from mirrorbreak.peaked import generate
 from mirrorbreak.routing import QubitPermutation, advance_layout
 
@@ -312,6 +315,47 @@ class TestSelectSide:
         picks = [_choose_side(left, right, m, cfg, step)[0] for step in range(6)]
         assert picks == ["left", "left", "right", "right", "left", "left"]
 
+    def _decide(self, left, right, m, cfg=ContractionConfig(epsilon=1e-10, chi_max=64)):
+        """The chooser's pick and chain, checked against the two-trial
+        reference."""
+        which, kept = _choose_side(left, right, m, cfg, 0)
+        ref_which, ref_kept = oracles.two_trial_choose_side(left, right, m, cfg, 0)
+        assert which == ref_which
+        assert _same_sites(kept, ref_kept)
+        return which, kept
+
+    def test_identity_like_entangler_ties_a_one_qubit_layer(self):
+        # an identity-like entangler leaves the chain as small as a
+        # one-qubit layer, so left wins the tie
+        left, right = self._sides(2, [Gate("rzz", (0, 1), (0.0,))], [Gate("h", (0,))])
+        assert self._decide(left, right, identity_mpo(2))[0] == "left"
+
+    def test_right_exhausted_after_its_one_qubit_layer(self):
+        left, right = self._sides(2, [Gate("rzz", (0, 1), (1.1,))],
+                                  [Gate("h", (0,)), Gate("h", (1,))])
+        which, kept = self._decide(left, right, identity_mpo(2))
+        assert which == "right"
+        right.consume()
+        assert right.exhausted
+        assert self._decide(left, right, kept)[0] == "left"
+
+    @pytest.mark.parametrize("epsilon,discarded", [(1e-10, 0), (0.0, 1)])
+    @pytest.mark.parametrize("one_qubit", ["left", "right"])
+    def test_only_the_winner_is_swept_against_a_one_qubit_layer(self, monkeypatch, epsilon,
+                                                                discarded, one_qubit):
+        # the entangling layer loses to the one-qubit layer; above epsilon 0
+        # its count is read, so no two-qubit gate is absorbed, and at 0 it
+        # is swept and thrown away
+        entangler, single = [Gate("rzz", (0, 1), (1.1,))], [Gate("h", (0,))]
+        left, right = self._sides(2, *((single, entangler) if one_qubit == "left"
+                                       else (entangler, single)))
+        calls = []
+        monkeypatch.setattr(driver, "absorb_gate", lambda m, g, *args: calls.append(g) or
+                            absorb_gate(m, g, *args))
+        which, _ = self._decide(left, right, identity_mpo(2), ContractionConfig(epsilon=epsilon))
+        assert which == one_qubit
+        assert sum(g.is_two_qubit for g in calls) == discarded
+
 
 def brick_layer(n: int, offset: int, rng) -> list[Gate]:
     """One layer of disjoint gates in shuffled order: cx on the pairs from
@@ -331,6 +375,8 @@ class TestTrialAbsorb:
     @pytest.mark.parametrize("start", [None, 0, -1])
     @pytest.mark.parametrize("seed", range(2))
     def test_site_order_matches_listed_order(self, which, start, seed):
+        # start 0 keeps the chain's spectra; None and -1 drop them (center
+        # unknown, or moved to the last site)
         rng = np.random.default_rng(1800 + seed)
         n = 7
         cfg = ContractionConfig(epsilon=1e-12, chi_max=10**9)
@@ -339,33 +385,38 @@ class TestTrialAbsorb:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
         if start is None:
             m = MatrixProductOperator(m.sites, m.log_norm, None)
-        else:
-            m = move_center(m, start % n)
+        elif start == -1:
+            m = move_center(m, n - 1)
         layer = brick_layer(n, seed % 2, rng)
+        m = _with_spectra(m)
         expected = m
-        for g in layer:
+        for g in sorted(layer, key=lambda g: min(g.qubits)):
             expected = absorb_gate(expected, g, which, cfg.epsilon, cfg.chi_max)
         ident = QubitPermutation.identity(n)
         side = _Side(which, list(layer), ident, ident)
-        trial = _sweep(m, side, cfg)
+        swept = _sweep(m, side, cfg)
         side.consume()
         assert side.remaining() == []
-        np.testing.assert_allclose(mpo_to_dense(trial.m), mpo_to_dense(expected), atol=1e-10)
-        # one sweep: the center ends on the far pair from the start, on its
-        # site opposite the one it reached
-        los = [min(g.qubits) for g in layer if g.is_two_qubit]
-        assert trial.m.center == (min(los) if start == -1 else max(los) + 1)
+        # each split reads only its own pair and the bond left of it, so the
+        # shuffled layer gives the site-ordered chain bit for bit
+        assert _same_sites(swept, expected)
+        assert all(np.array_equal(a, b) for a, b in zip(swept.spectra, expected.spectra))
+        dense = mpo_to_dense(m)
+        for g in layer:
+            u = unitary(Circuit(n, (g,)))
+            dense = u @ dense if which == "left" else dense @ u
+        np.testing.assert_allclose(mpo_to_dense(swept), dense, atol=1e-10)
 
     def test_compress_leaves_absorbed_layers_unchanged(self, monkeypatch):
-        # why the trial layers need no compression sweep: every bond is
-        # already truncated with the center on it
+        # why the swept layers need no compression sweep: every bond is
+        # already truncated from its own Schmidt values
         swept = []
 
-        def checking(m, side, cfg, read=None, original=driver._sweep):
-            trial = original(m, side, cfg, read)
-            after = compress(trial.m, cfg.epsilon, cfg.chi_max)
-            swept.append(after.bond_dims() == trial.m.bond_dims())
-            return trial
+        def checking(m, side, cfg, original=driver._sweep):
+            kept = original(m, side, cfg)
+            after = compress(kept, cfg.epsilon, cfg.chi_max)
+            swept.append(after.bond_dims() == kept.bond_dims())
+            return kept
 
         monkeypatch.setattr(driver, "_sweep", checking)
         inst = generate(n=8, depth=40, peak_weight=0.2, obfuscation_swaps=8, seed=21)
@@ -450,78 +501,10 @@ def _same_sites(a: MatrixProductOperator, b: MatrixProductOperator) -> bool:
         np.array_equal(x, y) for x, y in zip(a.sites, b.sites))
 
 
-class TestCarry:
-    CFG = ContractionConfig(epsilon=1e-10, chi_max=64)
-
-    def _sides(self, left_gates, right_gates):
-        ident = QubitPermutation.identity(2)
-        return (_Side("left", list(left_gates), ident, ident),
-                _Side("right", list(right_gates), ident, ident))
-
-    def _decide(self, left, right, m, step, carry=None):
-        """The chooser's pick, checked against the two-trial reference."""
-        which, trial, carry_out = _choose_side(left, right, m, self.CFG, step, carry)
-        ref_which, ref_trial, _ = oracles.two_trial_choose_side(left, right, m, self.CFG, step)
-        assert which == ref_which
-        assert trial.elements == ref_trial.elements
-        assert _same_sites(trial.m, ref_trial.m)
-        return which, trial, carry_out
-
-    def test_carry_is_used(self):
-        # right's inner layer is one-qubit and its next one entangles
-        left, right = self._sides([Gate("rzz", (0, 1), (1.1,))],
-                                  [Gate("rzz", (0, 1), (0.7,)), Gate("h", (0,)), Gate("h", (1,))])
-        which, trial, carry = self._decide(left, right, identity_mpo(2), 0)
-        assert which == "right" and carry is not None
-        assert carry.start is trial.m and carry.predicted is not None
-        # the carried sweep is the one the next decision would run, bit for bit
-        assert _same_sites(carry.m, _sweep(trial.m, left, self.CFG).m)
-        right.consume()
-        which, again, carry_out = self._decide(left, right, trial.m, 1, carry)
-        assert which == "left" and again is carry and carry_out is None
-
-    def test_left_wins_at_once(self):
-        # an identity-like entangler leaves the chain as small as a
-        # one-qubit layer, so left wins and is swept again on the original chain
-        left, right = self._sides([Gate("rzz", (0, 1), (0.0,))], [Gate("h", (0,))])
-        m = identity_mpo(2)
-        which, trial, carry = self._decide(left, right, m, 0)
-        assert which == "left" and carry is None
-        assert trial.start is m
-
-    def test_right_exhausted_after_its_one_qubit_layer(self):
-        left, right = self._sides([Gate("rzz", (0, 1), (1.1,))],
-                                  [Gate("h", (0,)), Gate("h", (1,))])
-        which, trial, carry = self._decide(left, right, identity_mpo(2), 0)
-        assert which == "right" and carry is not None and carry.predicted is None
-        right.consume()
-        assert right.exhausted
-        which, again, _ = self._decide(left, right, trial.m, 1, carry)
-        assert which == "left" and again is carry
-
-    def test_carry_dropped_when_the_chain_changed(self):
-        left, right = self._sides([Gate("rzz", (0, 1), (1.1,))],
-                                  [Gate("rzz", (0, 1), (0.7,)), Gate("h", (0,)), Gate("h", (1,))])
-        _, trial, carry = self._decide(left, right, identity_mpo(2), 0)
-        right.consume()
-        moved = move_center(trial.m, 0)
-        which, again, _ = self._decide(left, right, moved, 1, carry)
-        assert which == "left" and again is not carry and again.start is moved
-        # and when left's layer is not the one the carry was made for
-        rebuilt = _Side("left", list(left.gates), left.front, left.back)
-        which, again, _ = self._decide(rebuilt, right, trial.m, 1, carry)
-        assert which == "left" and again is not carry and again.start is trial.m
-
-
-def expected_prediction(m, swept, read, which, cfg):
-    """The count a sweep of ``swept`` must predict for ``read``, the other
-    side's layer (``which``): the other side's own trial count when every
-    two-qubit gate of ``read`` sits on a bond next to a landing of the
-    sweep's center, else None."""
-    landed = oracles.landed_bonds(m.center, swept)
-    if all(min(g.qubits) in landed for g in read if g.is_two_qubit):
-        return oracles.two_trial_absorb(m, read, which, cfg).elements
-    return None
+def swept_count(m, side: _Side, cfg) -> int:
+    """Element count after absorbing the side's next layer into ``m``, by
+    the two-trial reference."""
+    return total_elements(oracles.two_trial_absorb(m, side.remaining(), side.which, cfg))
 
 
 def brick_mirror(n: int, layers: int, seed: int) -> Circuit:
@@ -537,12 +520,41 @@ def brick_mirror(n: int, layers: int, seed: int) -> Circuit:
     return Circuit(n, block.gates + inverse_circuit(block).gates)
 
 
+def assert_every_read_predicts(monkeypatch, c: Circuit, cfg: ContractionConfig) -> None:
+    """Run ``c`` and check every count the chooser reads against the
+    element count of sweeping that layer, and every decision against the
+    two-trial reference's."""
+    reads, decisions = [], []
+
+    def recording_read(m, side, cfg, original=driver._read):
+        count = original(m, side, cfg)
+        reads.append(count == swept_count(m, side, cfg))
+        return count
+
+    def recording_choice(left, right, m, cfg, step, original=driver._choose_side):
+        ref_which, ref_kept = oracles.two_trial_choose_side(left, right, m, cfg, step)
+        which, kept = original(left, right, m, cfg, step)
+        decisions.append((which, total_elements(kept)) == (ref_which, total_elements(ref_kept)))
+        return which, kept
+
+    with monkeypatch.context() as mp:
+        mp.setattr(driver, "_read", recording_read)
+        mp.setattr(driver, "_choose_side", recording_choice)
+        try:
+            run(c, cfg)
+        except StallError:
+            pass
+    assert reads and all(reads)
+    assert decisions and all(decisions)
+
+
 class TestPrediction:
     @pytest.mark.parametrize("center", [None, 0, -1, "mid"])
     @pytest.mark.parametrize("seed", range(4))
     def test_predicted_count_equals_the_other_sides_trial(self, center, seed):
-        # right's layer undoes the first layer absorbed, so its bonds shrink
-        # and its neighbours hold slack that the trial's QR steps trim
+        # right's layer undoes the first layer absorbed, so its bonds shrink.
+        # Center 0 keeps the chain's spectra; the others drop them, and the
+        # chooser canonicalizes the chain before it reads
         rng = np.random.default_rng(2700 + seed)
         n = 5 + seed % 3
         cfg = ContractionConfig(epsilon=(1e-10, 1e-3)[seed % 2], chi_max=4096)
@@ -552,25 +564,24 @@ class TestPrediction:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
         if center is None:
             m = MatrixProductOperator(m.sites, m.log_norm, None)
-        else:
+        elif center != 0:
             m = move_center(m, n // 2 if center == "mid" else center % n)
         ident = QubitPermutation.identity(n)
         left = _Side("left", brick_layer(n, (seed + 1) % 2, rng), ident, ident)
         right = _Side("right", list(inverse_circuit(Circuit(n, tuple(inner))).gates), ident, ident)
-        trial = _sweep(m, left, cfg, read=right.layer())
-        assert trial.predicted == expected_prediction(m, left.layer(), right.layer(), "right",
-                                                      cfg)
-        # reading leaves the kept sweep bit for bit as it was
-        assert _same_sites(trial.m, oracles.two_trial_absorb(m, left.remaining(), "left",
-                                                             cfg).m)
+        start = _with_spectra(m)
+        assert _read(start, right, cfg) == swept_count(start, right, cfg)
+        assert _read(start, left, cfg) == swept_count(start, left, cfg)
+        which, kept = _choose_side(left, right, m, cfg, 0)
+        ref_which, ref_kept = oracles.two_trial_choose_side(left, right, start, cfg, 0)
+        assert which == ref_which and _same_sites(kept, ref_kept)
 
     @pytest.mark.parametrize("center", [None, 0, 2, 4])
     def test_slack_is_trimmed_as_the_trial_trims_it(self, center):
-        # zero-padded bonds hold more extent than min(rows, cols) of their
-        # sites; each QR step of the other side's trial trims the bond it
-        # crosses, and the replay must trim it the same way. The first read
-        # layer sits apart from the swept pairs, the second on them, where
-        # every center predicts
+        # zero-padded bonds hold more extent than the operator needs; the
+        # exact canonicalization before the first update trims them, for
+        # the read and the sweep alike. The first read layer sits apart
+        # from the swept pairs, the second on them
         n = 5
         cfg = ContractionConfig(epsilon=1e-10, chi_max=4096)
         m = identity_mpo(n)
@@ -586,12 +597,15 @@ class TestPrediction:
         ident = QubitPermutation.identity(n)
         left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
                      ident, ident)
-        for pairs, predicts in ((((0, 1), (2, 3)), center in (None, 0)),
-                                (((1, 2), (3, 4)), True)):
-            read = [Gate("rzz", pairs[0], (0.9,)), Gate("swap", pairs[1])]
-            predicted = _sweep(m, left, cfg, read=read).predicted
-            assert predicted == expected_prediction(m, left.layer(), read, "right", cfg)
-            assert (predicted is not None) == predicts
+        start = _with_spectra(m)
+        assert sum(start.bond_dims()) < sum(m.bond_dims())
+        for pairs in (((0, 1), (2, 3)), ((1, 2), (3, 4))):
+            right = _Side("right", [Gate("rzz", pairs[0], (0.9,)), Gate("swap", pairs[1])],
+                          ident, ident)
+            assert _read(start, right, cfg) == swept_count(start, right, cfg)
+            which, kept = _choose_side(left, right, m, cfg, 0)
+            ref_which, ref_kept = oracles.two_trial_choose_side(left, right, start, cfg, 0)
+            assert which == ref_which and _same_sites(kept, ref_kept)
 
     def test_failed_spectrum_is_retried(self, monkeypatch):
         n = 5
@@ -599,13 +613,10 @@ class TestPrediction:
         m = identity_mpo(n)
         for g in random_circuit(n, 6, np.random.default_rng(7), adjacent_only=True).gates:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
-        m = move_center(m, 0)
         ident = QubitPermutation.identity(n)
-        left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
-                     ident, ident)
         right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident, ident)
-        expected = oracles.two_trial_absorb(m, right.remaining(), "right", cfg).elements
-        assert _sweep(m, left, cfg, read=right.layer()).predicted == expected
+        expected = swept_count(m, right, cfg)
+        assert _read(m, right, cfg) == expected
         real_svd = np.linalg.svd
         failed = []
 
@@ -616,33 +627,77 @@ class TestPrediction:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", first_spectrum_fails)
-        assert _sweep(m, left, cfg, read=right.layer()).predicted == expected
+        assert _read(m, right, cfg) == expected
         assert failed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_read_at_a_cutoff_that_bites(self, seed):
+        # weak entanglers leave skewed spectra, so the cutoff trims bonds and
+        # a count is right only if each blob carries its left bond's weight
+        rng = np.random.default_rng(2900 + seed)
+        n = 6
+        cfg = ContractionConfig(epsilon=2e-2, chi_max=4096)
+        m = identity_mpo(n)
+        for g in oracles.weak_brickwork(n, 6, rng):
+            m = absorb_gate(m, g, "left", 1e-12, cfg.chi_max)
+        ident = QubitPermutation.identity(n)
+        for which in ("left", "right"):
+            layer = [g for g in oracles.weak_brickwork(n, 2, rng) if g.is_two_qubit]
+            side = _Side(which, layer, ident, ident)
+            count = _read(m, side, cfg)
+            assert count == swept_count(m, side, cfg)
+            assert count < total_elements(m)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_read_of_a_brick_mirror_predicts(self, monkeypatch, seed):
-        # both sides' layers sit on the same pairs, so the sweep lands next
-        # to every gate it reads and never sweeps the other side to compare
-        cfg = ContractionConfig(epsilon=1e-8, chi_max=4096)
-        reads = []
+        for epsilon in (1e-8, 2e-3):
+            assert_every_read_predicts(monkeypatch, brick_mirror(8, 6, 3100 + seed),
+                                       ContractionConfig(epsilon=epsilon, chi_max=4096))
 
-        def recording_sweep(start, side, cfg, read=None):
-            trial = _sweep(start, side, cfg, read)
-            if read is not None:
-                reads.append((start, side.which, read, trial.predicted))
-            return trial
+    @pytest.mark.parametrize("epsilon", [1e-8, 2e-3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_read_of_a_generated_instance_predicts(self, monkeypatch, epsilon, seed):
+        inst = generate(n=8, depth=24, peak_weight=0.2, obfuscation_swaps=6, seed=3200 + seed)
+        cfg = ContractionConfig(epsilon=epsilon, chi_max=4096, tau=300, stall_limit=40)
+        assert_every_read_predicts(monkeypatch, inst.circuit, cfg)
 
-        monkeypatch.setattr(driver, "_sweep", recording_sweep)
-        run(brick_mirror(8, 6, 3100 + seed), cfg)
-        assert reads
-        for start, which, read, predicted in reads:
-            other = "right" if which == "left" else "left"
-            assert predicted == oracles.two_trial_absorb(start, read, other, cfg).elements
 
-    def test_replay_keeps_at_most_the_blob_size(self):
-        # a split keeps at most min(rows, cols) of its (4l, 4r) blob, here 4
-        m = identity_mpo(3)
-        assert _replay_elements(m, [Gate("cx", (0, 1))], {0: 64}) == 16 + 16 + 4
+class TestNoCenterMoves:
+    def test_run_moves_no_center_and_orthogonalizes_only_to_compress(self, monkeypatch):
+        # every absorb, read and unswap visit works from the stored spectra;
+        # QR steps are left only in compress and apply_to_zero
+        inside = []
+        qr_steps = {"inside": 0, "outside": 0}
+        moves = []
+        for name in ("compress", "apply_to_zero"):
+            original = getattr(driver, name)
+
+            def bracketed(*args, original=original):
+                inside.append(True)
+                try:
+                    return original(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(driver, name, bracketed)
+        for name in ("_qr_left", "_qr_right"):
+            step = getattr(chains, name)
+
+            def counted(sites, i, step=step):
+                qr_steps["inside" if inside else "outside"] += 1
+                step(sites, i)
+
+            monkeypatch.setattr(chains, name, counted)
+        for module in (chains, importlib.import_module("mirrorbreak.unswap")):
+            move = module.move_center
+            monkeypatch.setattr(module, "move_center", lambda m, target, move=move:
+                                moves.append(target) or move(m, target))
+        inst = generate(n=6, depth=12, peak_weight=0.10, obfuscation_swaps=0, seed=701)
+        result = run(inst.circuit, ContractionConfig(epsilon=1e-8, chi_max=4096, tau=200,
+                                                     stall_limit=40))
+        assert any(rec.phase == "unswap" for rec in result.trace)
+        assert moves == []
+        assert qr_steps["outside"] == 0 and qr_steps["inside"] > 0
 
 
 @st.composite

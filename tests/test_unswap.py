@@ -17,10 +17,10 @@ from mirrorbreak.chains import (
 from mirrorbreak.circuit import Gate
 from mirrorbreak.oracle import permutation_unitary
 from mirrorbreak.routing import QubitPermutation
-from mirrorbreak.tensor import SvdConvergenceError
-from mirrorbreak.unswap import UnswapResult, unswap
+from mirrorbreak.tensor import SvdConvergenceError, truncation_rank
+from mirrorbreak.unswap import UnswapResult, _pair_ranks, unswap
 
-from .oracles import random_circuit, two_svd_unswap_parallel
+from .oracles import operator_spectrum, random_circuit, two_svd_unswap_parallel, weak_brickwork
 
 EPSILON, CHI_MAX = 1e-10, 4096
 
@@ -157,10 +157,9 @@ class TestParallel:
 
 
 class TestParallelAgainstTwoSvdReference:
-    """The one-SVD visit, the idle-revisit skip and the center-end sweep
-    order change no decision of ``unswap`` (the
-    permutation chains of ``test_agrees_with_sequential_on_permutations``
-    are checked there)."""
+    """The one-SVD visit and the idle-revisit skip change no decision of
+    ``unswap`` (the permutation chains of
+    ``test_agrees_with_sequential_on_permutations`` are checked there)."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_circuit_chains(self, seed):
@@ -168,22 +167,22 @@ class TestParallelAgainstTwoSvdReference:
         assert_same_decisions(unswap(m, EPSILON, CHI_MAX), two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
 
     def test_idle_revisits_are_skipped(self, monkeypatch):
-        # each visit moves the center once; the reference visits every
+        # each visit ranks its candidates once; the reference visits every
         # (bond, side) of every cycle
         visits = {"skipping": 0, "reference": 0}
 
-        def counted(key, move):
-            def wrapped(m, target):
+        def counted(key, rank):
+            def wrapped(*args):
                 visits[key] += 1
-                return move(m, target)
+                return rank(*args)
             return wrapped
 
         unswap_module = importlib.import_module("mirrorbreak.unswap")
-        chains_module = importlib.import_module("mirrorbreak.chains")
-        monkeypatch.setattr(unswap_module, "move_center",
-                            counted("skipping", unswap_module.move_center))
-        monkeypatch.setattr(chains_module, "move_center",
-                            counted("reference", chains_module.move_center))
+        tensor_module = importlib.import_module("mirrorbreak.tensor")
+        monkeypatch.setattr(unswap_module, "truncation_rank",
+                            counted("skipping", unswap_module.truncation_rank))
+        monkeypatch.setattr(tensor_module, "truncation_rank",
+                            counted("reference", tensor_module.truncation_rank))
         perm = QubitPermutation((3, 5, 0, 4, 1, 2))
         m = permutation_mpo(perm)
         assert_same_decisions(unswap(m, EPSILON, CHI_MAX), two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
@@ -192,29 +191,49 @@ class TestParallelAgainstTwoSvdReference:
     def test_one_visit_per_bond_when_no_side_shrinks(self, monkeypatch):
         # the first visit of each bond ranks all three sides and marks the
         # sides that cannot shrink it idle, so no later visit runs
-        moves = []
+        ranked = []
         unswap_module = importlib.import_module("mirrorbreak.unswap")
-        move = unswap_module.move_center
-        monkeypatch.setattr(unswap_module, "move_center",
-                            lambda m, target: moves.append(target) or move(m, target))
+        rank = unswap_module.truncation_rank
+        monkeypatch.setattr(unswap_module, "truncation_rank",
+                            lambda *args: ranked.append(args) or rank(*args))
         res = unswap(identity_mpo(6), EPSILON, CHI_MAX)
         assert res.accepted_swaps == 0
-        assert len(moves) == 5
+        assert len(ranked) == 5
 
-    def test_padded_bond_retruncated_without_a_swap(self):
-        # bond 0 of the identity padded with zero columns: the product is
-        # unchanged, no swap helps, and the visit must still trim the slack
+    def test_padded_bond_retruncated_without_a_swap(self, monkeypatch):
+        # bond 0 of the canonical identity padded with two zero Schmidt
+        # values: site 0 gains zero columns and site 1 orthonormal rows, so
+        # the chain stays canonical, no swap helps, and the visit must
+        # still trim the slack
         m = identity_mpo(3)
         pad = np.zeros((1, 2, 2, 3), dtype=np.complex128)
         pad[..., :1] = m.sites[0]
-        right = np.concatenate([m.sites[1], np.ones((2, 2, 2, 1), dtype=np.complex128)])
-        padded = MatrixProductOperator((pad, right, m.sites[2]))
+        right = np.zeros((3, 2, 2, 1), dtype=np.complex128)
+        right[:1] = m.sites[1]
+        right[1, 0, 1, 0] = right[2, 1, 0, 0] = 1.0
+        spectra = (np.array([m.spectra[0][0], 0.0, 0.0]), m.spectra[1])
+        padded = MatrixProductOperator._derived((pad, right, m.sites[2]), 0.0, 0, 0, 3, spectra)
+        resplits = []
+        unswap_module = importlib.import_module("mirrorbreak.unswap")
+        update = unswap_module._update_pair
+        monkeypatch.setattr(unswap_module, "_update_pair",
+                            lambda m, bond, *args: resplits.append(bond) or update(m, bond, *args))
         res = unswap(padded, EPSILON, CHI_MAX)
         assert padded.bond_dims() == (3, 1)
+        assert resplits == [0]
         assert res.accepted_swaps == 0
         assert res.reduced.bond_dims() == (1, 1)
         assert reconstruction_error(res, padded) <= 1e-12
         assert_same_decisions(res, two_svd_unswap_parallel(padded, EPSILON, CHI_MAX), padded)
+        # without spectra, the same slack (under rows of ones) goes with the
+        # exact canonicalization that comes first
+        ones = right.copy()
+        ones[1:] = 1.0
+        raw = MatrixProductOperator((pad, ones, m.sites[2]))
+        res = unswap(raw, EPSILON, CHI_MAX)
+        assert res.accepted_swaps == 0
+        assert res.reduced.bond_dims() == (1, 1)
+        assert reconstruction_error(res, raw) <= 1e-12
 
     @pytest.mark.parametrize("sites", [1, 2])
     def test_short_chains_run_both_parities(self, sites):
@@ -224,6 +243,30 @@ class TestParallelAgainstTwoSvdReference:
         res = unswap(m, EPSILON, CHI_MAX)
         assert_same_decisions(res, two_svd_unswap_parallel(m, EPSILON, CHI_MAX), m)
         assert all(d == 1 for d in res.reduced.bond_dims())
+
+
+class TestPairRanks:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ranks_are_those_of_the_swapped_operator(self, seed):
+        # at a cutoff that bites, each rank a visit reads must be that of the
+        # bond's Schmidt spectrum: the operator's after the candidate swap
+        rng = np.random.default_rng(1950 + seed)
+        n, epsilon = 6, 2e-2
+        m = identity_mpo(n)
+        for g in weak_brickwork(n, 6, rng):
+            m = absorb_gate(m, g, "left", 1e-12, 4096)
+        dense = mpo_to_dense(m)
+        trimmed = 0
+        for bond in range(n - 1):
+            swap = permutation_unitary(QubitPermutation.transposition(n, bond, bond + 1).mapping)
+            swapped = {"left": swap @ dense, "right": dense @ swap, "both": swap @ dense @ swap}
+            rank, candidates = _pair_ranks(m, bond, epsilon, 4096)
+            assert rank == truncation_rank(operator_spectrum(dense, bond), epsilon, 4096)
+            for side, u in swapped.items():
+                assert candidates[side] == truncation_rank(operator_spectrum(u, bond), epsilon,
+                                                           4096), side
+            trimmed += rank < m.bond_dims()[bond]
+        assert trimmed  # the cutoff bites
 
 
 class TestPermutationCompleteness:
