@@ -20,9 +20,10 @@ update (two-qubit ``absorb_gate``, ``apply_swap_boundary`` and the unswap
 module's bond re-truncation) is one split of that blob in ``_update_pair``
 that needs neither a center move nor an inverse spectrum (Hastings, J. Math.
 Phys. 50, 095207), and one-qubit gates leave every spectrum alone.
-``compress`` returns the spectra its truncation sweep finds. A chain
-without spectra (the public constructor, ``move_center``) is made
-canonical by one exact sweep (``_with_spectra``) at its first update.
+``compress`` returns the spectra its truncation sweep finds. The spectra
+are the only record of a chain's gauge: a chain without them (the public
+constructor, ``move_center``) is in an unknown gauge, and is made canonical
+by one exact sweep (``_with_spectra``) at its first update.
 
 Operations are functional: they return new chains and never mutate inputs.
 Site arrays may be shared between chains, so callers must not write into
@@ -68,11 +69,9 @@ def _check_sites(sites: tuple[np.ndarray, ...], physical: tuple[int, ...],
 class MatrixProductOperator:
     sites: tuple[np.ndarray, ...]
     log_norm: float = 0.0
-    # index of the site holding the chain norm; None when unknown
-    center: int | None = field(default=None, compare=False)
     # Schmidt values of each internal bond of the stored chain (without the
     # log_norm factor), set only by chain operations that keep the chain
-    # right-canonical with its center at site 0; None when not known
+    # right-canonical with its norm on site 0; None when the gauge is unknown
     spectra: tuple[np.ndarray, ...] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -80,14 +79,13 @@ class MatrixProductOperator:
         _check_sites(self.sites, (2, 2), 0, len(self.sites))
 
     @classmethod
-    def _derived(cls, sites, log_norm: float, center: int | None, lo: int, hi: int,
+    def _derived(cls, sites, log_norm: float, lo: int, hi: int,
                  spectra=None) -> "MatrixProductOperator":
         """Chain whose sites outside [lo, hi) are those of an already
         validated chain; only the rewritten range is checked again."""
         m = object.__new__(cls)
         object.__setattr__(m, "sites", tuple(sites))
         object.__setattr__(m, "log_norm", log_norm)
-        object.__setattr__(m, "center", center)
         object.__setattr__(m, "spectra", None if spectra is None else tuple(spectra))
         _check_sites(m.sites, (2, 2), lo, hi)
         return m
@@ -105,6 +103,9 @@ class MatrixProductOperator:
 class MatrixProductState:
     sites: tuple[np.ndarray, ...]
     log_norm: float = 0.0
+    # 0 when the state is right-canonical with its norm on site 0 (as
+    # apply_to_zero returns it); any other value, None included, is read as
+    # an unknown gauge
     center: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -128,21 +129,11 @@ def identity_mpo(n: int) -> MatrixProductOperator:
     eye = np.eye(2, dtype=np.complex128).reshape(1, 2, 2, 1)
     sites = [eye * 2 ** ((n - 1) / 2)] + [eye / math.sqrt(2) for _ in range(n - 1)]
     norm = np.array([np.linalg.norm(sites[0])])
-    return MatrixProductOperator._derived(sites, 0.0, 0, 0, n, [norm] * (n - 1))
+    return MatrixProductOperator._derived(sites, 0.0, 0, n, [norm] * (n - 1))
 
 
 def total_elements(m: MatrixProductOperator) -> int:
     return sum(s.size for s in m.sites)
-
-
-def frobenius_norm(m: MatrixProductOperator) -> float:
-    """Frobenius norm of the stored chain (excluding the log_norm factor)."""
-    if m.center is not None:
-        return float(np.linalg.norm(m.sites[m.center]))
-    env = np.ones((1, 1), dtype=np.complex128)
-    for s in m.sites:
-        env = np.einsum("ab,atpr,btpq->rq", env, np.conj(s), s)
-    return float(math.sqrt(abs(env[0, 0].real)))
 
 
 # --------------------------------------------------------------------------
@@ -177,37 +168,30 @@ def _qr_left(sites: list[np.ndarray], i: int) -> None:
     sites[i - 1] = _bond_dot(sites[i - 1], rem.T)
 
 
-def _shift_center(sites: list[np.ndarray], center: int | None, target: int) -> None:
-    """Exact (QR-based) move of the orthogonality center from ``center``
-    (None: unknown, so both sides are orthogonalized) to ``target``, in
-    place on the site list."""
+def _orthogonalize(sites: list[np.ndarray], target: int) -> None:
+    """Exact (QR-based) move of the chain's norm onto site ``target``, in
+    place on the site list, whatever the gauge was: QR steps rightward up to
+    ``target`` leave the sites left of it left-isometric, and steps leftward
+    down to it leave the sites right of it right-isometric."""
     n = len(sites)
     if not (0 <= target < n):
         raise ValueError(f"center target {target} out of range")
-    if center is None:
-        for i in range(0, target):
-            _qr_right(sites, i)
-        for i in range(n - 1, target, -1):
-            _qr_left(sites, i)
-    elif center < target:
-        for i in range(center, target):
-            _qr_right(sites, i)
-    else:
-        for i in range(center, target, -1):
-            _qr_left(sites, i)
+    for i in range(target):
+        _qr_right(sites, i)
+    for i in range(n - 1, target, -1):
+        _qr_left(sites, i)
 
 
-def _truncate_sweep(sites: list[np.ndarray], center: int | None, epsilon: float,
+def _truncate_sweep(sites: list[np.ndarray], epsilon: float,
                     chi_max: int) -> tuple[float, list[np.ndarray]]:
-    """Canonical truncation, in place: a QR pass from ``center`` (None: from
-    site 0) to the right end, then an SVD pass back that truncates every
-    bond at the relative cutoff. Sites left of a known center are already
-    left-isometric, so the pass starts there. Leaves sites 1..n-1
-    right-isometric with the center at site 0, and returns the norm held
-    there and the kept singular values of every bond. Each bond's values
-    are its Schmidt values when its SVD runs; truncating bonds left of it
-    later moves them by at most the weight that truncation drops."""
-    _shift_center(sites, 0 if center is None else center, len(sites) - 1)
+    """Canonical truncation, in place: a QR pass from site 0 to the right
+    end, then an SVD pass back that truncates every bond at the relative
+    cutoff. Leaves sites 1..n-1 right-isometric with the norm on site 0, and
+    returns that norm and the kept singular values of every bond. Each
+    bond's values are its Schmidt values when its SVD runs; truncating
+    bonds left of it later moves them by at most the weight that truncation
+    drops."""
+    _orthogonalize(sites, len(sites) - 1)
     spectra = [None] * (len(sites) - 1)
     for i in range(len(sites) - 1, 0, -1):
         s = sites[i]
@@ -219,15 +203,12 @@ def _truncate_sweep(sites: list[np.ndarray], center: int | None, epsilon: float,
 
 
 def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
-    """Exact (QR-based) move of the orthogonality center to ``target``. The
-    result carries no spectra."""
+    """The same operator with its norm moved onto site ``target`` by exact
+    QR steps over the whole chain. The result carries no spectra, so its
+    gauge is unknown to every later chain operation."""
     sites = list(m.sites)
-    _shift_center(sites, m.center, target)
-    if m.center is None:  # every site was orthogonalized
-        lo, hi = 0, len(sites)
-    else:
-        lo, hi = min(m.center, target), max(m.center, target) + 1
-    return MatrixProductOperator._derived(sites, m.log_norm, target, lo, hi)
+    _orthogonalize(sites, target)
+    return MatrixProductOperator._derived(sites, m.log_norm, 0, len(sites))
 
 
 def _with_spectra(m: MatrixProductOperator) -> MatrixProductOperator:
@@ -237,8 +218,8 @@ def _with_spectra(m: MatrixProductOperator) -> MatrixProductOperator:
     if m.spectra is not None:
         return m
     sites = list(m.sites)
-    _, spectra = _truncate_sweep(sites, m.center, 0.0, sys.maxsize)
-    return MatrixProductOperator._derived(sites, m.log_norm, 0, 0, len(sites), spectra)
+    _, spectra = _truncate_sweep(sites, 0.0, sys.maxsize)
+    return MatrixProductOperator._derived(sites, m.log_norm, 0, len(sites), spectra)
 
 
 def _pair_blob(
@@ -276,7 +257,7 @@ def _update_pair(
     the locally optimal truncation of that bond. Site bond+1 becomes V,
     site bond becomes blob.V^dagger, which needs no inverse spectrum, and
     the bond's spectrum becomes s. No other site or spectrum changes, and
-    the center stays on site 0."""
+    the norm stays on site 0."""
     m = _with_spectra(m)
     theta, weighted = _pair_blob(m, bond, op)
     l, t1, b1, t2, b2, r = theta.shape
@@ -287,7 +268,7 @@ def _update_pair(
         l, t1, b1, dec.rank)
     sites[bond + 1] = dec.v.reshape(dec.rank, t2, b2, r)
     spectra[bond] = dec.s
-    return MatrixProductOperator._derived(sites, m.log_norm, 0, bond, bond + 2, spectra)
+    return MatrixProductOperator._derived(sites, m.log_norm, bond, bond + 2, spectra)
 
 
 def _gate_tensor(g: Gate) -> np.ndarray:
@@ -340,7 +321,7 @@ def absorb_gate(
         sites = list(m.sites)
         sites[q] = new
         # a unitary on one site's leg keeps the canonical form and every spectrum
-        return MatrixProductOperator._derived(sites, m.log_norm, m.center, q, q + 1, m.spectra)
+        return MatrixProductOperator._derived(sites, m.log_norm, q, q + 1, m.spectra)
 
     a, b = g.qubits
     if abs(a - b) != 1:
@@ -378,18 +359,17 @@ def apply_swap_boundary(
 def compress(
     m: MatrixProductOperator, epsilon: float, chi_max: int
 ) -> MatrixProductOperator:
-    """Two-sided sweep: left-to-right orthogonalization from the chain's
-    center (site 0 when unknown), then right-to-left truncation at the
-    relative cutoff. The chain comes back right-canonical
-    (center at site 0) with unit stored norm and the spectra of the
-    truncation sweep; the scale moves to log_norm.
+    """Two-sided sweep: left-to-right orthogonalization from site 0, then
+    right-to-left truncation at the relative cutoff. The chain comes back
+    right-canonical (norm on site 0) with unit stored norm and the spectra
+    of the truncation sweep; the scale moves to log_norm.
     """
     sites = list(m.sites)
-    f, spectra = _truncate_sweep(sites, m.center, epsilon, chi_max)
+    f, spectra = _truncate_sweep(sites, epsilon, chi_max)
     if f == 0.0:
         raise ValueError("compress reached an all-zero chain")
     sites[0] = sites[0] / f
-    return MatrixProductOperator._derived(sites, m.log_norm + math.log(f), 0, 0, len(sites),
+    return MatrixProductOperator._derived(sites, m.log_norm + math.log(f), 0, len(sites),
                                           [s / f for s in spectra])
 
 
@@ -404,11 +384,13 @@ def apply_to_zero(
     """Select the all-zero input column of the operator, compress, and
     normalize; the state norm is recorded in log_norm. Raises if the column
     norm collapses relative to the operator's scale (catastrophic
-    truncation upstream).
+    truncation upstream). The operator's scale is read from site 0 of its
+    canonical form.
     """
-    mpo_scale = frobenius_norm(m)
+    m = _with_spectra(m)
+    mpo_scale = float(np.linalg.norm(m.sites[0]))
     sites = [s[:, :, 0, :] for s in m.sites]
-    f, _ = _truncate_sweep(sites, None, epsilon, chi_max)
+    f, _ = _truncate_sweep(sites, epsilon, chi_max)
     expected = mpo_scale / (2 ** (len(sites) / 2))
     if f < 1e-12 * expected:
         raise ValueError(
@@ -420,10 +402,12 @@ def apply_to_zero(
 
 
 def _right_canonicalize(psi: MatrixProductState) -> tuple[list[np.ndarray], float]:
-    """Sites with the center moved to site 0 (sites 1..n-1 right-isometric),
-    and the norm held there."""
+    """Sites with the norm moved to site 0 (sites 1..n-1 right-isometric),
+    and that norm. A state recorded with its norm on site 0 is taken as it
+    is; any other is orthogonalized over the whole chain."""
     sites = list(psi.sites)
-    _shift_center(sites, psi.center, 0)
+    if psi.center != 0:
+        _orthogonalize(sites, 0)
     return sites, float(np.linalg.norm(sites[0]))
 
 

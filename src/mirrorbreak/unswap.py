@@ -123,10 +123,14 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
     swap has been accepted on either site of its pair since. A unitary
     wholly on one side of the cut changes neither the bond's spectrum nor
     the candidates', and only swaps at bonds b-1, b and b+1 touch the pair,
-    so the skipped visit would again accept nothing. (The swaps elsewhere
+    so the skipped visit would again accept nothing. The swaps elsewhere
     also re-truncate their own bond, which shifts these spectra by at most
-    the weight that truncation drops.) The decisions are those of a sweep
-    that visits every (bond, side) of every batch.
+    the weight that truncation drops. So the decisions agree with those of
+    a sweep that visits every (bond, side) of every batch only up to that
+    weight: where truncation drops none they are the same, and at a cutoff
+    that bites a shifted spectrum can cross it and the two can accept
+    different swaps. Either way no bond grows, and each split drops at most
+    ``epsilon**2`` of the squared weight of its pair's weighted blob.
 
     Applying a swap S on the top legs turns M into S.M, so the original
     factors as M = S.(S.M): the left permutation gains the swap (its own

@@ -171,7 +171,10 @@ def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
     its candidate, the pair blob weighted by the spectrum of the bond left
     of it, with a second, values-only SVD. ``unswap.unswap`` skips idle
     revisits and ranks the bond and all three sides' candidates with one
-    SVD; its decisions must match.
+    SVD. Its decisions match where truncation drops no weight (the chains
+    compared at epsilon 1e-10); at a cutoff that bites, the spectra each
+    visit reads differ by up to the weight dropped elsewhere, and the two
+    can accept different swaps.
 
     The outer permutations are tracked as plain mapping lists, apart from
     ``QubitPermutation.compose``: a swap S taken on the top legs leaves

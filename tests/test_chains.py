@@ -12,13 +12,13 @@ from mirrorbreak.chains import (
     MatrixProductOperator,
     MatrixProductState,
     _bond_dot,
+    _orthogonalize,
     _right_canonicalize,
     _sample_bits,
     absorb_gate,
     apply_swap_boundary,
     apply_to_zero,
     compress,
-    frobenius_norm,
     identity_mpo,
     move_center,
     mpo_to_dense,
@@ -185,8 +185,8 @@ class TestCompress:
         rng = np.random.default_rng(5)
         c = random_circuit(4, 6, rng, adjacent_only=True)
         m = compress(absorb_circuit(identity_mpo(4), c, "left"), 1e-10, 64)
-        assert m.center == 0
-        # all sites right of the center must be right-isometries
+        assert m.spectra is not None
+        # all sites right of site 0 must be right-isometries
         for s in m.sites[1:]:
             l = s.shape[0]
             mat = s.reshape(l, -1)
@@ -194,8 +194,9 @@ class TestCompress:
 
     @pytest.mark.parametrize("center", range(5))
     def test_lossy_compress_from_known_center(self, center):
-        # the QR pass starts at the chain's center; the truncation must match
-        # a sweep that orthogonalizes the whole chain first. Weak rzz
+        # lossy compress does not depend on the gauge: the QR pass
+        # orthogonalizes the whole chain first, so a chain with its norm moved
+        # to any known site truncates as the one with its spectra. Weak rzz
         # brickwork has skewed Schmidt spectra, so the cutoff bites.
         rng = np.random.default_rng(1350)
         gates = []
@@ -204,10 +205,10 @@ class TestCompress:
                 for q in (i, i + 1):
                     gates.append(Gate("u3", (q,), tuple(rng.uniform(-np.pi, np.pi, 3))))
                 gates.append(Gate("rzz", (i, i + 1), (float(rng.uniform(0.2, 0.6)),)))
-        m = move_center(absorb_circuit(identity_mpo(5), Circuit(5, tuple(gates)), "left"), center)
-        unknown = MatrixProductOperator(m.sites, m.log_norm)
-        assert unknown.center is None
-        ref = compress(unknown, 0.05, 10**9)
+        canonical = absorb_circuit(identity_mpo(5), Circuit(5, tuple(gates)), "left")
+        m = move_center(canonical, center)
+        assert canonical.spectra is not None and m.spectra is None
+        ref = compress(canonical, 0.05, 10**9)
         got = compress(m, 0.05, 10**9)
         assert got.bond_dims() == ref.bond_dims()
         assert sum(got.bond_dims()) < sum(m.bond_dims())  # the cutoff bites
@@ -226,8 +227,21 @@ class TestCompress:
         m2 = compress(m, 0.0, 16)
         # identity has Frobenius norm 2^(3/2); stored chain is unit norm
         assert math.exp(m2.log_norm) == pytest.approx(2 ** 1.5, rel=1e-12)
-        assert frobenius_norm(m2) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(m2.sites[0]) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(mpo_to_dense(m2), np.eye(8), atol=1e-12)
+
+
+def assert_norm_on_site(m: MatrixProductOperator, target: int) -> None:
+    """Sites left of ``target`` are left-isometric and sites right of it
+    right-isometric, so site ``target`` holds the stored chain's norm."""
+    for i, s in enumerate(m.sites):
+        if i == target:
+            continue
+        mat = s.reshape(-1, s.shape[3]) if i < target else s.reshape(s.shape[0], -1)
+        gram = mat.conj().T @ mat if i < target else mat @ mat.conj().T
+        np.testing.assert_allclose(gram, np.eye(len(gram)), atol=1e-10)
+    stored = mpo_to_dense(m) / math.exp(m.log_norm)
+    assert np.linalg.norm(m.sites[target]) == pytest.approx(np.linalg.norm(stored), rel=1e-10)
 
 
 class TestMoveCenter:
@@ -238,16 +252,21 @@ class TestMoveCenter:
         dense = mpo_to_dense(m)
         for target in (3, 1, 2, 0):
             m = move_center(m, target)
-            assert m.center == target
             assert m.spectra is None
+            assert_norm_on_site(m, target)
             np.testing.assert_allclose(mpo_to_dense(m), dense, atol=1e-10)
+
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_target_out_of_range_rejected(self, target):
+        with pytest.raises(ValueError, match=f"center target {target} out of range"):
+            move_center(identity_mpo(4), target)
 
 
 def assert_canonical_with_spectra(m: MatrixProductOperator) -> None:
     """Sites 1..n-1 are right-isometric, and each stored spectrum holds the
     singular values of the stored operator split between qubits 0..b and
     b+1..n-1 (the rest of them zero)."""
-    assert m.center == 0 and m.spectra is not None
+    assert m.spectra is not None
     for s in m.sites[1:]:
         mat = s.reshape(s.shape[0], -1)
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(s.shape[0]), atol=1e-10)
@@ -270,7 +289,7 @@ class TestSpectra:
            seed=st.integers(0, 2**16))
     def test_every_update_keeps_the_canonical_form(self, n, epsilon, moved, ops, seed):
         rng = np.random.default_rng(seed)
-        # a moved center drops the spectra, so the first update canonicalizes
+        # a moved norm drops the spectra, so the first update canonicalizes
         m = move_center(identity_mpo(n), n - 1) if moved else identity_mpo(n)
         for op in ops:
             if op.startswith("gate"):  # a one-qubit and a two-qubit gate
@@ -289,7 +308,7 @@ class TestSpectra:
         # every split reads its pair and the spectrum left of it, wherever
         # the last one was, so no update moves the center
         n = 8
-        m = chain_with_center(n, 60, "spectra")
+        m = chain_in_gauge(n, 60, "spectra")
         steps = []
         for name in ("_qr_left", "_qr_right"):
             step = getattr(chains, name)
@@ -309,18 +328,18 @@ class TestSpectra:
         np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
 
 
-def chain_with_center(n: int, seed: int, center):
-    """Random chain with bonds > 1: with its spectra (``center`` is
-    "spectra"), else without them and with its center at ``center`` (None:
-    unknown)."""
+def chain_in_gauge(n: int, seed: int, gauge):
+    """Random chain with bonds > 1: with its spectra (``gauge`` is
+    "spectra"), else without them, rebuilt by the public constructor (None)
+    or with its norm moved to site ``gauge``."""
     rng = np.random.default_rng(seed)
     c = random_circuit(n, 3 * n, rng, adjacent_only=True)
     m = absorb_circuit(identity_mpo(n), c, "left")
-    if center == "spectra":
+    if gauge == "spectra":
         return m
-    if center is None:
+    if gauge is None:
         return MatrixProductOperator(m.sites, m.log_norm)
-    return move_center(m, center)
+    return move_center(m, gauge)
 
 
 def derived_calls(monkeypatch, op):
@@ -342,14 +361,14 @@ class TestDerivedChains:
 
     def assert_checked_every_rewrite(self, parent, child, lo, hi):
         # a derived chain equals the fully validated one built from its sites
-        assert child == MatrixProductOperator(child.sites, child.log_norm, child.center)
+        assert child == MatrixProductOperator(child.sites, child.log_norm)
         for j, (a, b) in enumerate(zip(parent.sites, child.sites)):
             if a is not b:
                 assert lo <= j < hi, f"site {j} rewritten outside the checked range"
 
     def assert_split_of_pair(self, m, out, ranges, bond):
         """``out`` is ``m`` with one update of pair (bond, bond+1)."""
-        assert out.center == 0 and out.spectra is not None
+        assert out.spectra is not None
         if m.spectra is None:
             # one exact canonicalization rewrites the whole chain first
             assert ranges == [(0, self.N), (bond, bond + 2)]
@@ -360,13 +379,13 @@ class TestDerivedChains:
         self.assert_checked_every_rewrite(m, out, bond, bond + 2)
         assert all(out.spectra[b] is m.spectra[b] for b in range(self.N - 1) if b != bond)
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1, "bond+1", "spectra"])
+    @pytest.mark.parametrize("gauge", [None, 0, N - 1, "bond+1", "spectra"])
     @pytest.mark.parametrize("bond", [0, 2, N - 2])
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_absorb_two_qubit_gate(self, monkeypatch, center, bond, side):
-        # a chain without spectra is canonicalized whatever its center, also
-        # when that center already sits on the pair
-        m = chain_with_center(self.N, 10 + bond, bond + 1 if center == "bond+1" else center)
+    def test_absorb_two_qubit_gate(self, monkeypatch, gauge, bond, side):
+        # a chain without spectra is canonicalized wherever its norm is, also
+        # when the norm already sits on the pair
+        m = chain_in_gauge(self.N, 10 + bond, bond + 1 if gauge == "bond+1" else gauge)
         g = Gate("cx", (bond + 1, bond))
         out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, side, EXACT, 64))
         self.assert_split_of_pair(m, out, ranges, bond)
@@ -374,36 +393,34 @@ class TestDerivedChains:
         expected = embed(g, self.N) @ u if side == "left" else u @ embed(g, self.N)
         np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1, "spectra"])
+    @pytest.mark.parametrize("gauge", [None, 0, N - 1, "spectra"])
     @pytest.mark.parametrize("q", [0, 3, N - 1])
-    def test_absorb_single_qubit_gate(self, monkeypatch, center, q):
-        m = chain_with_center(self.N, 20 + q, center)
+    def test_absorb_single_qubit_gate(self, monkeypatch, gauge, q):
+        m = chain_in_gauge(self.N, 20 + q, gauge)
         g = Gate("u3", (q,), (0.3, -1.1, 2.0))
         out, ranges = derived_calls(monkeypatch, lambda: absorb_gate(m, g, "left", EXACT, 64))
         assert ranges == [(q, q + 1)]
         self.assert_checked_every_rewrite(m, out, q, q + 1)
-        assert out.center == m.center
         assert out.spectra is m.spectra
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1, "spectra"])
+    @pytest.mark.parametrize("gauge", [None, 0, N - 1, "spectra"])
     @pytest.mark.parametrize("bond", [0, 3, N - 2])
-    def test_pair_swap(self, monkeypatch, center, bond):
-        m = chain_with_center(self.N, 30 + bond, center)
+    def test_pair_swap(self, monkeypatch, gauge, bond):
+        m = chain_in_gauge(self.N, 30 + bond, gauge)
         out, ranges = derived_calls(
             monkeypatch, lambda: apply_swap_boundary(m, bond, "left", EXACT, 64))
         self.assert_split_of_pair(m, out, ranges, bond)
 
-    @pytest.mark.parametrize("center", [None, 0, N - 1, "spectra"])
+    @pytest.mark.parametrize("gauge", [None, 0, N - 1, "spectra"])
     @pytest.mark.parametrize("target", [0, 2, N - 1])
-    def test_move_center(self, monkeypatch, center, target):
-        m = chain_with_center(self.N, 40 + target, center)
+    def test_move_center(self, monkeypatch, gauge, target):
+        # every site is orthogonalized, whatever the gauge was
+        m = chain_in_gauge(self.N, 40 + target, gauge)
         out, ranges = derived_calls(monkeypatch, lambda: move_center(m, target))
-        (lo, hi), = ranges
-        if center is None:
-            assert (lo, hi) == (0, self.N)
-        self.assert_checked_every_rewrite(m, out, lo, hi)
-        assert out.center == target
+        assert ranges == [(0, self.N)]
+        self.assert_checked_every_rewrite(m, out, 0, self.N)
         assert out.spectra is None
+        assert_norm_on_site(out, target)
         np.testing.assert_allclose(mpo_to_dense(out), mpo_to_dense(m), atol=1e-10)
 
     @pytest.mark.parametrize("make_bad,message", [
@@ -415,13 +432,13 @@ class TestDerivedChains:
          "bond mismatch between sites 2 and 3"),
     ], ids=["physical", "rank", "left-bond", "right-bond"])
     def test_bad_rewritten_site_gives_the_full_check_error(self, make_bad, message):
-        m = chain_with_center(self.N, 50, 2)
+        m = chain_in_gauge(self.N, 50, 2)
         sites = list(m.sites)
         sites[2] = make_bad(sites[2])
         with pytest.raises(ValueError) as full:
-            MatrixProductOperator(sites, m.log_norm, 2)
+            MatrixProductOperator(sites, m.log_norm)
         with pytest.raises(ValueError) as derived:
-            MatrixProductOperator._derived(sites, m.log_norm, 2, 2, 3)
+            MatrixProductOperator._derived(sites, m.log_norm, 2, 3)
         assert str(derived.value) == str(full.value)
         assert str(full.value).startswith(message)
 
@@ -433,7 +450,7 @@ class TestDerivedChains:
         sites[1 if index == 0 else index - 1] = np.ones((2, 2, 2, 2), complex)
         lo, hi = (0, 2) if index == 0 else (index - 1, index + 1)
         with pytest.raises(ValueError, match="boundary bonds must have extent 1"):
-            MatrixProductOperator._derived(sites, 0.0, None, lo, hi)
+            MatrixProductOperator._derived(sites, 0.0, lo, hi)
 
 
 class TestBondDot:
@@ -539,6 +556,19 @@ class TestApplyToZero:
         assert psi_scrambled.bond_dims() == psi.bond_dims()
         np.testing.assert_allclose(mps_to_dense(psi_scrambled), mps_to_dense(psi), atol=1e-10)
 
+    def test_collapsed_column_rejected(self):
+        # the |00> column holds 1e-15 of the operator's norm, far below the
+        # 2**(-n/2) share an even operator gives it; the scale is read from
+        # site 0 of the canonical form, so the check sees the same collapse
+        # whether the chain comes without spectra or with them
+        site = np.diag([1e-15, 1.0]).astype(np.complex128).reshape(1, 2, 2, 1)
+        eye = np.eye(2, dtype=np.complex128).reshape(1, 2, 2, 1)
+        built = MatrixProductOperator((site, eye))
+        assert built.spectra is None
+        for m in (built, chains._with_spectra(built)):
+            with pytest.raises(ValueError, match="collapsed below 1e-12 of the expected scale"):
+                apply_to_zero(m, EXACT, 4)
+
 
 class TestSample:
     def test_zero_state_samples_only_zeros(self):
@@ -596,8 +626,14 @@ class TestSample:
         c = random_circuit(n, 3 * n, rng, adjacent_only=True)
         psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
         assert max(psi.bond_dims()) > 1
-        np.testing.assert_array_equal(
-            _sample_bits(psi, shots, seed), per_shot_sample_bits(psi, shots, seed))
+        expected = per_shot_sample_bits(psi, shots, seed)
+        np.testing.assert_array_equal(_sample_bits(psi, shots, seed), expected)
+        # the same state with its norm on site 2 is orthogonalized first and
+        # draws the same bits
+        sites = list(psi.sites)
+        _orthogonalize(sites, 2)
+        moved = MatrixProductState(tuple(sites), psi.log_norm, 2)
+        np.testing.assert_array_equal(_sample_bits(moved, shots, seed), expected)
 
     def test_matches_per_shot_sweep_on_product_state(self):
         n = 7

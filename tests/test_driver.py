@@ -375,8 +375,8 @@ class TestTrialAbsorb:
     @pytest.mark.parametrize("start", [None, 0, -1])
     @pytest.mark.parametrize("seed", range(2))
     def test_site_order_matches_listed_order(self, which, start, seed):
-        # start 0 keeps the chain's spectra; None and -1 drop them (center
-        # unknown, or moved to the last site)
+        # start 0 keeps the chain's spectra; None and -1 drop them (the
+        # public constructor, or the norm moved to the last site)
         rng = np.random.default_rng(1800 + seed)
         n = 7
         cfg = ContractionConfig(epsilon=1e-12, chi_max=10**9)
@@ -384,7 +384,7 @@ class TestTrialAbsorb:
         for g in random_circuit(n, 10, rng, adjacent_only=True).gates:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
         if start is None:
-            m = MatrixProductOperator(m.sites, m.log_norm, None)
+            m = MatrixProductOperator(m.sites, m.log_norm)
         elif start == -1:
             m = move_center(m, n - 1)
         layer = brick_layer(n, seed % 2, rng)
@@ -553,7 +553,8 @@ class TestPrediction:
     @pytest.mark.parametrize("seed", range(4))
     def test_predicted_count_equals_the_other_sides_trial(self, center, seed):
         # right's layer undoes the first layer absorbed, so its bonds shrink.
-        # Center 0 keeps the chain's spectra; the others drop them, and the
+        # Center 0 keeps the chain's spectra; the others drop them (the
+        # public constructor, or the norm moved to another site), and the
         # chooser canonicalizes the chain before it reads
         rng = np.random.default_rng(2700 + seed)
         n = 5 + seed % 3
@@ -563,7 +564,7 @@ class TestPrediction:
         for g in inner + list(random_circuit(n, 2 * n, rng, adjacent_only=True).gates):
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
         if center is None:
-            m = MatrixProductOperator(m.sites, m.log_norm, None)
+            m = MatrixProductOperator(m.sites, m.log_norm)
         elif center != 0:
             m = move_center(m, n // 2 if center == "mid" else center % n)
         ident = QubitPermutation.identity(n)
@@ -580,20 +581,22 @@ class TestPrediction:
     def test_slack_is_trimmed_as_the_trial_trims_it(self, center):
         # zero-padded bonds hold more extent than the operator needs; the
         # exact canonicalization before the first update trims them, for
-        # the read and the sweep alike. The first read layer sits apart
-        # from the swept pairs, the second on them
+        # the read and the sweep alike, wherever the norm was (None: the
+        # chain as absorbed, with its norm on site 0). The first read layer
+        # sits apart from the swept pairs, the second on them
         n = 5
         cfg = ContractionConfig(epsilon=1e-10, chi_max=4096)
         m = identity_mpo(n)
         for g in random_circuit(n, 6, np.random.default_rng(7), adjacent_only=True).gates:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
-        m = move_center(m, 2 if center is None else center)
+        if center is not None:
+            m = move_center(m, center)
         sites = list(m.sites)
         for b in range(n - 1):
             a, c = sites[b], sites[b + 1]
             sites[b] = np.concatenate([a, np.zeros(a.shape[:3] + (9,))], axis=3)
             sites[b + 1] = np.concatenate([c, np.zeros((9,) + c.shape[1:])], axis=0)
-        m = MatrixProductOperator(tuple(sites), m.log_norm, m.center if center is not None else None)
+        m = MatrixProductOperator(tuple(sites), m.log_norm)
         ident = QubitPermutation.identity(n)
         left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
                      ident, ident)

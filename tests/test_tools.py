@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "trajectory_digest.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "trajectory_digest.py"
 
 
 def digest(*args: str) -> subprocess.CompletedProcess:
@@ -75,3 +76,23 @@ def test_bad_seeds_exit_2():
     done = digest("--workload", "mirror-wide", "--seeds", "x")
     assert done.returncode == 2
     assert "--seeds" in done.stderr
+
+
+def test_benchmark_wrapped_names_resolve():
+    """Every ``(module, attr)`` the benchmark harness wraps is a callable of
+    the program, so renaming or deleting one of them fails here too. The
+    harness is imported as ``tools/trajectory_digest.py`` imports its
+    workloads, with ``src/`` and ``perfbench/`` on the path."""
+    probe = (
+        "import importlib, json, sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "import run\n"
+        "print(json.dumps([[mod, attr, callable(getattr(importlib.import_module(mod), attr, None))]"
+        " for mod, attr, _ in run.WRAPPED]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(ROOT / "src"), str(ROOT / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    wrapped = json.loads(done.stdout)
+    assert wrapped
+    assert [(mod, attr) for mod, attr, ok in wrapped if not ok] == []
