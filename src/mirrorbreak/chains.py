@@ -19,7 +19,9 @@ contracted and weighted on their left leg by the spectrum of bond b-1
 update (two-qubit ``absorb_gate``, ``apply_swap_boundary`` and the unswap
 module's bond re-truncation) is one split of that blob in ``_update_pair``
 that needs neither a center move nor an inverse spectrum (Hastings, J. Math.
-Phys. 50, 095207), and one-qubit gates leave every spectrum alone.
+Phys. 50, 095207), and one-qubit gates leave every spectrum alone. A layer
+of gates on disjoint sites is split at once (``split_layer``), one SVD per
+stack of same-shape blobs, and written by the same rule (``write_layer``).
 ``compress`` returns the spectra its truncation sweep finds. The spectra
 are the only record of a chain's gauge: a chain without them (the public
 constructor, ``move_center``) is in an unknown gauge, and is made canonical
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Gate, gate_unitary
-from .tensor import svd_truncate
+from .tensor import svd_stack, svd_truncate, truncation_rank
 
 DENSE_GUARD_QUBITS = 12
 
@@ -234,7 +236,7 @@ def _pair_blob(
     sites left of the pair contract to an isometry times that spectrum and
     the sites right of it are right-isometric, so the weighted blob's
     singular values are the bond's Schmidt values after ``op``. Every split
-    and every read of a pair goes through here, so a read ranks the very
+    and every rank of a pair goes through here, so a count ranks the very
     values the split truncates."""
     theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
     if op is not None:
@@ -260,15 +262,24 @@ def _update_pair(
     the norm stays on site 0."""
     m = _with_spectra(m)
     theta, weighted = _pair_blob(m, bond, op)
-    l, t1, b1, t2, b2, r = theta.shape
     dec = svd_truncate(weighted, split=3, epsilon=epsilon, chi_max=chi_max)
     sites = list(m.sites)
     spectra = list(m.spectra)
-    sites[bond] = np.dot(theta.reshape(l * t1 * b1, -1), dec.v.conj().T).reshape(
-        l, t1, b1, dec.rank)
-    sites[bond + 1] = dec.v.reshape(dec.rank, t2, b2, r)
-    spectra[bond] = dec.s
+    _write_pair(sites, spectra, bond, theta, dec.s, dec.v)
     return MatrixProductOperator._derived(sites, m.log_norm, bond, bond + 2, spectra)
+
+
+def _write_pair(sites: list[np.ndarray], spectra: list[np.ndarray], bond: int,
+                theta: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
+    """Write the split U.s.V of the pair blob ``theta``'s weighted form, in
+    place on the site and spectrum lists: site bond+1 becomes V, site bond
+    becomes theta.V^dagger (no inverse spectrum), and the bond's spectrum
+    becomes s."""
+    l, t1, b1, t2, b2, r = theta.shape
+    rank = len(s)
+    sites[bond] = np.dot(theta.reshape(l * t1 * b1, -1), v.conj().T).reshape(l, t1, b1, rank)
+    sites[bond + 1] = v.reshape(rank, t2, b2, r)
+    spectra[bond] = s
 
 
 def _gate_tensor(g: Gate) -> np.ndarray:
@@ -311,22 +322,99 @@ def absorb_gate(
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
     if len(g.qubits) == 1:
-        u = gate_unitary(g)
         q = g.qubits[0]
-        site = m.sites[q]
-        if side == "left":
-            new = np.einsum("tk,lkbr->ltbr", u, site)
-        else:
-            new = np.einsum("ltkr,kb->ltbr", site, u)
         sites = list(m.sites)
-        sites[q] = new
+        sites[q] = _one_site(sites[q], g, side)
         # a unitary on one site's leg keeps the canonical form and every spectrum
         return MatrixProductOperator._derived(sites, m.log_norm, q, q + 1, m.spectra)
+    return _update_pair(m, _pair_bond(g), _gate_op(g, side), epsilon, chi_max)
 
+
+def _one_site(site: np.ndarray, g: Gate, side: str) -> np.ndarray:
+    """A one-qubit gate contracted into one (l, t, b, r) site: on the top
+    leg (``side="left"``, G.M) or on the bottom leg (``side="right"``, M.G)."""
+    u = gate_unitary(g)
+    if side == "left":
+        return np.einsum("tk,lkbr->ltbr", u, site)
+    return np.einsum("ltkr,kb->ltbr", site, u)
+
+
+def _pair_bond(g: Gate) -> int:
+    """The bond between the two adjacent sites of a two-qubit gate."""
     a, b = g.qubits
     if abs(a - b) != 1:
         raise ValueError(f"two-qubit gate on non-adjacent sites {g.qubits}")
-    return _update_pair(m, min(a, b), _gate_op(g, side), epsilon, chi_max)
+    return min(a, b)
+
+
+@dataclass(frozen=True)
+class LayerSplit:
+    """A layer of gates on disjoint sites split against one chain, before
+    any site is written. ``chain`` is the start chain with its spectra;
+    ``pairs`` maps the bond of each two-qubit gate to its pair blob and the
+    kept factors s and V of its weighted blob's SVD; ``elements`` is the
+    element count of the chain :func:`write_layer` builds from them."""
+
+    chain: MatrixProductOperator
+    gates: tuple[Gate, ...]
+    side: str
+    pairs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    elements: int
+
+
+def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
+                chi_max: int) -> LayerSplit:
+    """Split every two-qubit gate of a layer against ``m`` at once. The
+    gates act on disjoint sites, and each pair's split reads only its own
+    two sites and the spectrum of the bond left of it, which no other gate
+    of the layer touches. So the weighted blobs (:func:`_pair_blob`) of one
+    shape are split by one SVD of their stack, whose factors are bit for
+    bit those of each blob alone, and the stack's spectra are ranked as
+    ``svd_truncate`` ranks one. One-qubit gates need no split; the write
+    applies them. Raises as ``svd_truncate`` does on a non-finite or
+    all-zero blob and when the SVD fails after its retry."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be left or right, got {side!r}")
+    gates = tuple(gates)
+    touched = [q for g in gates for q in g.qubits]
+    if len(set(touched)) != len(touched):
+        raise ValueError("the gates of a layer must act on disjoint sites")
+    m = _with_spectra(m)
+    by_shape: dict[tuple[int, ...], list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for g in gates:
+        if g.is_two_qubit:
+            b = _pair_bond(g)
+            theta, weighted = _pair_blob(m, b, _gate_op(g, side))
+            by_shape.setdefault(theta.shape, []).append((b, theta, weighted))
+    pairs = {}
+    dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
+    for (l, *_), group in by_shape.items():
+        stack = np.stack([weighted for _, _, weighted in group])
+        _, s, v = svd_stack(stack.reshape(len(group), 4 * l, -1))
+        for (b, theta, _), sb, vb, rank in zip(group, s, v,
+                                               truncation_rank(s, epsilon, chi_max)):
+            pairs[b] = (theta, sb[:rank], vb[:rank])
+            dims[b + 1] = rank
+    return LayerSplit(m, gates, side, pairs, 4 * sum(a * b for a, b in zip(dims, dims[1:])))
+
+
+def write_layer(split: LayerSplit) -> MatrixProductOperator:
+    """The chain with the split layer absorbed: each pair written from its
+    kept factors as ``absorb_gate`` writes it, each one-qubit gate
+    contracted into its site. Only the sites the layer touches are checked
+    again."""
+    m = split.chain
+    sites = list(m.sites)
+    spectra = list(m.spectra)
+    for g in split.gates:
+        if not g.is_two_qubit:
+            q = g.qubits[0]
+            sites[q] = _one_site(sites[q], g, split.side)
+    for bond, (theta, s, v) in split.pairs.items():
+        _write_pair(sites, spectra, bond, theta, s, v)
+    touched = [q for g in split.gates for q in g.qubits]
+    return MatrixProductOperator._derived(sites, m.log_norm, min(touched, default=0),
+                                          max(touched, default=-1) + 1, spectra)
 
 
 # axis orders of the (l, t1, b1, t2, b2, r) pair blob that exchange the top

@@ -19,11 +19,13 @@ Side selection. Each side's gate list is peeled once into brick layers from
 its inner end. Adaptive mode absorbs the next layer of the side that leaves
 the smaller chain. The chain keeps every bond's Schmidt values, and each
 two-qubit gate of a layer is split from its own pair and the spectrum of
-the bond left of it, which no other gate of the layer touches. So a layer's
-element count is read from the start chain without absorbing it: each gate
-is applied to its weighted pair blob and the values-only spectrum is ranked
-(:func:`_read`). A decision absorbs and throws away at most one layer
-(:func:`_choose_side` lists the cases).
+the bond left of it, which no other gate of the layer touches. So a whole
+layer is split against the start chain at once (``chains.split_layer``):
+one full SVD per stack of same-shape pair blobs, whose ranks give the
+element count of the chain the split would write. The chooser splits both
+sides' layers and writes only the winner's, from its own factors
+(``chains.write_layer``); no layer is counted in one pass and absorbed in
+another, and none is written and thrown away (:func:`_choose_side`).
 """
 
 from __future__ import annotations
@@ -37,19 +39,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import (
+    LayerSplit,
     MatrixProductOperator,
     MatrixProductState,
-    _gate_op,
-    _pair_blob,
     _with_spectra,
-    absorb_gate,
     apply_to_zero,
     compress,
     identity_mpo,
     mps_to_dense,
     sample,
+    split_layer,
     total_elements,
+    write_layer,
 )
+from .chains import absorb_gate  # noqa: F401  unused; perfbench/run.py wraps this name
 from .circuit import ORIGIN_ROUTING, Circuit, Gate, split_at_midpoint
 from .oracle import permute_statevector
 from .routing import (
@@ -59,7 +62,6 @@ from .routing import (
     route_linear,
     strip_transpilation_swaps,
 )
-from .tensor import singular_values, truncation_rank
 from .unswap import unswap
 
 
@@ -198,65 +200,9 @@ class _Side:
         return layer
 
 
-def _entangles(layer: list[Gate] | None) -> bool:
-    """Whether the layer holds a two-qubit gate. A layer without one changes
-    no bond extent, so its chain keeps the element count it started with."""
-    return layer is not None and any(g.is_two_qubit for g in layer)
-
-
-def _sweep(m: MatrixProductOperator, side: _Side, cfg: ContractionConfig) -> MatrixProductOperator:
-    """Absorb the side's next layer into the chain, one ``absorb_gate`` per
-    gate. The gates act on disjoint sites and each split touches only its
-    own pair and bond, so their order changes nothing. No compression sweep
-    follows: each two-qubit gate re-splits its own bond from that bond's
-    Schmidt values, and a local unitary leaves the spectra of all other
-    bonds unchanged, so a sweep would trim nothing."""
-    for g in side.layer():
-        m = absorb_gate(m, g, side.which, cfg.epsilon, cfg.chi_max)
-    return m
-
-
-def _read(m: MatrixProductOperator, side: _Side, cfg: ContractionConfig) -> int:
-    """Element count :func:`_sweep` would give on ``m`` (a chain with
-    spectra), without absorbing the layer. Each two-qubit gate is applied to
-    its weighted pair blob as its split would apply it, and the blob's
-    values-only spectrum is ranked as the split ranks it. No gate of the
-    layer touches another's pair or the bond left of it, so each rank is
-    the one its split keeps."""
-    blobs = {min(g.qubits): _pair_blob(m, min(g.qubits), _gate_op(g, side.which))[1]
-             for g in side.layer() if g.is_two_qubit}
-    dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
-    for bond, rank in _blob_ranks(blobs, cfg).items():
-        dims[bond + 1] = rank
-    return 4 * sum(a * b for a, b in zip(dims, dims[1:]))
-
-
-def _blob_ranks(blobs: dict[int, np.ndarray], cfg: ContractionConfig) -> dict[int, int]:
-    """Truncation ranks of (l, t1, b1, t2, b2, r) pair blobs keyed by bond,
-    matricized between the (l, t1, b1) and (t2, b2, r) legs: one values-only
-    SVD over the stack of each blob shape, and one ranking of its spectra."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for b, theta in blobs.items():
-        by_shape.setdefault(theta.shape, []).append(b)
-    ranks = {}
-    for shape, bonds in by_shape.items():
-        stack = np.stack([blobs[b] for b in bonds]).reshape(len(bonds), 4 * shape[0], -1)
-        spectra = singular_values(stack)
-        ranks.update(zip(bonds, truncation_rank(spectra, cfg.epsilon, cfg.chi_max)))
-    return ranks
-
-
-def _count(m: MatrixProductOperator, side: _Side,
-           cfg: ContractionConfig) -> tuple[int, MatrixProductOperator | None]:
-    """The element count the side's next layer gives on ``m``, and the swept
-    chain when counting it took a sweep. Above ``epsilon`` 0 the count is
-    read (:func:`_read`). At ``epsilon`` 0 every rounding-noise singular
-    value is kept, so a rank hangs on whether the SVD that computes it
-    rounds a value to exactly zero, and only the sweep gives the count."""
-    if cfg.epsilon > 0:
-        return _read(m, side, cfg), None
-    swept = _sweep(m, side, cfg)
-    return total_elements(swept), swept
+def _split(m: MatrixProductOperator, side: _Side, cfg: ContractionConfig) -> LayerSplit:
+    """The side's next layer split against ``m`` (:func:`chains.split_layer`)."""
+    return split_layer(m, side.layer(), side.which, cfg.epsilon, cfg.chi_max)
 
 
 def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
@@ -264,50 +210,35 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     """Pick the side to absorb from next; returns it and the chain with its
     next layer absorbed.
 
-    Adaptive mode keeps the side whose next layer yields the smaller chain,
-    ties going left. A layer with no two-qubit gate ("1q") leaves the count
-    at ``total_elements(m)`` with no work. A count is read from ``m``
-    (:func:`_count`), so only the winning layer is swept, except in the
-    2q / 2q case:
-
-    - 1q / 1q: sweep left (the tie goes left).
-    - 1q / 2q: sweep right if its count is below the current size, else left.
-    - 2q / 1q: sweep left if its count is at most the current size, else
-      right.
-    - 2q / 2q: sweep left and count right; keep left if its count is at
-      most right's, else sweep right.
+    Adaptive mode splits both sides' next layers against ``m`` and writes
+    the one whose count is smaller, ties going left; the loser is never
+    written. The count of a split is that of the chain its write builds,
+    from the same SVD factors, so it cannot disagree with it. A layer with
+    no two-qubit gate needs no SVD and counts ``total_elements(m)``: against
+    it an entangling layer wins only when it shrinks the chain (on the
+    right) or keeps its size (on the left).
 
     Fixed mode alternates every ``k`` layers. An exhausted side always
-    yields to the other; both exhausted is an error.
+    yields to the other; both exhausted is an error. No compression sweep
+    follows a write: each pair is truncated from its bond's own Schmidt
+    values, and a local unitary leaves the spectra of all other bonds
+    unchanged, so a sweep would trim nothing.
     """
     if left.exhausted and right.exhausted:
         raise ValueError("both sides are exhausted")
     if left.exhausted:
-        return "right", _sweep(m, right, cfg)
+        return "right", write_layer(_split(m, right, cfg))
     if right.exhausted:
-        return "left", _sweep(m, left, cfg)
+        return "left", write_layer(_split(m, left, cfg))
     k = cfg.fixed_frequency
     if k is not None:
         which = "left" if (step // k) % 2 == 0 else "right"
-        return which, _sweep(m, left if which == "left" else right, cfg)
-    m = _with_spectra(m)
-    size = total_elements(m)
-    if not _entangles(left.layer()):
-        if _entangles(right.layer()):
-            count, swept = _count(m, right, cfg)
-            if count < size:
-                return "right", swept if swept is not None else _sweep(m, right, cfg)
-        return "left", _sweep(m, left, cfg)
-    if not _entangles(right.layer()):
-        count, swept = _count(m, left, cfg)
-        if count <= size:
-            return "left", swept if swept is not None else _sweep(m, left, cfg)
-        return "right", _sweep(m, right, cfg)
-    kept = _sweep(m, left, cfg)
-    count, swept = _count(m, right, cfg)
-    if total_elements(kept) <= count:
-        return "left", kept
-    return "right", swept if swept is not None else _sweep(m, right, cfg)
+        return which, write_layer(_split(m, left if which == "left" else right, cfg))
+    m = _with_spectra(m)  # once for both splits
+    kept, other = _split(m, left, cfg), _split(m, right, cfg)
+    if kept.elements <= other.elements:
+        return "left", write_layer(kept)
+    return "right", write_layer(other)
 
 
 def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,
@@ -338,7 +269,8 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     """Contract the circuit and return the output state, the terminal bit
     relabeling, and the telemetry trace. Raises :class:`StallError` when
     ``stall_limit`` consecutive unswap calls each shrink the chain by less
-    than 1% while it still exceeds the threshold.
+    than 1% while it still holds at least ``tau`` elements and more than
+    the 4n of a chain with every bond at 1.
     """
     if cfg is None:
         cfg = ContractionConfig()
@@ -402,7 +334,9 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
         trace.append(TraceRecord("unswap", consumed, after, time.perf_counter() - t0))
 
         reduction = (before - after) / before if before else 0.0
-        if after >= cfg.tau and reduction < 0.01:
+        # a chain of 4n elements has every bond at 1 and cannot shrink, so
+        # it never counts toward a stall (a tau of 4n is accepted)
+        if after >= cfg.tau and after > 4 * n and reduction < 0.01:
             stall_reductions.append(reduction)
             if len(stall_reductions) >= cfg.stall_limit:
                 raise StallError(after, cfg.tau, stall_reductions, trace)

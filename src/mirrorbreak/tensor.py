@@ -3,9 +3,10 @@
 Tensors are plain ``numpy.ndarray`` objects of dtype complex128 in row-major
 (C) layout; that linearization is the single source of truth for all index
 arithmetic in the package. Other modules contract, reshape and permute with
-numpy directly, and split tensors through :func:`svd_truncate` (or take
-values-only spectra through :func:`singular_values` and rank them through
-:func:`truncation_rank`). Both retry a failed SVD the same way.
+numpy directly, and split tensors through :func:`svd_truncate`, or a stack
+of matrices through :func:`svd_stack` (or take values-only spectra through
+:func:`singular_values`), ranking stacked spectra through
+:func:`truncation_rank`. All of them retry a failed SVD the same way.
 
 A rank is found without a scan: one reverse cumulative sum of the squared
 values gives the weight of every tail, and a binary search counts the tails
@@ -100,6 +101,8 @@ def truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> int | list[i
     A (k, m) stack of spectra gives a list of k ranks, one per row, each
     ranked exactly as that row alone would be.
     """
+    if s.ndim == 2 and len(s) == 1:  # one row ranks faster on its own, to the same rank
+        return [truncation_rank(s[0], epsilon, chi_max)]
     weights = s * s
     if s.ndim == 1:
         return _spectrum_rank(s, weights, float(weights.sum()), epsilon, chi_max)
@@ -135,6 +138,19 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     """Descending singular values of a matrix, or of each matrix in a
     (k, rows, cols) stack, without the singular vectors."""
     return _svd_with_retry(m, compute_uv=False)
+
+
+def svd_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vh) of each matrix in a (k, rows, cols) stack, the
+    factors stacked the same way. Each matrix's factors are bit for bit
+    those of its own SVD: the backend decomposes the matrices of a stack
+    one by one. Raises as :func:`svd_truncate` does on a non-finite or
+    all-zero matrix, and after a failed retry."""
+    if not np.isfinite(stack).all():
+        raise ValueError("tensor contains non-finite amplitudes")
+    if not stack.reshape(len(stack), -1).any(axis=1).all():
+        raise ZeroTensorError("cannot decompose an all-zero tensor")
+    return _svd_with_retry(stack)
 
 
 def _svd_with_retry(m: np.ndarray, compute_uv: bool = True):

@@ -265,8 +265,8 @@ def two_trial_choose_side(left, right, m, cfg, step):
     """Reference side chooser with the signature of ``driver._choose_side``:
     adaptive mode absorbs the next layer of both sides, each re-extracted
     from the side's remaining gates, and keeps the smaller chain (ties go
-    left). ``driver._choose_side`` reads counts instead of absorbing layers;
-    its decisions must match."""
+    left). ``driver._choose_side`` splits both layers and writes only the
+    winner's; its decisions must match."""
     from mirrorbreak.chains import total_elements
 
     lg, rg = left.remaining(), right.remaining()

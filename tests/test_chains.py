@@ -24,9 +24,12 @@ from mirrorbreak.chains import (
     mpo_to_dense,
     mps_to_dense,
     sample,
+    split_layer,
     total_elements,
+    write_layer,
 )
 from mirrorbreak.circuit import Circuit, Gate, gate_unitary, inverse_circuit
+from mirrorbreak.tensor import SvdConvergenceError, ZeroTensorError
 from mirrorbreak.oracle import bits_to_index, simulate, tvd, unitary
 from mirrorbreak.unswap import unswap
 
@@ -451,6 +454,98 @@ class TestDerivedChains:
         lo, hi = (0, 2) if index == 0 else (index - 1, index + 1)
         with pytest.raises(ValueError, match="boundary bonds must have extent 1"):
             MatrixProductOperator._derived(sites, 0.0, lo, hi)
+
+
+class TestLayerSplit:
+    N = 6
+
+    @pytest.mark.parametrize("gauge", ["identity", None, 8, "spectra"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-8, 2e-3])
+    def test_write_is_the_gate_by_gate_absorb(self, monkeypatch, gauge, side, epsilon):
+        # the pairs' blobs are split one stack per shape (on the identity
+        # chain all three share one); the write rechecks sites 1..8 only
+        n = 9
+        m = identity_mpo(n) if gauge == "identity" else chain_in_gauge(n, 70, gauge)
+        layer = [Gate("cx", (2, 1)), Gate("u3", (4,), (0.3, -1.1, 2.0)),
+                 Gate("swap", (5, 6)), Gate("rzz", (8, 7), (0.7,))]
+        split, ranges = derived_calls(monkeypatch,
+                                      lambda: split_layer(m, layer, side, epsilon, 64))
+        assert ranges == ([] if gauge in ("identity", "spectra") else [(0, n)])
+        out, write_ranges = derived_calls(monkeypatch, lambda: write_layer(split))
+        assert write_ranges == [(1, 9)]
+        assert out.sites[0] is split.chain.sites[0]
+        assert out.spectra[0] is split.chain.spectra[0]
+        assert split.elements == total_elements(out)
+        expected = split.chain
+        for g in layer:
+            expected = absorb_gate(expected, g, side, epsilon, 64)
+        assert all(np.array_equal(a, b) for a, b in zip(out.sites, expected.sites))
+        assert all(np.array_equal(a, b) for a, b in zip(out.spectra, expected.spectra))
+        if epsilon == 0.0:
+            assert_canonical_with_spectra(out)
+            dense = mpo_to_dense(m)
+            for g in layer:
+                dense = embed(g, n) @ dense if side == "left" else dense @ embed(g, n)
+            np.testing.assert_allclose(mpo_to_dense(out), dense, atol=1e-10)
+
+    def test_one_qubit_layer_keeps_the_count_and_every_spectrum(self):
+        m = chain_in_gauge(self.N, 71, "spectra")
+        split = split_layer(m, [Gate("h", (0,)), Gate("x", (3,))], "right", 1e-8, 64)
+        out = write_layer(split)
+        assert split.pairs == {} and split.elements == total_elements(m)
+        assert out.spectra == m.spectra
+        expected = mpo_to_dense(m) @ embed(Gate("h", (0,)), self.N) @ embed(Gate("x", (3,)),
+                                                                           self.N)
+        np.testing.assert_allclose(mpo_to_dense(out), expected, atol=1e-10)
+
+    def bad_chain(self, value):
+        """A chain with its spectra whose site 1 is filled with ``value``."""
+        m = identity_mpo(4)
+        sites = list(m.sites)
+        sites[1] = np.full(sites[1].shape, value, dtype=complex)
+        return MatrixProductOperator._derived(sites, 0.0, 1, 2, m.spectra)
+
+    @pytest.mark.parametrize("value,error,message", [
+        (np.nan, ValueError, "tensor contains non-finite amplitudes"),
+        (0.0, ZeroTensorError, "cannot decompose an all-zero tensor"),
+    ])
+    def test_bad_blob_raises_as_svd_truncate_does(self, value, error, message):
+        m = self.bad_chain(value)
+        g = Gate("cx", (0, 1))
+        with pytest.raises(error) as single:
+            absorb_gate(m, g, "left", 1e-8, 64)
+        with pytest.raises(error) as layer:
+            split_layer(m, [g, Gate("cx", (2, 3))], "left", 1e-8, 64)
+        assert str(layer.value) == str(single.value) == message
+
+    def test_failed_svd_is_retried_once_then_raises(self, monkeypatch):
+        calls = []
+
+        def always_fails(a, *args, **kwargs):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("synthetic non-convergence")
+
+        m = chain_in_gauge(self.N, 72, "spectra")
+        monkeypatch.setattr(np.linalg, "svd", always_fails)
+        with pytest.raises(SvdConvergenceError, match="failed to converge after perturbed retry"):
+            split_layer(m, [Gate("cx", (0, 1)), Gate("cx", (4, 5))], "left", 1e-8, 64)
+        assert len(calls) == 2 and calls[0] == calls[1] and len(calls[0]) == 3
+
+    @pytest.mark.parametrize("gates", [
+        [Gate("cx", (0, 1)), Gate("h", (1,))],
+        [Gate("cx", (0, 1)), Gate("cx", (1, 2))],
+        [Gate("h", (2,)), Gate("x", (2,))],
+    ])
+    def test_overlapping_gates_rejected(self, gates):
+        with pytest.raises(ValueError, match="disjoint"):
+            split_layer(identity_mpo(3), gates, "left", 1e-8, 64)
+
+    def test_bad_side_and_non_adjacent_gate_rejected(self):
+        with pytest.raises(ValueError, match="side must be left or right"):
+            split_layer(identity_mpo(3), [Gate("h", (0,))], "top", 1e-8, 64)
+        with pytest.raises(ValueError, match="non-adjacent"):
+            split_layer(identity_mpo(3), [Gate("cx", (0, 2))], "left", 1e-8, 64)
 
 
 class TestBondDot:

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorbreak.tensor import TruncatedSVD, ZeroTensorError, svd_truncate, truncation_rank
+from mirrorbreak.tensor import (
+    TruncatedSVD,
+    ZeroTensorError,
+    svd_stack,
+    svd_truncate,
+    truncation_rank,
+)
 
 from .oracles import reference_truncation_rank
 
@@ -131,6 +137,31 @@ class TestSvdTruncate:
     def test_result_type(self):
         dec = svd_truncate(np.eye(2, dtype=complex), split=1, epsilon=0.0, chi_max=2)
         assert isinstance(dec, TruncatedSVD)
+
+
+class TestSvdStack:
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 8, 8), (5, 4, 16), (4, 16, 8)])
+    def test_factors_are_each_matrix_own_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rand_complex(rng, shape) * np.logspace(0, -9, shape[2])[None, None, :]
+        u, s, vh = svd_stack(stack)
+        for k, t in enumerate(stack):
+            dec = svd_truncate(t, split=1, epsilon=0.0, chi_max=10**9)
+            r = dec.rank
+            assert np.array_equal(s[k, :r], dec.s) and np.array_equal(vh[k, :r], dec.v)
+            assert np.array_equal(u[k, :, :r], dec.u)
+
+    def test_non_finite_raises(self):
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite amplitudes"):
+            svd_stack(stack)
+
+    def test_one_zero_matrix_raises(self):
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[2] = 0
+        with pytest.raises(ZeroTensorError, match="all-zero"):
+            svd_stack(stack)
 
 
 # ------------------------------------------------------------------ #
