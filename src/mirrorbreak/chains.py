@@ -20,8 +20,13 @@ update (two-qubit ``absorb_gate``, ``apply_swap_boundary`` and the unswap
 module's bond re-truncation) is one split of that blob in ``_update_pair``
 that needs neither a center move nor an inverse spectrum (Hastings, J. Math.
 Phys. 50, 095207), and one-qubit gates leave every spectrum alone. A layer
-of gates on disjoint sites is split at once (``split_layer``), one SVD per
-stack of same-shape blobs, and written by the same rule (``write_layer``).
+of gates on disjoint sites is split at once (``split_layer``) and written by
+the same rule (``write_layer``); ``absorb_gate`` is that kernel on one gate.
+The kernel's unit of work is a stack: the pairs whose bonds b-1, b and b+1
+have the same extents are contracted, gated, weighted, split and ranked by
+one array operation each, and the one-qubit gates on same-shape sites are
+one contraction. A stack of one is a view of its array, not a copy, and no
+gate tensor outlives the layer that built it.
 ``compress`` returns the spectra its truncation sweep finds. The spectra
 are the only record of a chain's gauge: a chain without them (the public
 constructor, ``move_center``) is in an unknown gauge, and is made canonical
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Gate, gate_unitary
+from .circuit import Gate, gate_unitaries
 from .tensor import svd_stack, svd_truncate, truncation_rank
 
 DENSE_GUARD_QUBITS = 12
@@ -235,9 +240,9 @@ def _pair_blob(
     its left leg is the chain's open end, and site 0 holds the norm. The
     sites left of the pair contract to an isometry times that spectrum and
     the sites right of it are right-isometric, so the weighted blob's
-    singular values are the bond's Schmidt values after ``op``. Every split
-    and every rank of a pair goes through here, so a count ranks the very
-    values the split truncates."""
+    singular values are the bond's Schmidt values after ``op``. Every single
+    split and rank of a pair goes through here; :func:`split_layer` builds
+    the same blobs a stack at a time."""
     theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
     if op is not None:
         theta = op(theta)
@@ -282,29 +287,6 @@ def _write_pair(sites: list[np.ndarray], spectra: list[np.ndarray], bond: int,
     spectra[bond] = s
 
 
-def _gate_tensor(g: Gate) -> np.ndarray:
-    """Gate as (out_lo, out_hi, in_lo, in_hi) with the pair ordered by site
-    index, regardless of the order the qubits were listed on the gate."""
-    u4 = gate_unitary(g).reshape(2, 2, 2, 2)
-    if g.qubits[0] > g.qubits[1]:
-        u4 = u4.transpose(1, 0, 3, 2)
-    return u4
-
-
-def _gate_op(g: Gate, side: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Map of a two-qubit gate on the (l, t1, b1, t2, b2, r) blob of its
-    pair: G on the top legs (``side="left"``, G.M) or on the bottom legs
-    (``side="right"``, M.G)."""
-    u4 = _gate_tensor(g)  # (x, y, t, u): G[(x,y),(t,u)]
-    if side == "left":
-        def op(theta):  # (G.M): new tops x,y contract gate inputs with old tops
-            return np.einsum("xytu,ltbuar->lxbyar", u4, theta)
-    else:
-        def op(theta):  # (M.G): old bottoms b,a are G's outputs; new bottoms x,y
-            return np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
-    return op
-
-
 def absorb_gate(
     m: MatrixProductOperator,
     g: Gate,
@@ -316,27 +298,10 @@ def absorb_gate(
     (output) legs so the result represents G.M; ``side="right"`` multiplies
     on the bottom legs giving M.G. Two-qubit gates must act on adjacent
     sites, and re-split their bond from its Schmidt values, which is the
-    locally optimal truncation (:func:`_update_pair`). Single-qubit gates
-    are a plain contraction with no SVD.
+    locally optimal truncation. Single-qubit gates are a plain contraction
+    with no SVD. This is the layer kernel on a layer of one gate.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be left or right, got {side!r}")
-    if len(g.qubits) == 1:
-        q = g.qubits[0]
-        sites = list(m.sites)
-        sites[q] = _one_site(sites[q], g, side)
-        # a unitary on one site's leg keeps the canonical form and every spectrum
-        return MatrixProductOperator._derived(sites, m.log_norm, q, q + 1, m.spectra)
-    return _update_pair(m, _pair_bond(g), _gate_op(g, side), epsilon, chi_max)
-
-
-def _one_site(site: np.ndarray, g: Gate, side: str) -> np.ndarray:
-    """A one-qubit gate contracted into one (l, t, b, r) site: on the top
-    leg (``side="left"``, G.M) or on the bottom leg (``side="right"``, M.G)."""
-    u = gate_unitary(g)
-    if side == "left":
-        return np.einsum("tk,lkbr->ltbr", u, site)
-    return np.einsum("ltkr,kb->ltbr", site, u)
+    return write_layer(split_layer(m, (g,), side, epsilon, chi_max))
 
 
 def _pair_bond(g: Gate) -> int:
@@ -347,13 +312,40 @@ def _pair_bond(g: Gate) -> int:
     return min(a, b)
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shape arrays as one (k, ...) array; a single one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+# a stack of gates contracted into a stack of (k, l, t1, b1, t2, b2, r) pair
+# blobs, G[(x,y),(t,u)] with the pair ordered by site, or of (k, l, t, b, r)
+# sites: on the top legs (G.M, the old tops are G's inputs) or on the bottom
+# legs (M.G, the old bottoms are G's outputs)
+_PAIR_GATE = {"left": "kxytu,kltbuar->klxbyar", "right": "kbaxy,kltbuar->kltxuyr"}
+_SITE_GATE = {"left": "ktj,kljbr->kltbr", "right": "kjb,kltjr->kltbr"}
+_NO_WEIGHT = np.ones(1)
+
+
+def _pair_gates(gates: list[Gate]) -> np.ndarray:
+    """Two-qubit gates as a (k, out_lo, out_hi, in_lo, in_hi) stack, each
+    pair ordered by site index whatever the order its qubits were listed."""
+    u4 = gate_unitaries(gates).reshape(-1, 2, 2, 2, 2)
+    flipped = [i for i, g in enumerate(gates) if g.qubits[0] > g.qubits[1]]
+    if len(flipped) == len(gates):
+        return u4.transpose(0, 2, 1, 4, 3)
+    if flipped:
+        u4[flipped] = u4[flipped].transpose(0, 2, 1, 4, 3)
+    return u4
+
+
 @dataclass(frozen=True)
 class LayerSplit:
     """A layer of gates on disjoint sites split against one chain, before
-    any site is written. ``chain`` is the start chain with its spectra;
-    ``pairs`` maps the bond of each two-qubit gate to its pair blob and the
-    kept factors s and V of its weighted blob's SVD; ``elements`` is the
-    element count of the chain :func:`write_layer` builds from them."""
+    any site is written. ``chain`` is the start chain, with its spectra
+    when the layer has a two-qubit gate; ``pairs`` maps the bond of each
+    two-qubit gate to its pair blob and the kept factors s and V of its
+    weighted blob's SVD; ``elements`` is the element count of the chain
+    :func:`write_layer` builds from them."""
 
     chain: MatrixProductOperator
     gates: tuple[Gate, ...]
@@ -367,51 +359,84 @@ def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
     """Split every two-qubit gate of a layer against ``m`` at once. The
     gates act on disjoint sites, and each pair's split reads only its own
     two sites and the spectrum of the bond left of it, which no other gate
-    of the layer touches. So the weighted blobs (:func:`_pair_blob`) of one
-    shape are split by one SVD of their stack, whose factors are bit for
-    bit those of each blob alone, and the stack's spectra are ranked as
-    ``svd_truncate`` ranks one. One-qubit gates need no split; the write
-    applies them. Raises as ``svd_truncate`` does on a non-finite or
-    all-zero blob and when the SVD fails after its retry."""
+    of the layer touches. So the pairs whose bonds b-1, b and b+1 have the
+    same extents form one stack, and each stack is one operation per step:
+    one matmul contracts its site pairs, one einsum applies its gates, one
+    multiply weights the blobs by the spectra of bonds b-1 (1 at bond 0,
+    see :func:`_pair_blob`), and one SVD, whose factors are bit for
+    bit those of each blob alone, splits them for one ranking of all their
+    spectra. One-qubit gates need no split; the write applies them. Raises
+    as ``svd_truncate`` does on bad cutoffs, on a non-finite or all-zero
+    blob, and when the SVD fails after its retry."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
     gates = tuple(gates)
     touched = [q for g in gates for q in g.qubits]
     if len(set(touched)) != len(touched):
         raise ValueError("the gates of a layer must act on disjoint sites")
+    two = [(_pair_bond(g), g) for g in gates if g.is_two_qubit]
+    if not two:
+        return LayerSplit(m, gates, side, {}, total_elements(m))
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    if chi_max < 1:
+        raise ValueError("chi_max must be >= 1")
     m = _with_spectra(m)
-    by_shape: dict[tuple[int, ...], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for g in gates:
-        if g.is_two_qubit:
-            b = _pair_bond(g)
-            theta, weighted = _pair_blob(m, b, _gate_op(g, side))
-            by_shape.setdefault(theta.shape, []).append((b, theta, weighted))
-    pairs = {}
+    sites, spectra = m.sites, m.spectra
     dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
-    for (l, *_), group in by_shape.items():
-        stack = np.stack([weighted for _, _, weighted in group])
-        _, s, v = svd_stack(stack.reshape(len(group), 4 * l, -1))
-        for (b, theta, _), sb, vb, rank in zip(group, s, v,
-                                               truncation_rank(s, epsilon, chi_max)):
-            pairs[b] = (theta, sb[:rank], vb[:rank])
+    stacks: dict[tuple[int, int, int], list[tuple[int, Gate]]] = {}
+    for b, g in two:
+        stacks.setdefault((dims[b], dims[b + 1], dims[b + 2]), []).append((b, g))
+    pairs = {}
+    for (l, c, r), group in stacks.items():
+        k = len(group)
+        bonds = [b for b, _ in group]
+        theta = np.matmul(_stack([sites[b] for b in bonds]).reshape(k, 4 * l, c),
+                          _stack([sites[b + 1] for b in bonds]).reshape(k, c, 4 * r))
+        theta = theta.reshape(k, l, 2, 2, 2, 2, r)
+        theta = np.einsum(_PAIR_GATE[side], _pair_gates([g for _, g in group]), theta)
+        # bond 0 takes weight 1, which changes no bit: the einsum sums into
+        # zeros, so no entry of a blob is -0.0
+        weights = _stack([spectra[b - 1] if b else _NO_WEIGHT for b in bonds])
+        weighted = weights.reshape(k, l, 1, 1, 1, 1, 1) * theta
+        _, s, v = svd_stack(weighted.reshape(k, 4 * l, 4 * r))
+        for b, theta_b, s_b, v_b, rank in zip(bonds, theta, s, v,
+                                              truncation_rank(s, epsilon, chi_max)):
+            pairs[b] = (theta_b, s_b[:rank], v_b[:rank])
             dims[b + 1] = rank
     return LayerSplit(m, gates, side, pairs, 4 * sum(a * b for a, b in zip(dims, dims[1:])))
 
 
+def _write_sites(sites: list[np.ndarray], gates: list[Gate], side: str) -> None:
+    """Contract one-qubit gates into their (l, t, b, r) sites, in place on
+    the site list: on the top legs (``side="left"``, G.M) or on the bottom
+    legs (``side="right"``, M.G), one einsum per stack of same-shape sites."""
+    stacks: dict[tuple[int, ...], list[Gate]] = {}
+    for g in gates:
+        stacks.setdefault(sites[g.qubits[0]].shape, []).append(g)
+    for group in stacks.values():
+        qs = [g.qubits[0] for g in group]
+        out = np.einsum(_SITE_GATE[side], gate_unitaries(group), _stack([sites[q] for q in qs]))
+        for q, site in zip(qs, out):
+            sites[q] = site
+
+
 def write_layer(split: LayerSplit) -> MatrixProductOperator:
     """The chain with the split layer absorbed: each pair written from its
-    kept factors as ``absorb_gate`` writes it, each one-qubit gate
+    kept factors as :func:`_update_pair` writes it, each one-qubit gate
     contracted into its site. Only the sites the layer touches are checked
-    again."""
+    again; a one-qubit layer keeps the chain's spectra, known or not, since
+    a unitary on one site's leg changes none."""
     m = split.chain
     sites = list(m.sites)
-    spectra = list(m.spectra)
-    for g in split.gates:
-        if not g.is_two_qubit:
-            q = g.qubits[0]
-            sites[q] = _one_site(sites[q], g, split.side)
-    for bond, (theta, s, v) in split.pairs.items():
-        _write_pair(sites, spectra, bond, theta, s, v)
+    ones = [g for g in split.gates if not g.is_two_qubit]
+    if ones:
+        _write_sites(sites, ones, split.side)
+    spectra = m.spectra
+    if split.pairs:
+        spectra = list(spectra)
+        for bond, (theta, s, v) in split.pairs.items():
+            _write_pair(sites, spectra, bond, theta, s, v)
     touched = [q for g in split.gates for q in g.qubits]
     return MatrixProductOperator._derived(sites, m.log_norm, min(touched, default=0),
                                           max(touched, default=-1) + 1, spectra)

@@ -72,6 +72,28 @@ class Gate:
         if self.origin == ORIGIN_ROUTING and self.kind != "swap":
             raise ValueError("only swap gates may carry the transpilation-swap tag")
 
+    @classmethod
+    def _checked(cls, kind: str, qubits: tuple[int, ...], params: tuple[float, ...],
+                 origin: str) -> "Gate":
+        """A gate whose fields the caller has already checked as
+        ``__post_init__`` would (a parsed statement, a gate moved by a
+        permutation, a routing swap), built without checking them again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "kind", kind)
+        object.__setattr__(g, "qubits", qubits)
+        object.__setattr__(g, "params", params)
+        object.__setattr__(g, "origin", origin)
+        return g
+
+    def _moved(self, qubits: tuple[int, ...]) -> "Gate":
+        """This gate on ``qubits``, which must be the image of its own qubits
+        under a permutation of the wires: the image of distinct qubits is
+        distinct, and kind, parameters and origin do not change, so nothing
+        needs checking again. The gate itself when its wires do not move."""
+        if qubits == self.qubits:
+            return self
+        return Gate._checked(self.kind, qubits, self.params, self.origin)
+
     @property
     def is_two_qubit(self) -> bool:
         return len(self.qubits) == 2
@@ -90,49 +112,99 @@ class Circuit:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} addresses a qubit outside 0..{self.num_qubits - 1}")
 
+    @classmethod
+    def _checked(cls, num_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit of at least one qubit whose gates the caller knows to
+        address qubits 0..num_qubits-1 only (a parsed program, or gates
+        placed on wires by a permutation of them), built without the bounds
+        loop."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "num_qubits", num_qubits)
+        object.__setattr__(c, "gates", gates)
+        return c
+
     def two_qubit_count(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
 
 
+# unitaries of the gates without parameters
+_FIXED_UNITARIES = {
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+}
+
+
+def _entries(kind: str, p, c, s) -> list:
+    """(row, column, value) of each nonzero entry of a parameterized kind's
+    unitary, from its parameters ``p`` and ``c``, ``s``, the cosine and sine
+    of half the first: scalars for one gate, or one array per parameter for
+    a stack of gates, each entry then computed for all of them at once."""
+    if kind == "rx":
+        return [(0, 0, c), (1, 1, c), (0, 1, -1j * s), (1, 0, -1j * s)]
+    if kind == "ry":
+        return [(0, 0, c), (1, 1, c), (0, 1, -s), (1, 0, s)]
+    if kind == "rz":
+        return [(0, 0, np.exp(-0.5j * p[0])), (1, 1, np.exp(0.5j * p[0]))]
+    if kind == "u3":
+        _, phi, lam = p
+        return [(0, 0, c), (0, 1, -np.exp(1j * lam) * s), (1, 0, np.exp(1j * phi) * s),
+                (1, 1, np.exp(1j * (phi + lam)) * c)]
+    if kind == "rzz":
+        e_m, e_p = np.exp(-0.5j * p[0]), np.exp(0.5j * p[0])
+        return [(0, 0, e_m), (1, 1, e_p), (2, 2, e_p), (3, 3, e_m)]
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
 def gate_unitary(g: Gate) -> np.ndarray:
     """Dense 2x2 or 4x4 unitary for a gate, in the conventions above."""
+    if g.kind in _FIXED_UNITARIES:
+        return _FIXED_UNITARIES[g.kind].copy()
     p = g.params
-    if g.kind == "h":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if g.kind == "x":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if g.kind == "rx":
-        c, s = math.cos(p[0] / 2), math.sin(p[0] / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if g.kind == "ry":
-        c, s = math.cos(p[0] / 2), math.sin(p[0] / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if g.kind == "rz":
-        return np.array(
-            [[np.exp(-0.5j * p[0]), 0], [0, np.exp(0.5j * p[0])]], dtype=complex
-        )
-    if g.kind == "u3":
-        theta, phi, lam = p
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array(
-            [
-                [c, -np.exp(1j * lam) * s],
-                [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-            ],
-            dtype=complex,
-        )
-    if g.kind == "cx":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if g.kind == "rzz":
-        e_m, e_p = np.exp(-0.5j * p[0]), np.exp(0.5j * p[0])
-        return np.diag([e_m, e_p, e_p, e_m]).astype(complex)
-    if g.kind == "swap":
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    u = np.zeros((2 ** len(g.qubits),) * 2, dtype=complex)
+    for i, j, value in _entries(g.kind, p, math.cos(p[0] / 2), math.sin(p[0] / 2)):
+        u[i, j] = value
+    return u
+
+
+# Below this many gates a stack of unitaries is built gate by gate: building
+# a kind's entries as arrays costs a fixed 5-15 us, about what three to seven
+# single matrices take.
+_STACKED_FROM = 8
+
+
+def gate_unitaries(gates) -> np.ndarray:
+    """The unitaries of gates that all act on one qubit or all on two,
+    stacked as (k, d, d) in the gates' order, each bit for bit that of
+    :func:`gate_unitary`. From ``_STACKED_FROM`` gates on, each kind's
+    entries are computed for all its gates at once. The cosines and sines
+    are still taken one by one with ``math``, as :func:`gate_unitary` takes
+    them: numpy does not promise that its vectorized float trigonometry
+    rounds as the C library does on every machine."""
+    if len(gates) == 1:
+        return gate_unitary(gates[0])[None]
+    if len(gates) < _STACKED_FROM:
+        return np.array([gate_unitary(g) for g in gates])
+    d = 2 ** len(gates[0].qubits)
+    out = np.zeros((len(gates), d, d), dtype=complex)
+    rows: dict[str, list[int]] = {}
+    for i, g in enumerate(gates):
+        rows.setdefault(g.kind, []).append(i)
+    for kind, idx in rows.items():
+        block = out if len(rows) == 1 else np.zeros((len(idx), d, d), dtype=complex)
+        if kind in _FIXED_UNITARIES:
+            block[:] = _FIXED_UNITARIES[kind]
+        else:
+            p = np.array([gates[i].params for i in idx]).T  # one row per parameter
+            half = (p[0] / 2).tolist()
+            c = np.array([math.cos(t) for t in half])
+            s = np.array([math.sin(t) for t in half])
+            for i, j, value in _entries(kind, p, c, s):
+                block[:, i, j] = value
+        if block is not out:
+            out[idx] = block
+    return out
 
 
 def inverse_gate(g: Gate) -> Gate:
@@ -378,7 +450,8 @@ class _Program:
                 self.gates.append(gate)
         if self.qreg is None:
             raise QasmError("program declares no quantum register", 1, 1)
-        return Circuit(self.size, tuple(self.gates))
+        # the register has at least one qubit, and _gate kept every index in it
+        return Circuit._checked(self.size, tuple(self.gates))
 
     def _header(self) -> int:
         ts = _Reader(self.src, 0)
@@ -393,7 +466,8 @@ class _Program:
 
     def _gate(self, m: re.Match) -> Gate | None:
         """The gate of a statement matched by the gate branch of
-        ``_STATEMENT``, or None if it fails a check."""
+        ``_STATEMENT``, or None if it fails a check. The checks are those of
+        ``Gate``, made here once, so the gate is built without them."""
         kind, literals, text, reg0, idx0, reg1, idx1 = m.groups()
         qreg = self.qreg
         if qreg is None or reg0 != qreg or reg1 not in (None, qreg):
@@ -402,7 +476,8 @@ class _Program:
             qubits = (int(idx0),) if reg1 is None else (int(idx0), int(idx1))
         except ValueError:  # more digits than int() converts
             return None
-        if max(qubits) >= self.size:
+        nq, nparams = GATE_ARITY[kind]
+        if len(qubits) != nq or max(qubits) >= self.size or (nq == 2 and qubits[0] == qubits[1]):
             return None
         if literals is not None:
             params = tuple(map(float, literals.split(",")))
@@ -412,10 +487,9 @@ class _Program:
             params = self._expressions(m.start("params"), m.end("params"))
             if params is None:
                 return None
-        try:
-            return Gate(kind, qubits, params)
-        except ValueError:  # arity, parameter count, repeated qubit, non-finite angle
+        if len(params) != nparams or not all(map(math.isfinite, params)):
             return None
+        return Gate._checked(kind, qubits, params, ORIGIN_SOURCE)
 
     def _expressions(self, start: int, end: int) -> tuple[float, ...] | None:
         """The angles in ``src[start:end]``, or None unless they fill it."""

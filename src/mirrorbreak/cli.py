@@ -3,8 +3,9 @@ emit traces and histograms for external plotting.
 
 Exit codes are a stable contract: 0 success, 1 peak mismatch (``verify``
 only), 2 usage error (a circuit file that is not UTF-8 or not valid QASM
-counts as one), 3 no result (a stall diagnosis, or an SVD that did not
-converge even after its perturbed retry), 4 I/O failure. Bitstrings print
+counts as one), 3 no result (a stall diagnosis, an SVD that did not
+converge even after its perturbed retry, or too little memory for the
+contraction or for the ``--shots`` samples), 4 I/O failure. Bitstrings print
 qubit 0 leftmost everywhere.
 """
 
@@ -142,6 +143,9 @@ def _contract(circuit, args, trace: str | None = None, **config):
         raise SystemExit(_usage_error(exc))
     except SvdConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print(f"error: out of memory contracting the circuit and drawing --shots "
+              f"{args.shots} samples; try fewer --shots", file=sys.stderr)
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
         if trace:

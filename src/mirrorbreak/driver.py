@@ -241,9 +241,15 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     return "right", write_layer(other)
 
 
+def _remaining(side: _Side, n: int) -> Circuit:
+    """The side's unconsumed gates as a circuit; they came from a checked
+    circuit on the same n wires, so the bounds loop is not run again."""
+    return Circuit._checked(n, tuple(side.remaining()))
+
+
 def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,
                  n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(Circuit(n, tuple(side.remaining())), side.front)
+    logical = strip_transpilation_swaps(_remaining(side, n), side.front)
     sigma = side.front.inverse().compose(extracted)
     relabeled = reindex(logical, sigma.inverse())
     routed = route_linear(relabeled, "forward")
@@ -255,7 +261,7 @@ def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutat
 
 def _rewire_right(pi_in: QubitPermutation, side: _Side, extracted: QubitPermutation,
                   n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(Circuit(n, tuple(side.remaining())), side.front)
+    logical = strip_transpilation_swaps(_remaining(side, n), side.front)
     sigma = extracted.compose(side.back)
     relabeled = reindex(logical, sigma)
     routed = route_linear(relabeled, "reverse")

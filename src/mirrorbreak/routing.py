@@ -12,13 +12,20 @@ accumulate at the end (output_layout); reverse routing ends at the identity
 layout and pushes the drift to the beginning (input_layout). Neither mode
 appends restoring SWAPs; callers fold the exported layout into their own
 bookkeeping.
+
+Every layout is a permutation of the wires 0..n-1, and the image of distinct
+qubits under a permutation is distinct and in range. So a gate these
+functions move onto other wires, or a routing swap they emit, holds the
+checks its source gate passed, and is built without repeating them
+(``Gate._moved``, ``Gate._checked``); so is the circuit of such gates
+(``Circuit._checked``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import ORIGIN_ROUTING, ORIGIN_SOURCE, Circuit, Gate
+from .circuit import ORIGIN_ROUTING, Circuit, Gate
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def _bring_adjacent(layout: _Layout, a: int, b: int, emit) -> tuple[int, int]:
     p, q = layout.l2p[a], layout.l2p[b]
     lo, hi = min(p, q), max(p, q)
     for w in range(hi, lo + 1, -1):
-        emit(Gate("swap", (w - 1, w), (), ORIGIN_ROUTING))
+        emit(Gate._checked("swap", (w - 1, w), (), ORIGIN_ROUTING))
         layout.swap_wires(w - 1, w)
     return layout.l2p[a], layout.l2p[b]
 
@@ -159,18 +166,18 @@ def route_linear(c: Circuit, direction: str = "forward") -> RoutedCircuit:
 
     for g in gate_iter:
         if len(g.qubits) == 1:
-            emit(Gate(g.kind, (layout.l2p[g.qubits[0]],), g.params, g.origin))
+            emit(g._moved((layout.l2p[g.qubits[0]],)))
             continue
         a, b = g.qubits
         pa, pb = layout.l2p[a], layout.l2p[b]
         if abs(pa - pb) != 1:
             pa, pb = _bring_adjacent(layout, a, b, emit)
-        emit(Gate(g.kind, (pa, pb), g.params, g.origin))
+        emit(g._moved((pa, pb)))
 
     if direction == "forward":
-        routed = Circuit(n, tuple(emitted))
+        routed = Circuit._checked(n, tuple(emitted))
         return RoutedCircuit(routed, QubitPermutation.identity(n), layout.as_permutation())
-    routed = Circuit(n, tuple(reversed(emitted)))
+    routed = Circuit._checked(n, tuple(reversed(emitted)))
     return RoutedCircuit(routed, layout.as_permutation(), QubitPermutation.identity(n))
 
 
@@ -185,6 +192,8 @@ def strip_transpilation_swaps(
     cut layout). Source gates, including source SWAPs, are kept.
     """
     n = c.num_qubits
+    if initial_layout is not None and initial_layout.size != n:
+        raise ValueError(f"layout on {initial_layout.size} wires, circuit has {n}")
     layout = _Layout(n, initial_layout.mapping if initial_layout else None)
     out: list[Gate] = []
     for g in c.gates:
@@ -192,9 +201,8 @@ def strip_transpilation_swaps(
             w1, w2 = g.qubits
             layout.swap_wires(w1, w2)
             continue
-        logical = tuple(layout.p2l[q] for q in g.qubits)
-        out.append(Gate(g.kind, logical, g.params, ORIGIN_SOURCE))
-    return Circuit(n, tuple(out))
+        out.append(g._moved(tuple(layout.p2l[q] for q in g.qubits)))  # a source gate
+    return Circuit._checked(n, tuple(out))
 
 
 def reindex(c: Circuit, p: QubitPermutation) -> Circuit:
@@ -204,11 +212,9 @@ def reindex(c: Circuit, p: QubitPermutation) -> Circuit:
     """
     if p.size != c.num_qubits:
         raise ValueError(f"permutation on {p.size} wires, circuit has {c.num_qubits}")
-    gates = tuple(
-        Gate(g.kind, tuple(p.mapping[q] for q in g.qubits), g.params, g.origin)
-        for g in c.gates
-    )
-    return Circuit(c.num_qubits, gates)
+    mapping = p.mapping
+    return Circuit._checked(c.num_qubits, tuple(
+        g._moved(tuple(mapping[q] for q in g.qubits)) for g in c.gates))
 
 
 def advance_layout(layout: QubitPermutation, wire_a: int, wire_b: int) -> QubitPermutation:

@@ -58,6 +58,48 @@ def circuit_unitary_naive(circuit) -> np.ndarray:
     return u
 
 
+def per_gate_absorb(m, g, side: str, epsilon: float, chi_max: int):
+    """One gate absorbed on its own: a one-qubit gate by one einsum on its
+    site, a two-qubit gate by one einsum on its pair blob and the
+    single-pair split ``chains._update_pair``. The stacked layer kernel
+    (``split_layer``/``write_layer``, and ``absorb_gate`` through it) must
+    give the same chain bit for bit."""
+    from mirrorbreak.chains import MatrixProductOperator, _pair_bond, _update_pair
+    from mirrorbreak.circuit import gate_unitary
+
+    u = gate_unitary(g)
+    if not g.is_two_qubit:
+        q = g.qubits[0]
+        sites = list(m.sites)
+        sites[q] = (np.einsum("tk,lkbr->ltbr", u, sites[q]) if side == "left"
+                    else np.einsum("ltkr,kb->ltbr", sites[q], u))
+        return MatrixProductOperator._derived(sites, m.log_norm, q, q + 1, m.spectra)
+    u4 = u.reshape(2, 2, 2, 2)  # (x, y, t, u) with the pair ordered by site
+    if g.qubits[0] > g.qubits[1]:
+        u4 = u4.transpose(1, 0, 3, 2)
+    if side == "left":
+        def op(theta):
+            return np.einsum("xytu,ltbuar->lxbyar", u4, theta)
+    else:
+        def op(theta):
+            return np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
+    return _update_pair(m, _pair_bond(g), op, epsilon, chi_max)
+
+
+def assert_built_as_checked(c) -> None:
+    """Every gate of ``c``, and ``c`` itself, equals (``==``, ``hash``,
+    ``repr``) the one the checking ``Gate`` and ``Circuit`` constructors
+    build from the same fields."""
+    from mirrorbreak.circuit import Circuit, Gate
+
+    checked = Circuit(c.num_qubits, tuple(Gate(g.kind, g.qubits, g.params, g.origin)
+                                          for g in c.gates))
+    assert type(c.gates) is tuple
+    assert c == checked and hash(c) == hash(checked) and repr(c) == repr(checked)
+    for g, ref in zip(c.gates, checked.gates):
+        assert (g, hash(g), repr(g)) == (ref, hash(ref), repr(ref))
+
+
 def operator_schmidt_rank(u: np.ndarray, tol: float = 1e-12) -> int:
     """Schmidt rank of a 4x4 two-qubit operator across its qubit cut, by
     brute-force rearrangement and SVD."""

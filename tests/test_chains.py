@@ -36,6 +36,7 @@ from mirrorbreak.unswap import unswap
 from .oracles import (
     operator_schmidt_rank,
     operator_spectrum,
+    per_gate_absorb,
     per_shot_sample_bits,
     random_circuit,
 )
@@ -546,6 +547,104 @@ class TestLayerSplit:
             split_layer(identity_mpo(3), [Gate("h", (0,))], "top", 1e-8, 64)
         with pytest.raises(ValueError, match="non-adjacent"):
             split_layer(identity_mpo(3), [Gate("cx", (0, 2))], "left", 1e-8, 64)
+
+
+def stacked_chain():
+    """A 10-site chain with its spectra and bonds 5, 6 at 2 and bond 8 at 4,
+    all others at 1, built gate by gate by the per-gate reference."""
+    rng = np.random.default_rng(77)
+    m = identity_mpo(10)
+    dress = [Gate("u3", (q,), tuple(float(x) for x in rng.uniform(-np.pi, np.pi, 3)))
+             for q in range(10)]
+    for g in dress + [Gate("rzz", (5, 6), (0.9,)), Gate("rzz", (6, 7), (1.3,)),
+                      Gate("swap", (8, 9))] + dress[::-1]:
+        m = per_gate_absorb(m, g, "left", EXACT, 64)
+    assert m.bond_dims() == (1, 1, 1, 1, 1, 2, 2, 1, 4)
+    return m
+
+
+def assert_same_bits(a: MatrixProductOperator, b: MatrixProductOperator) -> None:
+    assert a.log_norm == b.log_norm
+    assert [s.tobytes() for s in a.sites] == [s.tobytes() for s in b.sites]
+    assert (a.spectra is None) == (b.spectra is None)
+    if a.spectra is not None:
+        assert [s.tobytes() for s in a.spectra] == [s.tobytes() for s in b.spectra]
+
+
+def recorded(monkeypatch, name):
+    """Wrap ``chains.<name>`` so each call's first argument is recorded."""
+    calls = []
+    inner = getattr(chains, name)
+    monkeypatch.setattr(chains, name, lambda a, *args: calls.append(a) or inner(a, *args))
+    return calls
+
+
+class TestStackedKernel:
+    """The layer kernel works a stack at a time: pairs whose bonds b-1, b
+    and b+1 have the same extents, and one-qubit gates on same-shape sites.
+    Its chain must be the per-gate path's bit for bit."""
+
+    # on stacked_chain, the extents of bonds b-1, b and b+1 are (1, 1, 1) at
+    # bonds 0 and 3, which form one stack; bond 8 has their outer extents
+    # but a middle of 4, and bond 6 is (2, 2, 1). Sites 2 and 5 differ in
+    # shape. The rzz on bond 3 is weak enough for a cutoff of 2e-3 to drop
+    # its second Schmidt value.
+    LAYER = [Gate("cx", (1, 0)), Gate("u3", (2,), (0.3, -1.1, 2.0)),
+             Gate("rzz", (3, 4), (1e-3,)), Gate("h", (5,)), Gate("rzz", (7, 6), (0.4,)),
+             Gate("swap", (8, 9))]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-8, 2e-3])
+    def test_pair_stacks_equal_the_per_gate_path(self, monkeypatch, side, epsilon):
+        m = stacked_chain()
+        svds = recorded(monkeypatch, "svd_stack")
+        split = split_layer(m, self.LAYER, side, epsilon, 64)
+        assert sorted(a.shape for a in svds) == [(1, 4, 4), (1, 8, 4), (2, 4, 4)]
+        out = write_layer(split)
+        assert split.elements == total_elements(out)
+        expected = m
+        for g in self.LAYER:
+            expected = per_gate_absorb(expected, g, side, epsilon, 64)
+        assert_same_bits(out, expected)
+        assert_same_bits(out, absorb_circuit(m, Circuit(10, tuple(self.LAYER)), side,
+                                             epsilon, 64))
+        # the cutoff of 2e-3 bites on bond 3; 1e-8 keeps both Schmidt values
+        # and 0 keeps the rounding noise too
+        assert out.bond_dims()[3] == {0.0: 4, 1e-8: 2, 2e-3: 1}[epsilon]
+        if epsilon == 0.0:
+            assert_canonical_with_spectra(out)
+            dense = mpo_to_dense(m)
+            for g in self.LAYER:
+                dense = embed(g, 10) @ dense if side == "left" else dense @ embed(g, 10)
+            np.testing.assert_allclose(mpo_to_dense(out), dense, atol=1e-10)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_site_stacks_of_mixed_shapes_equal_the_per_gate_path(self, monkeypatch, side):
+        m = stacked_chain()
+        rng = np.random.default_rng(78)
+        kinds = [("h", 0), ("x", 0), ("rx", 1), ("ry", 1), ("rz", 1), ("u3", 3)]
+        layer = []
+        for q in range(10):
+            kind, nparams = kinds[q % len(kinds)]
+            layer.append(Gate(kind, (q,), tuple(float(x) for x in rng.uniform(-4, 4, nparams))))
+        stacks = recorded(monkeypatch, "gate_unitaries")
+        split = split_layer(m, layer, side, 1e-8, 64)
+        out, ranges = derived_calls(monkeypatch, lambda: write_layer(split))
+        # one stack per site shape: bonds (1, 1) on sites 0..4, and the
+        # shapes of sites 5, 6, 7, 8 and 9 once each
+        assert sorted(len(g) for g in stacks) == [1, 1, 1, 1, 1, 5]
+        assert ranges == [(0, 10)]
+        assert split.elements == total_elements(out) == total_elements(m)
+        assert out.spectra is m.spectra
+        expected = m
+        for g in layer:
+            expected = per_gate_absorb(expected, g, side, 1e-8, 64)
+        assert_same_bits(out, expected)
+
+    def test_a_stack_of_one_is_a_view(self):
+        site = identity_mpo(2).sites[1]
+        assert chains._stack([site]).base is site
+        assert chains._stack([site, site]).base is not site
 
 
 class TestBondDot:

@@ -15,9 +15,11 @@ from scipy.linalg import expm
 
 from mirrorbreak import circuit as circuit_module
 from mirrorbreak.circuit import (
+    GATE_ARITY,
     Circuit,
     Gate,
     QasmError,
+    gate_unitaries,
     gate_unitary,
     inverse_circuit,
     inverse_gate,
@@ -26,7 +28,7 @@ from mirrorbreak.circuit import (
     split_at_midpoint,
 )
 
-from .oracles import random_circuit, reference_parse_qasm
+from .oracles import assert_built_as_checked, random_circuit, reference_parse_qasm
 from .qasm_fuzz import mutated_qasm
 
 
@@ -104,6 +106,25 @@ class TestGateUnitary:
             u = gate_unitary(Gate(kind, qubits, params))
             err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
             assert err <= 1e-12
+
+    @pytest.mark.parametrize("nq", [1, 2])
+    @pytest.mark.parametrize("mixed", [True, False], ids=["mixed-kinds", "one-kind"])
+    def test_stack_is_bit_for_bit_the_scalar_formula(self, nq, mixed):
+        # stacks of every kind of the arity, with angles of both signs,
+        # signed zeros and large values; each matrix is compared byte by
+        # byte, so a zero of the wrong sign fails too
+        rng = np.random.default_rng(8 + nq)
+        angles = [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300, 1e10, *rng.uniform(-7, 7, 40)]
+        kinds = [k for k, (q, _) in GATE_ARITY.items() if q == nq]
+        stacks = [kinds * 150] if mixed else [[k] * size for k in kinds for size in (1, 7, 8, 30)]
+        for stack in stacks:
+            gates = [Gate(kind, tuple(range(nq)), tuple(
+                float(angles[rng.integers(len(angles))]) for _ in range(GATE_ARITY[kind][1])))
+                for kind in (rng.permutation(stack) if mixed else stack)]
+            built = gate_unitaries(gates)
+            assert built.shape == (len(gates), 2**nq, 2**nq)
+            for g, u in zip(gates, built):
+                assert u.tobytes() == gate_unitary(g).tobytes(), g
 
     def test_inverse_gate_is_adjoint(self):
         rng = np.random.default_rng(7)
@@ -229,6 +250,7 @@ REFERENCE_ERRORS = {
     "parameter count": "OPENQASM 2.0;\nqreg q[2];\nu3(1, 2) q[0];\n",
     "qubit count": "OPENQASM 2.0;\nqreg q[2];\nh q[0]; cx q[0];\n",
     "repeated qubit": "OPENQASM 2.0;\nqreg q[2];\ncx q[1], q[1];\n",
+    "repeated qubit written two ways": "OPENQASM 2.0;\nqreg q[2];\nrzz(1) q[01], q[1];\n",
     "unsupported construct": "OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];\n",
     "gate name run into register": "OPENQASM 2.0;\nqreg q[2];\nhq[0];\n",
     "no register": 'OPENQASM 2.0;\ninclude "qelib1.inc";\n',
@@ -307,6 +329,24 @@ class TestParserAgainstReference:
             assert isinstance(new, QasmError), (text, new)
             if isinstance(ref, QasmError):
                 assert str(new) == str(ref), text
+
+
+class TestParsedGatesAreChecked:
+    """The parser makes every check of ``Gate`` itself and builds its gates
+    and circuit without repeating them; what it builds must be what the
+    checking constructors build from the same fields."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_qasm())
+    def test_mutated_programs(self, text):
+        c = outcome(parse_qasm, text)
+        if isinstance(c, Circuit):
+            assert_built_as_checked(c)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_programs(self, seed):
+        c = random_circuit(6, 20, np.random.default_rng(230 + seed))
+        assert_built_as_checked(parse_qasm(serialize_qasm(c)))
 
 
 class TestDeepAngles:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mirrorbreak import chains
 from mirrorbreak.circuit import Circuit, Gate, QasmError, inverse_circuit, parse_qasm, serialize_qasm
 from mirrorbreak.cli import _build_parser, main
 
@@ -274,6 +275,24 @@ class TestSvdNonConvergence:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "converge" in err
+        assert "Traceback" not in err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_sampler_out_of_memory_exits_3_naming_shots(self, instance_files, monkeypatch,
+                                                         capsys, command):
+        # the sampler's buffers grow with --shots; a real impossible
+        # allocation could take the test run down with it, so it is faked
+        def no_memory(psi, shots, seed):
+            raise MemoryError(f"cannot allocate {shots} rows")
+
+        qasm_path, _ = instance_files
+        monkeypatch.setattr(chains, "_sample_bits", no_memory)
+        code = main([command, "--circuit", str(qasm_path), "--shots", "123"])
+        assert code == 3  # not 1, which is verify's peak mismatch
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "--shots 123" in err
         assert "Traceback" not in err
 
 

@@ -16,7 +16,7 @@ from mirrorbreak.routing import (
     strip_transpilation_swaps,
 )
 
-from .oracles import random_circuit
+from .oracles import assert_built_as_checked, random_circuit
 
 
 def routed_equivalent(routed: RoutedCircuit, original: Circuit) -> float:
@@ -200,6 +200,13 @@ class TestStrip:
         stripped = strip_transpilation_swaps(tail, layout)
         assert stripped.gates == c.gates[consumed_source:]
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_layout_size_mismatch(self, size):
+        # a layout on fewer wires would map two wires to one qubit
+        c = Circuit(3, (Gate("cx", (0, 2)),))
+        with pytest.raises(ValueError, match=f"layout on {size} wires, circuit has 3"):
+            strip_transpilation_swaps(c, QubitPermutation.identity(size))
+
 
 # ------------------------------------------------------------------ #
 # reindex
@@ -226,3 +233,34 @@ class TestReindex:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="wires"):
             reindex(Circuit(3, ()), QubitPermutation((1, 0)))
+
+
+# ------------------------------------------------------------------ #
+# gates moved without re-checking
+# ------------------------------------------------------------------ #
+
+
+class TestMovedGates:
+    """Routing, stripping and relabeling move already-checked gates onto
+    other wires by a permutation, and build routing swaps, without checking
+    them again; each gate and circuit they emit must be the one the checking
+    constructors build from the same fields."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_emitted_gates_equal_checked_gates(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(2, 9))
+        c = random_circuit(n, 15, rng)
+        for direction in ("forward", "reverse"):
+            routed = route_linear(c, direction)
+            assert_built_as_checked(routed.circuit)
+            assert_built_as_checked(strip_transpilation_swaps(routed.circuit, routed.input_layout))
+        p = QubitPermutation(tuple(int(x) for x in rng.permutation(n)))
+        assert_built_as_checked(reindex(c, p))
+
+    def test_gates_whose_wires_do_not_move_are_kept(self):
+        c = random_circuit(5, 8, np.random.default_rng(3), adjacent_only=True)
+        assert all(a is b for a, b in zip(route_linear(c).circuit.gates, c.gates))
+        assert all(a is b for a, b in zip(strip_transpilation_swaps(c).gates, c.gates))
+        assert all(a is b for a, b in zip(reindex(c, QubitPermutation.identity(5)).gates,
+                                          c.gates))

@@ -78,6 +78,30 @@ def test_bad_seeds_exit_2():
     assert "--seeds" in done.stderr
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "--against: cannot read"),
+    ("not json", "--against: cannot read"),
+    ('["mirror-wide"]', "does not map workloads to lists of peak probabilities"),
+    ('{"mirror-wide": [0.5, "x"]}', "does not map workloads to lists of peak probabilities"),
+], ids=["missing", "not-json", "not-a-mapping", "not-numbers"])
+def test_bad_against_file_is_a_usage_error_before_solving(tmp_path, content, message):
+    path = tmp_path / "probs.json"
+    if content is not None:
+        path.write_text(content)
+    done = digest("--workload", "mirror-wide", "--seeds", "701", "--against", str(path))
+    assert done.returncode == 2
+    assert message in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""  # no workload was digested
+
+
+@pytest.mark.parametrize("target", ["missing/probs.json", "."], ids=["no-directory", "directory"])
+def test_unwritable_save_path_is_a_usage_error_before_solving(tmp_path, target):
+    done = digest("--workload", "mirror-wide", "--seeds", "701", "--save", str(tmp_path / target))
+    assert done.returncode == 2
+    assert "--save: cannot write" in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_benchmark_wrapped_names_resolve():
     """Every ``(module, attr)`` the benchmark harness wraps is a callable of
     the program, so renaming or deleting one of them fails here too. The

@@ -57,6 +57,20 @@ def digest(workload: str, seeds: list[int]) -> tuple[str, list[float]]:
     return h.hexdigest(), probs
 
 
+def _read_probabilities(p: argparse.ArgumentParser, path: Path) -> dict[str, list[float]]:
+    """The peak probabilities a ``--save`` run wrote to ``path``; a file
+    that cannot be read or is not such a mapping is a usage error."""
+    try:
+        other = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        p.error(f"--against: cannot read {path}: {exc}")
+    if not (isinstance(other, dict) and all(
+            isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
+            for v in other.values())):
+        p.error(f"--against: {path} does not map workloads to lists of peak probabilities")
+    return other
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", action="append", choices=sorted(wl.WORKLOADS),
@@ -70,7 +84,10 @@ def main(argv=None) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         p.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-    other = json.loads(args.against.read_text()) if args.against else {}
+    # file arguments are checked before any instance is solved
+    if args.save and (args.save.is_dir() or not args.save.parent.is_dir()):
+        p.error(f"--save: cannot write {args.save}: no such directory, or a directory")
+    other = _read_probabilities(p, args.against) if args.against else {}
     saved = {}
     for workload in args.workload or sorted(wl.WORKLOADS):
         sha, probs = digest(workload, seeds)
