@@ -15,7 +15,7 @@ the norm, sites 1..n-1 are right-isometric, and ``spectra`` holds the
 Schmidt values of every internal bond (Vidal, PRL 91, 147902). The
 spectrum of any pair (b, b+1) is then that of one blob, the pair's sites
 contracted and weighted on their left leg by the spectrum of bond b-1
-(:func:`_pair_blob`), wherever the chain was last touched. Every two-qubit
+(:func:`_pair_blobs`), wherever the chain was last touched. Every two-qubit
 update (two-qubit ``absorb_gate``, ``apply_swap_boundary`` and the unswap
 module's bond re-truncation) is one split of that blob in ``_update_pair``
 that needs neither a center move nor an inverse spectrum (Hastings, J. Math.
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Gate, gate_unitaries
+from .circuit import Gate, gate_unitary
 from .tensor import svd_stack, svd_truncate, truncation_rank
 
 DENSE_GUARD_QUBITS = 12
@@ -229,26 +229,58 @@ def _with_spectra(m: MatrixProductOperator) -> MatrixProductOperator:
     return MatrixProductOperator._derived(sites, m.log_norm, 0, len(sites), spectra)
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shape arrays as one (k, ...) array; a single one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+_NO_WEIGHT = np.ones(1)
+
+
+def _pair_blobs(
+    m: MatrixProductOperator,
+    bonds: list[int],
+    op: Callable[[np.ndarray], np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, l, t1, b1, t2, b2, r) stack of the pair blobs of sites
+    (b, b+1) of a chain with spectra, for k bonds b whose bonds b-1, b and
+    b+1 have the same extents, with ``op`` applied to the stack (None:
+    identity), and that stack with each blob's left leg weighted by the
+    spectrum of bond b-1. One matmul contracts the pairs and one multiply
+    weights them. Bond 0 takes no weight: its left leg is the chain's open
+    end, and site 0 holds the norm. The sites left of a pair contract to an
+    isometry times that spectrum and the sites right of it are
+    right-isometric, so a weighted blob's singular values are the bond's
+    Schmidt values after ``op``. Every split and rank of a pair goes
+    through here, a stack at a time (:func:`split_layer`) or one pair at a
+    time (:func:`_pair_blob`)."""
+    sites, k = m.sites, len(bonds)
+    l, _, _, c = sites[bonds[0]].shape
+    r = sites[bonds[0] + 1].shape[3]
+    theta = np.matmul(_stack([sites[b] for b in bonds]).reshape(k, 4 * l, c),
+                      _stack([sites[b + 1] for b in bonds]).reshape(k, c, 4 * r))
+    theta = theta.reshape(k, l, 2, 2, 2, 2, r)
+    if op is not None:
+        theta = op(theta)
+    if bonds == [0]:
+        return theta, theta
+    # in a stack with other bonds, bond 0 takes weight 1: the complex
+    # multiply keeps every finite entry but the sign of a zero, and the gate
+    # einsum of a layer, the one op such stacks take, sums into +0.0
+    weights = _stack([m.spectra[b - 1] if b else _NO_WEIGHT for b in bonds])
+    return theta, weights.reshape(k, l, 1, 1, 1, 1, 1) * theta
+
+
 def _pair_blob(
     m: MatrixProductOperator,
     bond: int,
     op: Callable[[np.ndarray], np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (l, t1, b1, t2, b2, r) blob of sites (bond, bond+1) of a chain
-    with spectra, with ``op`` applied (None: identity), and that blob with
-    its left leg weighted by the spectrum of bond-1. Bond 0 takes no weight:
-    its left leg is the chain's open end, and site 0 holds the norm. The
-    sites left of the pair contract to an isometry times that spectrum and
-    the sites right of it are right-isometric, so the weighted blob's
-    singular values are the bond's Schmidt values after ``op``. Every single
-    split and rank of a pair goes through here; :func:`split_layer` builds
-    the same blobs a stack at a time."""
-    theta = _bond_dot(m.sites[bond], m.sites[bond + 1])
-    if op is not None:
-        theta = op(theta)
-    if bond == 0:
-        return theta, theta
-    return theta, m.spectra[bond - 1].reshape(-1, 1, 1, 1, 1, 1) * theta
+    """:func:`_pair_blobs` for the one pair (bond, bond+1), with ``op``
+    applied to its (l, t1, b1, t2, b2, r) blob: the blob and its weighted
+    form."""
+    theta, weighted = _pair_blobs(m, [bond], None if op is None else lambda t: op(t[0])[None])
+    return theta[0], weighted[0]
 
 
 def _update_pair(
@@ -312,9 +344,9 @@ def _pair_bond(g: Gate) -> int:
     return min(a, b)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Same-shape arrays as one (k, ...) array; a single one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _unitaries(gates: list[Gate]) -> np.ndarray:
+    """The gates' unitaries as one (k, d, d) stack, in the gates' order."""
+    return _stack([gate_unitary(g) for g in gates])
 
 
 # a stack of gates contracted into a stack of (k, l, t1, b1, t2, b2, r) pair
@@ -323,13 +355,12 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 # legs (M.G, the old bottoms are G's outputs)
 _PAIR_GATE = {"left": "kxytu,kltbuar->klxbyar", "right": "kbaxy,kltbuar->kltxuyr"}
 _SITE_GATE = {"left": "ktj,kljbr->kltbr", "right": "kjb,kltjr->kltbr"}
-_NO_WEIGHT = np.ones(1)
 
 
 def _pair_gates(gates: list[Gate]) -> np.ndarray:
     """Two-qubit gates as a (k, out_lo, out_hi, in_lo, in_hi) stack, each
     pair ordered by site index whatever the order its qubits were listed."""
-    u4 = gate_unitaries(gates).reshape(-1, 2, 2, 2, 2)
+    u4 = _unitaries(gates).reshape(-1, 2, 2, 2, 2)
     flipped = [i for i, g in enumerate(gates) if g.qubits[0] > g.qubits[1]]
     if len(flipped) == len(gates):
         return u4.transpose(0, 2, 1, 4, 3)
@@ -362,9 +393,9 @@ def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
     of the layer touches. So the pairs whose bonds b-1, b and b+1 have the
     same extents form one stack, and each stack is one operation per step:
     one matmul contracts its site pairs, one einsum applies its gates, one
-    multiply weights the blobs by the spectra of bonds b-1 (1 at bond 0,
-    see :func:`_pair_blob`), and one SVD, whose factors are bit for
-    bit those of each blob alone, splits them for one ranking of all their
+    multiply weights the blobs by the spectra of bonds b-1
+    (:func:`_pair_blobs`), and one SVD, whose factors are bit for bit
+    those of each blob alone, splits them for one ranking of all their
     spectra. One-qubit gates need no split; the write applies them. Raises
     as ``svd_truncate`` does on bad cutoffs, on a non-finite or all-zero
     blob, and when the SVD fails after its retry."""
@@ -382,24 +413,16 @@ def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
     m = _with_spectra(m)
-    sites, spectra = m.sites, m.spectra
     dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
     stacks: dict[tuple[int, int, int], list[tuple[int, Gate]]] = {}
     for b, g in two:
         stacks.setdefault((dims[b], dims[b + 1], dims[b + 2]), []).append((b, g))
     pairs = {}
-    for (l, c, r), group in stacks.items():
-        k = len(group)
+    for (l, _, r), group in stacks.items():
         bonds = [b for b, _ in group]
-        theta = np.matmul(_stack([sites[b] for b in bonds]).reshape(k, 4 * l, c),
-                          _stack([sites[b + 1] for b in bonds]).reshape(k, c, 4 * r))
-        theta = theta.reshape(k, l, 2, 2, 2, 2, r)
-        theta = np.einsum(_PAIR_GATE[side], _pair_gates([g for _, g in group]), theta)
-        # bond 0 takes weight 1, which changes no bit: the einsum sums into
-        # zeros, so no entry of a blob is -0.0
-        weights = _stack([spectra[b - 1] if b else _NO_WEIGHT for b in bonds])
-        weighted = weights.reshape(k, l, 1, 1, 1, 1, 1) * theta
-        _, s, v = svd_stack(weighted.reshape(k, 4 * l, 4 * r))
+        u4 = _pair_gates([g for _, g in group])
+        theta, weighted = _pair_blobs(m, bonds, lambda t: np.einsum(_PAIR_GATE[side], u4, t))
+        _, s, v = svd_stack(weighted.reshape(len(bonds), 4 * l, 4 * r))
         for b, theta_b, s_b, v_b, rank in zip(bonds, theta, s, v,
                                               truncation_rank(s, epsilon, chi_max)):
             pairs[b] = (theta_b, s_b[:rank], v_b[:rank])
@@ -416,7 +439,7 @@ def _write_sites(sites: list[np.ndarray], gates: list[Gate], side: str) -> None:
         stacks.setdefault(sites[g.qubits[0]].shape, []).append(g)
     for group in stacks.values():
         qs = [g.qubits[0] for g in group]
-        out = np.einsum(_SITE_GATE[side], gate_unitaries(group), _stack([sites[q] for q in qs]))
+        out = np.einsum(_SITE_GATE[side], _unitaries(group), _stack([sites[q] for q in qs]))
         for q, site in zip(qs, out):
             sites[q] = site
 

@@ -136,13 +136,14 @@ _FIXED_UNITARIES = {
 }
 
 
-def _entries(kind: str, p, c, s) -> list:
+def _entries(kind: str, p: tuple[float, ...], c: float, s: float) -> list:
     """(row, column, value) of each nonzero entry of a parameterized kind's
     unitary, from its parameters ``p`` and ``c``, ``s``, the cosine and sine
-    of half the first: scalars for one gate, or one array per parameter for
-    a stack of gates, each entry then computed for all of them at once."""
+    of half the first."""
     if kind == "rx":
-        return [(0, 0, c), (1, 1, c), (0, 1, -1j * s), (1, 0, -1j * s)]
+        # -i.s written out, so that every Python gives the same bits: 3.10 to
+        # 3.13 evaluate -1j * s with real part +0.0, 3.14 with -0.0 * s
+        return [(0, 0, c), (1, 1, c), (0, 1, complex(0.0, -s)), (1, 0, complex(0.0, -s))]
     if kind == "ry":
         return [(0, 0, c), (1, 1, c), (0, 1, -s), (1, 0, s)]
     if kind == "rz":
@@ -166,45 +167,6 @@ def gate_unitary(g: Gate) -> np.ndarray:
     for i, j, value in _entries(g.kind, p, math.cos(p[0] / 2), math.sin(p[0] / 2)):
         u[i, j] = value
     return u
-
-
-# Below this many gates a stack of unitaries is built gate by gate: building
-# a kind's entries as arrays costs a fixed 5-15 us, about what three to seven
-# single matrices take.
-_STACKED_FROM = 8
-
-
-def gate_unitaries(gates) -> np.ndarray:
-    """The unitaries of gates that all act on one qubit or all on two,
-    stacked as (k, d, d) in the gates' order, each bit for bit that of
-    :func:`gate_unitary`. From ``_STACKED_FROM`` gates on, each kind's
-    entries are computed for all its gates at once. The cosines and sines
-    are still taken one by one with ``math``, as :func:`gate_unitary` takes
-    them: numpy does not promise that its vectorized float trigonometry
-    rounds as the C library does on every machine."""
-    if len(gates) == 1:
-        return gate_unitary(gates[0])[None]
-    if len(gates) < _STACKED_FROM:
-        return np.array([gate_unitary(g) for g in gates])
-    d = 2 ** len(gates[0].qubits)
-    out = np.zeros((len(gates), d, d), dtype=complex)
-    rows: dict[str, list[int]] = {}
-    for i, g in enumerate(gates):
-        rows.setdefault(g.kind, []).append(i)
-    for kind, idx in rows.items():
-        block = out if len(rows) == 1 else np.zeros((len(idx), d, d), dtype=complex)
-        if kind in _FIXED_UNITARIES:
-            block[:] = _FIXED_UNITARIES[kind]
-        else:
-            p = np.array([gates[i].params for i in idx]).T  # one row per parameter
-            half = (p[0] / 2).tolist()
-            c = np.array([math.cos(t) for t in half])
-            s = np.array([math.sin(t) for t in half])
-            for i, j, value in _entries(kind, p, c, s):
-                block[:, i, j] = value
-        if block is not out:
-            out[idx] = block
-    return out
 
 
 def inverse_gate(g: Gate) -> Gate:

@@ -627,7 +627,7 @@ class TestStackedKernel:
         for q in range(10):
             kind, nparams = kinds[q % len(kinds)]
             layer.append(Gate(kind, (q,), tuple(float(x) for x in rng.uniform(-4, 4, nparams))))
-        stacks = recorded(monkeypatch, "gate_unitaries")
+        stacks = recorded(monkeypatch, "_unitaries")
         split = split_layer(m, layer, side, 1e-8, 64)
         out, ranges = derived_calls(monkeypatch, lambda: write_layer(split))
         # one stack per site shape: bonds (1, 1) on sites 0..4, and the
@@ -645,6 +645,23 @@ class TestStackedKernel:
         site = identity_mpo(2).sites[1]
         assert chains._stack([site]).base is site
         assert chains._stack([site, site]).base is not site
+
+    @pytest.mark.parametrize("op", [None, "left", "both"])
+    def test_one_pair_blob_is_the_single_blob_formula(self, op):
+        # the one-pair path through the stacked blob builder gives every
+        # bond's blob and weighted blob byte for byte as a lone contraction
+        # and weighting would; bond 0 takes no weight
+        m = stacked_chain()
+        transpose = None if op is None else (lambda t: t.transpose(chains.SWAP_LEGS[op]))
+        for b in range(m.num_sites - 1):
+            theta, weighted = chains._pair_blob(m, b, transpose)
+            expected = np.tensordot(m.sites[b], m.sites[b + 1], axes=(-1, 0))
+            if transpose is not None:
+                expected = transpose(expected)
+            assert theta.shape == expected.shape and theta.tobytes() == expected.tobytes()
+            if b:
+                expected = m.spectra[b - 1].reshape(-1, 1, 1, 1, 1, 1) * expected
+            assert weighted.tobytes() == expected.tobytes()
 
 
 class TestBondDot:

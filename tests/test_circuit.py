@@ -15,11 +15,9 @@ from scipy.linalg import expm
 
 from mirrorbreak import circuit as circuit_module
 from mirrorbreak.circuit import (
-    GATE_ARITY,
     Circuit,
     Gate,
     QasmError,
-    gate_unitaries,
     gate_unitary,
     inverse_circuit,
     inverse_gate,
@@ -95,6 +93,15 @@ class TestGateUnitary:
             u = gate_unitary(Gate(kind, qubits, (float(theta),)))
             np.testing.assert_allclose(u, expm(-0.5j * theta * generator), atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, -0.0, 0.7, -0.7, math.pi, -3 * math.pi])
+    def test_rx_bits_do_not_depend_on_the_python_version(self, theta):
+        # the off-diagonal -i.s has real part +0.0 whichever way the
+        # interpreter multiplies a complex by a float
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        expected = np.array([[complex(c, 0.0), complex(0.0, -s)],
+                             [complex(0.0, -s), complex(c, 0.0)]])
+        assert gate_unitary(Gate("rx", (0,), (theta,))).tobytes() == expected.tobytes()
+
     def test_unitarity_over_random_parameter_draws(self):
         rng = np.random.default_rng(6)
         kinds = [("h", 0, 1), ("x", 0, 1), ("rx", 1, 1), ("ry", 1, 1), ("rz", 1, 1),
@@ -106,25 +113,6 @@ class TestGateUnitary:
             u = gate_unitary(Gate(kind, qubits, params))
             err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
             assert err <= 1e-12
-
-    @pytest.mark.parametrize("nq", [1, 2])
-    @pytest.mark.parametrize("mixed", [True, False], ids=["mixed-kinds", "one-kind"])
-    def test_stack_is_bit_for_bit_the_scalar_formula(self, nq, mixed):
-        # stacks of every kind of the arity, with angles of both signs,
-        # signed zeros and large values; each matrix is compared byte by
-        # byte, so a zero of the wrong sign fails too
-        rng = np.random.default_rng(8 + nq)
-        angles = [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300, 1e10, *rng.uniform(-7, 7, 40)]
-        kinds = [k for k, (q, _) in GATE_ARITY.items() if q == nq]
-        stacks = [kinds * 150] if mixed else [[k] * size for k in kinds for size in (1, 7, 8, 30)]
-        for stack in stacks:
-            gates = [Gate(kind, tuple(range(nq)), tuple(
-                float(angles[rng.integers(len(angles))]) for _ in range(GATE_ARITY[kind][1])))
-                for kind in (rng.permutation(stack) if mixed else stack)]
-            built = gate_unitaries(gates)
-            assert built.shape == (len(gates), 2**nq, 2**nq)
-            for g, u in zip(gates, built):
-                assert u.tobytes() == gate_unitary(g).tobytes(), g
 
     def test_inverse_gate_is_adjoint(self):
         rng = np.random.default_rng(7)
