@@ -32,6 +32,11 @@ are the only record of a chain's gauge: a chain without them (the public
 constructor, ``move_center``) is in an unknown gauge, and is made canonical
 by one exact sweep (``_with_spectra``) at its first update.
 
+Sampling works by rows, not by shots: shots that share a sampled prefix
+share one row, so its cost and memory follow the distinct outcomes, and
+``sample`` returns one string object per distinct outcome, shared by every
+shot that drew it.
+
 Operations are functional: they return new chains and never mutate inputs.
 Site arrays may be shared between chains, so callers must not write into
 them either. The public constructors validate every site; a chain derived
@@ -547,19 +552,19 @@ def _right_canonicalize(psi: MatrixProductState) -> tuple[list[np.ndarray], floa
     return sites, float(np.linalg.norm(sites[0]))
 
 
-def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. outcomes from |<x|psi>|^2 as a (shots, n) int8 array of
-    0/1, column i holding qubit i.
+def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw i.i.d. outcomes from |<x|psi>|^2 by rows: each shot's row index
+    ``node`` and a (rows, n) int8 array of each row's bits (column i holds
+    qubit i), so shot k drew ``rows[node[k]]``.
 
     Sweeps the sites left to right, sampling each qubit conditioned on the
-    previous ones. Shots that share a sampled prefix share one conditional
-    environment row, so the contraction at each site costs one row per
-    distinct prefix (a handful on a peaked state) rather than one per shot;
-    every shot still draws its own uniform against its row's probability.
-    While every shot sits on one row (a peaked state until its first
-    uncertain qubit), each uniform is compared with that row's one
-    probability and a single count tells whether the row splits; the
-    shots' row indices stay 0 until it does.
+    previous ones. Shots that share a sampled prefix share one row (one
+    conditional environment and one prefix of bits), so the work and memory
+    per site follow the distinct prefixes (a handful on a peaked state), not
+    the shots; every shot still draws its own uniform against its row's
+    probability. While every shot sits on one row, the uniforms are compared
+    with that row's one probability and a single count tells whether the
+    row splits; the shots' row indices stay 0 until it does.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -569,8 +574,8 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = len(sites)
     envs = np.ones((1, 1), dtype=np.complex128)  # one row per distinct prefix
-    node = np.zeros(shots, dtype=np.intp)  # each shot's row in envs
-    bits = np.empty((shots, n), dtype=np.int8)
+    rows = np.zeros((1, n), dtype=np.int8)  # each row's bits
+    node = np.zeros(shots, dtype=np.intp)  # each shot's row
     for i in range(n):
         amps = np.einsum("sl,lpr->spr", envs, sites[i])
         probs = np.sum(np.abs(amps) ** 2, axis=2)  # (rows, 2)
@@ -578,9 +583,9 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
         p_one = probs[:, 1] / totals
         one_row = len(envs) == 1
         draw = rng.random(shots) < (p_one[0] if one_row else p_one[node])
-        bits[:, i] = draw
         if one_row and np.count_nonzero(draw) in (0, shots):
             bit = int(draw[0])  # every shot takes this child, so stays on row 0
+            rows[0, i] = bit
             envs = amps[:, bit] / np.sqrt(probs[:, bit])[:, None]
             continue
         # children are numbered 2*row + bit; keep the ones some shot reached
@@ -588,29 +593,29 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> np.ndarray:
         reached = np.bincount(child, minlength=2 * len(envs)) > 0
         node = (np.cumsum(reached) - 1)[child]
         kept = np.flatnonzero(reached)
-        chosen = amps.reshape(-1, amps.shape[2])[kept]
-        chosen_p = probs.reshape(-1)[kept]
-        envs = chosen / np.sqrt(chosen_p)[:, None]
-    return bits
+        rows = rows[kept // 2]
+        rows[:, i] = kept % 2
+        envs = amps.reshape(-1, amps.shape[2])[kept] / np.sqrt(probs.reshape(-1)[kept])[:, None]
+    return node, rows
 
 
 def sample(psi: MatrixProductState, shots: int, seed: int,
            mapping: tuple[int, ...] | None = None) -> list[str]:
     """Draw i.i.d. bitstrings from |<x|psi>|^2, qubit 0 leftmost. With a
-    ``mapping``, the bit of qubit i is written at position mapping[i]."""
-    bits = _sample_bits(psi, shots, seed)
+    ``mapping``, the bit of qubit i is written at position mapping[i]. One
+    string is built per distinct outcome (row), and every shot that drew it
+    refers to that one object."""
+    node, rows = _sample_bits(psi, shots, seed)
     if mapping is not None:
-        bits = bits[:, np.argsort(mapping)]
-    # one newline-terminated line of ASCII digits per shot, cut by one split
-    lines = np.empty((shots, bits.shape[1] + 1), dtype=np.uint8)
-    np.add(bits, ord("0"), out=lines[:, :-1], casting="unsafe")
+        rows = rows[:, np.argsort(mapping)]
+    # one newline-terminated line of ASCII digits per row, cut by one split
+    lines = np.empty((len(rows), rows.shape[1] + 1), dtype=np.uint8)
+    np.add(rows, ord("0"), out=lines[:, :-1], casting="unsafe")
     lines[:, -1] = ord("\n")
-    del bits  # each buffer is freed before the next copy is made
-    text = lines.tobytes().decode("ascii")
-    del lines
-    strings = text.split("\n")
-    strings.pop()  # the empty string after the last newline
-    return strings
+    strings = lines.tobytes().decode("ascii").split("\n")[:-1]
+    if len(strings) == 1:
+        return strings * shots
+    return np.array(strings, dtype=object)[node].tolist()
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .chains import (
     MatrixProductState,
     _with_spectra,
     apply_to_zero,
-    compress,
     identity_mpo,
     mps_to_dense,
     sample,
@@ -52,7 +51,8 @@ from .chains import (
     total_elements,
     write_layer,
 )
-from .chains import absorb_gate  # noqa: F401  unused; perfbench/run.py wraps this name
+# unused here; perfbench/run.py wraps these names
+from .chains import absorb_gate, compress  # noqa: F401
 from .circuit import ORIGIN_ROUTING, Circuit, Gate, split_at_midpoint
 from .oracle import permute_statevector
 from .routing import (
@@ -102,10 +102,20 @@ class ContractionConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One contraction step. The last three fields say what an unswap did
+    (chain size before it, swaps it accepted, largest bond it left) and are
+    None on absorb records."""
+
     phase: str  # "absorb" or "unswap"
     unitaries_consumed: int
     elements: int
     wall_time_s: float
+    elements_before: int | None = None
+    accepted_swaps: int | None = None
+    max_bond: int | None = None
+
+
+_UNSWAP_FIELDS = ("elements_before", "accepted_swaps", "max_bond")
 
 
 @dataclass(frozen=True)
@@ -320,12 +330,12 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
             which, m = _choose_side(left, right, m, cfg, step)
             layer = (left if which == "left" else right).consume()
             elements = total_elements(m)
-            consumed += sum(1 for g in layer if g.is_two_qubit)
-            consumed_source += sum(
-                1 for g in layer if g.is_two_qubit and g.origin != ORIGIN_ROUTING
-            )
-            if any(g.origin != ORIGIN_ROUTING for g in layer):
-                source_gate_absorbed = True
+            for g in layer:  # one scan for all three counters
+                two = g.is_two_qubit
+                consumed += two
+                if g.origin != ORIGIN_ROUTING:
+                    consumed_source += two
+                    source_gate_absorbed = True
             step += 1
             if any(d >= cfg.chi_max for d in m.bond_dims()):
                 chi_saturations += 1
@@ -333,11 +343,19 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
         if left.exhausted and right.exhausted:
             break
 
-        before = elements
         result = unswap(m, cfg.epsilon, cfg.chi_max, cfg.max_unswap_iterations)
-        m = compress(result.reduced, cfg.epsilon, cfg.chi_max)
-        after = total_elements(m)
-        trace.append(TraceRecord("unswap", consumed, after, time.perf_counter() - t0))
+        # no compression sweep follows: unswap leaves the chain right-canonical
+        # with its spectra, and each of its splits truncates a bond at epsilon
+        # against a blob whose norm is the chain's norm, the rule the sweep
+        # applies. A bond it did not re-split keeps its spectrum up to the
+        # weight later truncations dropped, so a sweep could trim only where
+        # that drift crosses the cutoff: never on the benchmark instances,
+        # and rarely and by little at a cutoff that bites
+        m = result.reduced
+        before, after = result.elements_before, result.elements_after
+        trace.append(TraceRecord("unswap", consumed, after, time.perf_counter() - t0,
+                                 before, result.accepted_swaps,
+                                 max(m.bond_dims(), default=1)))
 
         reduction = (before - after) / before if before else 0.0
         # a chain of 4n elements has every bond at 1 and cannot shrink, so
@@ -384,29 +402,30 @@ def dense_output(result: SimulationResult) -> np.ndarray:
 
 def emit_trace(trace, sink) -> None:
     """Write trace records as newline-delimited JSON with the fields
-    phase, unitaries_consumed, elements, wall_time_s."""
+    phase, unitaries_consumed, elements, wall_time_s; unswap records add
+    elements_before, accepted_swaps and max_bond."""
     for rec in trace:
-        sink.write(
-            json.dumps(
-                {
-                    "phase": rec.phase,
-                    "unitaries_consumed": rec.unitaries_consumed,
-                    "elements": rec.elements,
-                    "wall_time_s": rec.wall_time_s,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+        d = {
+            "phase": rec.phase,
+            "unitaries_consumed": rec.unitaries_consumed,
+            "elements": rec.elements,
+            "wall_time_s": rec.wall_time_s,
+        }
+        if rec.phase == "unswap":
+            d.update((k, getattr(rec, k)) for k in _UNSWAP_FIELDS)
+        sink.write(json.dumps(d, separators=(",", ":")) + "\n")
 
 
 def parse_trace(text: str) -> tuple[TraceRecord, ...]:
+    """Records written by :func:`emit_trace`; the unswap fields are read
+    where present, so traces written before they existed still parse."""
     records = []
     for line in text.splitlines():
         if not line.strip():
             continue
         d = json.loads(line)
         records.append(
-            TraceRecord(d["phase"], d["unitaries_consumed"], d["elements"], d["wall_time_s"])
+            TraceRecord(d["phase"], d["unitaries_consumed"], d["elements"], d["wall_time_s"],
+                        *(d.get(k) for k in _UNSWAP_FIELDS))
         )
     return tuple(records)

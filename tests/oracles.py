@@ -185,8 +185,8 @@ def reference_truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> in
 def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
     """Reference sampler: the left-to-right conditional sweep with one
     environment row per shot. Takes the same right-canonical sites and draws
-    the same uniforms as ``chains._sample_bits``, so at a fixed seed the two
-    must give identical bits."""
+    the same uniforms as ``chains._sample_bits``, so at a fixed seed each
+    shot's bits here must equal its row's bits there (``rows[node]``)."""
     from mirrorbreak.chains import _right_canonicalize
 
     sites, _ = _right_canonicalize(psi)

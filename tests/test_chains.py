@@ -1,6 +1,7 @@
 """Dense-equivalence tests for the operator/state chains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -781,6 +782,12 @@ class TestApplyToZero:
                 apply_to_zero(m, EXACT, 4)
 
 
+def shot_bits(psi, shots, seed):
+    """Each shot's bits from the row sampler, rebuilt as ``rows[node]``."""
+    node, rows = _sample_bits(psi, shots, seed)
+    return rows[node]
+
+
 class TestSample:
     def test_zero_state_samples_only_zeros(self):
         psi = apply_to_zero(identity_mpo(4), EXACT, 16)
@@ -822,7 +829,7 @@ class TestSample:
         rng = np.random.default_rng(1700 + n)
         c = random_circuit(n, 2 * n, rng, adjacent_only=True)
         psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
-        bits = _sample_bits(psi, shots, seed=4)
+        bits = per_shot_sample_bits(psi, shots, seed=4)
         reference = ["".join("1" if b else "0" for b in row) for row in bits]
         assert sample(psi, shots, seed=4) == reference
         # and the fixed-width cut of one ASCII buffer, with a bit relabeling
@@ -838,13 +845,13 @@ class TestSample:
         psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
         assert max(psi.bond_dims()) > 1
         expected = per_shot_sample_bits(psi, shots, seed)
-        np.testing.assert_array_equal(_sample_bits(psi, shots, seed), expected)
+        np.testing.assert_array_equal(shot_bits(psi, shots, seed), expected)
         # the same state with its norm on site 2 is orthogonalized first and
         # draws the same bits
         sites = list(psi.sites)
         _orthogonalize(sites, 2)
         moved = MatrixProductState(tuple(sites), psi.log_norm, 2)
-        np.testing.assert_array_equal(_sample_bits(moved, shots, seed), expected)
+        np.testing.assert_array_equal(shot_bits(moved, shots, seed), expected)
 
     def test_matches_per_shot_sweep_on_product_state(self):
         n = 7
@@ -855,7 +862,7 @@ class TestSample:
         assert psi.bond_dims() == (1,) * (n - 1)
         for seed in (0, 9):
             np.testing.assert_array_equal(
-                _sample_bits(psi, 4000, seed), per_shot_sample_bits(psi, 4000, seed))
+                shot_bits(psi, 4000, seed), per_shot_sample_bits(psi, 4000, seed))
 
     @staticmethod
     def _state(n, gates):
@@ -866,7 +873,7 @@ class TestSample:
         # every conditional probability is exactly 0 or 1
         psi = self._state(6, [Gate("x", (q,)) for q in (0, 3, 4)])
         np.testing.assert_array_equal(
-            _sample_bits(psi, 300, seed=11), per_shot_sample_bits(psi, 300, seed=11))
+            shot_bits(psi, 300, seed=11), per_shot_sample_bits(psi, 300, seed=11))
         assert set(sample(psi, 300, seed=11)) == {"100110"}
 
     @pytest.mark.parametrize("seed", [0, 5])
@@ -875,7 +882,7 @@ class TestSample:
         # and each half is deterministic again from site 4 on
         psi = self._state(7, [Gate("x", (1,)), Gate("h", (3,)), Gate("cx", (3, 4)),
                               Gate("x", (6,))])
-        bits = _sample_bits(psi, 500, seed)
+        bits = shot_bits(psi, 500, seed)
         np.testing.assert_array_equal(bits, per_shot_sample_bits(psi, 500, seed))
         assert 0 < bits[:, 3].sum() < 500
         np.testing.assert_array_equal(bits[:, 4], bits[:, 3])
@@ -887,10 +894,44 @@ class TestSample:
         # qubit 3 is 0, and qubit 5 copies a second random bit on qubit 4
         psi = self._state(6, [Gate("h", (0,)), Gate("cx", (0, 1)), Gate("cx", (1, 2)),
                               Gate("h", (4,)), Gate("cx", (4, 5))])
-        bits = _sample_bits(psi, 1, seed)
+        bits = shot_bits(psi, 1, seed)
         np.testing.assert_array_equal(bits, per_shot_sample_bits(psi, 1, seed))
         assert bits[0, 0] == bits[0, 1] == bits[0, 2] and bits[0, 3] == 0
         assert bits[0, 4] == bits[0, 5]
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_many_rows_match_per_shot_sweep(self, mapped):
+        # every outcome of a 10-qubit all-h state is equally likely, so
+        # 20,000 shots reach all 1,024 rows
+        n, shots, seed = 10, 20_000, 6
+        psi = self._state(n, [Gate("h", (q,)) for q in range(n)])
+        node, rows = _sample_bits(psi, shots, seed)
+        expected = per_shot_sample_bits(psi, shots, seed)
+        np.testing.assert_array_equal(rows[node], expected)
+        assert len(rows) == 1024 and len(np.unique(rows, axis=0)) == 1024
+        mapping = None
+        if mapped:
+            mapping = tuple(int(q) for q in np.random.default_rng(n).permutation(n))
+            expected = expected[:, np.argsort(mapping)]
+        strings = sample(psi, shots, seed, mapping=mapping)
+        assert strings == ["".join(map(str, row)) for row in expected]
+        # the shots of one outcome share one string object
+        assert len({id(x) for x in strings}) == len(set(strings)) == 1024
+
+    def test_peaked_sample_memory_follows_rows_not_shots(self):
+        # a 56-qubit basis state is one row: its 20,000 shots are one string
+        # referred to 20,000 times, not 20,000 strings and (shots, n) buffers
+        psi = self._state(56, [Gate("x", (q,)) for q in range(0, 56, 3)])
+        sample(psi, 1, seed=0)  # import numpy.random before tracing starts
+        tracemalloc.start()
+        try:
+            strings = sample(psi, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(strings) == 20_000 and len({id(x) for x in strings}) == 1
+        assert strings[0] == "".join("1" if q % 3 == 0 else "0" for q in range(56))
+        assert peak < 1_000_000
 
     def test_mapping_moves_each_bit(self):
         m = absorb_gate(identity_mpo(4), Gate("h", (0,)), "left", EXACT, 4)

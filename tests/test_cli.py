@@ -282,8 +282,9 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_sampler_out_of_memory_exits_3_naming_shots(self, instance_files, monkeypatch,
                                                          capsys, command):
-        # the sampler's buffers grow with --shots; a real impossible
-        # allocation could take the test run down with it, so it is faked
+        # the sampler's per-shot arrays (uniforms and row indices, made in
+        # _sample_bits) grow with --shots; a real impossible allocation could
+        # take the test run down with it, so it is faked
         def no_memory(psi, shots, seed):
             raise MemoryError(f"cannot allocate {shots} rows")
 

@@ -843,6 +843,42 @@ class TestTrace:
         assert '"phase":"absorb"' in line
         assert parse_trace(line) == (rec,)
 
+    def test_absorb_line_keeps_the_four_fields(self):
+        sink = io.StringIO()
+        emit_trace((TraceRecord("absorb", 3, 48, 0.125),), sink)
+        assert sink.getvalue() == (
+            '{"phase":"absorb","unitaries_consumed":3,"elements":48,"wall_time_s":0.125}\n')
+
+    def test_unswap_record_round_trip(self):
+        rec = TraceRecord("unswap", 7, 96, 0.5, elements_before=160, accepted_swaps=2,
+                          max_bond=4)
+        sink = io.StringIO()
+        emit_trace((rec,), sink)
+        line = sink.getvalue()
+        assert line == ('{"phase":"unswap","unitaries_consumed":7,"elements":96,'
+                        '"wall_time_s":0.5,"elements_before":160,"accepted_swaps":2,'
+                        '"max_bond":4}\n')
+        assert parse_trace(line) == (rec,)
+
+    def test_unswap_line_without_the_new_fields_still_parses(self):
+        old = '{"phase":"unswap","unitaries_consumed":7,"elements":96,"wall_time_s":0.5}\n'
+        assert parse_trace(old) == (TraceRecord("unswap", 7, 96, 0.5),)
+
+    def test_run_fills_the_unswap_fields(self):
+        inst = generate(n=6, depth=30, peak_weight=0.4, obfuscation_swaps=6, seed=17)
+        result = run(inst.circuit, ContractionConfig(epsilon=1e-10, chi_max=512, tau=300))
+        phases = [rec.phase for rec in result.trace]
+        assert "unswap" in phases
+        for prev, rec in zip(result.trace, result.trace[1:]):
+            if rec.phase == "absorb":
+                assert rec.elements_before is rec.accepted_swaps is rec.max_bond is None
+                continue
+            # an unswap follows the absorb that crossed tau, and starts from its chain
+            assert prev.phase == "absorb" and rec.elements_before == prev.elements
+            assert rec.accepted_swaps >= 0
+            assert 1 <= rec.max_bond and 4 * rec.max_bond <= rec.elements
+        assert sum(rec.accepted_swaps for rec in result.trace if rec.phase == "unswap") > 0
+
     def test_run_trace_is_monotone_in_unitaries(self):
         inst = generate(n=6, depth=30, peak_weight=0.4, obfuscation_swaps=6, seed=17)
         cfg = ContractionConfig(epsilon=1e-10, chi_max=512, tau=300)

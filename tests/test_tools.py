@@ -72,6 +72,13 @@ def test_round_trip_against_saved_probabilities(saved):
     assert line["sha256"] == json.loads(stdout)["sha256"]
 
 
+def test_seeds_default_to_the_three_identity_seeds():
+    done = digest("--workload", "mirror-wide")
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout)
+    assert line["seeds"] == [701, 4242, 911] and line["instances"] == 15
+
+
 def test_bad_seeds_exit_2():
     done = digest("--workload", "mirror-wide", "--seeds", "x")
     assert done.returncode == 2

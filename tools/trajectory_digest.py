@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the pipeline's outputs on the benchmark instances.
 
-    python3 tools/trajectory_digest.py --workload hidden-perm --seeds 701,4242
+    python3 tools/trajectory_digest.py --workload hidden-perm --seeds 701,4242,911
 
 Run from any directory; the package is imported from ``src/`` of the
 checkout holding this file. For each workload it generates the benchmark
@@ -75,7 +75,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", action="append", choices=sorted(wl.WORKLOADS),
                    help="workload to digest; repeat for several (default: all)")
-    p.add_argument("--seeds", default="701,4242", help="comma-separated instance-set seeds")
+    p.add_argument("--seeds", default="701,4242,911",
+                   help="comma-separated instance-set seeds (default: the three seeds "
+                        "every output-identity check uses)")
     p.add_argument("--save", type=Path, help="write the peak probabilities to this file")
     p.add_argument("--against", type=Path,
                    help="peak-probability file of another checkout to compare with")
