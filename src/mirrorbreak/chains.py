@@ -16,17 +16,16 @@ Schmidt values of every internal bond (Vidal, PRL 91, 147902). The
 spectrum of any pair (b, b+1) is then that of one blob, the pair's sites
 contracted and weighted on their left leg by the spectrum of bond b-1
 (:func:`_pair_blobs`), wherever the chain was last touched. Every two-qubit
-update (two-qubit ``absorb_gate``, ``apply_swap_boundary`` and the unswap
-module's bond re-truncation) is one split of that blob in ``_update_pair``
-that needs neither a center move nor an inverse spectrum (Hastings, J. Math.
-Phys. 50, 095207), and one-qubit gates leave every spectrum alone. A layer
-of gates on disjoint sites is split at once (``split_layer``) and written by
-the same rule (``write_layer``); ``absorb_gate`` is that kernel on one gate.
-The kernel's unit of work is a stack: the pairs whose bonds b-1, b and b+1
-have the same extents are contracted, gated, weighted, split and ranked by
-one array operation each, and the one-qubit gates on same-shape sites are
-one contraction. A stack of one is a view of its array, not a copy, and no
-gate tensor outlives the layer that built it.
+update is a split of that blob by one kernel (``_split_pairs``) that needs
+neither a center move nor an inverse spectrum (Hastings, J. Math. Phys. 50,
+095207), and one-qubit gates leave every spectrum alone. Its unit of work is
+a stack: the pairs whose bonds b-1, b and b+1 have the same extents are
+contracted, operated on, weighted, split and ranked by one array operation
+each. A layer is split a stack at a time (``split_layer``, then
+``write_layer``; ``absorb_gate`` on one gate), and a swap or unswap's
+re-truncation is the kernel on one bond (``_update_pair``). One contraction
+applies the one-qubit gates on same-shape sites. A stack of one is a view of
+its array, not a copy, and no gate tensor outlives the layer that built it.
 ``compress`` returns the spectra its truncation sweep finds. The spectra
 are the only record of a chain's gauge: a chain without them (the public
 constructor, ``move_center``) is in an unknown gauge, and is made canonical
@@ -257,8 +256,8 @@ def _pair_blobs(
     isometry times that spectrum and the sites right of it are
     right-isometric, so a weighted blob's singular values are the bond's
     Schmidt values after ``op``. Every split and rank of a pair goes
-    through here, a stack at a time (:func:`split_layer`) or one pair at a
-    time (:func:`_pair_blob`)."""
+    through here: the splits through :func:`_split_pairs`, the unswap
+    module's ranks directly."""
     sites, k = m.sites, len(bonds)
     l, _, _, c = sites[bonds[0]].shape
     r = sites[bonds[0] + 1].shape[3]
@@ -276,16 +275,23 @@ def _pair_blobs(
     return theta, weights.reshape(k, l, 1, 1, 1, 1, 1) * theta
 
 
-def _pair_blob(
-    m: MatrixProductOperator,
-    bond: int,
-    op: Callable[[np.ndarray], np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pair_blobs` for the one pair (bond, bond+1), with ``op``
-    applied to its (l, t1, b1, t2, b2, r) blob: the blob and its weighted
-    form."""
-    theta, weighted = _pair_blobs(m, [bond], None if op is None else lambda t: op(t[0])[None])
-    return theta[0], weighted[0]
+def _split_pairs(m: MatrixProductOperator, bonds: list[int],
+                 op: Callable[[np.ndarray], np.ndarray] | None, epsilon: float,
+                 chi_max: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The one pair split: ``op`` (None: identity) on the stack of the pair
+    blobs of ``bonds``, whose bonds b-1, b and b+1 have the same extents
+    (:func:`_pair_blobs`), and each weighted blob's truncated SVD U.s.V, its
+    bond's locally optimal truncation, by one stacked SVD and one ranking.
+    Returns each pair's blob and its kept s and V. Raises on an epsilon that
+    is not >= 0 or a chi_max below 1, and as ``svd_stack`` does."""
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
+    if chi_max < 1:
+        raise ValueError("chi_max must be >= 1")
+    theta, weighted = _pair_blobs(m, bonds, op)
+    _, s, v = svd_stack(weighted.reshape(len(bonds), 4 * theta.shape[1], -1))
+    return [(theta_b, s_b[:rank], v_b[:rank])
+            for theta_b, s_b, v_b, rank in zip(theta, s, v, truncation_rank(s, epsilon, chi_max))]
 
 
 def _update_pair(
@@ -295,19 +301,15 @@ def _update_pair(
     epsilon: float,
     chi_max: int,
 ) -> MatrixProductOperator:
-    """The two-site update every local step goes through: apply ``op``
-    (None: identity) to the pair blob of sites (bond, bond+1) and split its
-    weighted form (:func:`_pair_blob`) with a truncated SVD U.s.V, which is
-    the locally optimal truncation of that bond. Site bond+1 becomes V,
-    site bond becomes blob.V^dagger, which needs no inverse spectrum, and
-    the bond's spectrum becomes s. No other site or spectrum changes, and
-    the norm stays on site 0."""
+    """:func:`_split_pairs` on the one bond (bond, bond+1), with ``op``
+    taking the (1, l, t1, b1, t2, b2, r) stack of its blob, written by
+    :func:`_write_pair`. No other site or spectrum changes, and the norm
+    stays on site 0."""
     m = _with_spectra(m)
-    theta, weighted = _pair_blob(m, bond, op)
-    dec = svd_truncate(weighted, split=3, epsilon=epsilon, chi_max=chi_max)
+    [(theta, s, v)] = _split_pairs(m, [bond], op, epsilon, chi_max)
     sites = list(m.sites)
     spectra = list(m.spectra)
-    _write_pair(sites, spectra, bond, theta, dec.s, dec.v)
+    _write_pair(sites, spectra, bond, theta, s, v)
     return MatrixProductOperator._derived(sites, m.log_norm, bond, bond + 2, spectra)
 
 
@@ -396,14 +398,11 @@ def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
     gates act on disjoint sites, and each pair's split reads only its own
     two sites and the spectrum of the bond left of it, which no other gate
     of the layer touches. So the pairs whose bonds b-1, b and b+1 have the
-    same extents form one stack, and each stack is one operation per step:
-    one matmul contracts its site pairs, one einsum applies its gates, one
-    multiply weights the blobs by the spectra of bonds b-1
-    (:func:`_pair_blobs`), and one SVD, whose factors are bit for bit
-    those of each blob alone, splits them for one ranking of all their
-    spectra. One-qubit gates need no split; the write applies them. Raises
-    as ``svd_truncate`` does on bad cutoffs, on a non-finite or all-zero
-    blob, and when the SVD fails after its retry."""
+    same extents form one stack, split by one :func:`_split_pairs` call
+    whose ``op`` is one einsum of the stack's gates. One-qubit gates need
+    no split; the write applies them. Raises as ``_split_pairs`` does on
+    bad cutoffs, on a non-finite or all-zero blob, and when the SVD fails
+    after its retry."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
     gates = tuple(gates)
@@ -413,25 +412,20 @@ def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
     two = [(_pair_bond(g), g) for g in gates if g.is_two_qubit]
     if not two:
         return LayerSplit(m, gates, side, {}, total_elements(m))
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if chi_max < 1:
-        raise ValueError("chi_max must be >= 1")
     m = _with_spectra(m)
     dims = [1, *m.bond_dims(), 1]  # site i is (dims[i], 2, 2, dims[i + 1])
     stacks: dict[tuple[int, int, int], list[tuple[int, Gate]]] = {}
     for b, g in two:
         stacks.setdefault((dims[b], dims[b + 1], dims[b + 2]), []).append((b, g))
     pairs = {}
-    for (l, _, r), group in stacks.items():
+    for group in stacks.values():
         bonds = [b for b, _ in group]
         u4 = _pair_gates([g for _, g in group])
-        theta, weighted = _pair_blobs(m, bonds, lambda t: np.einsum(_PAIR_GATE[side], u4, t))
-        _, s, v = svd_stack(weighted.reshape(len(bonds), 4 * l, 4 * r))
-        for b, theta_b, s_b, v_b, rank in zip(bonds, theta, s, v,
-                                              truncation_rank(s, epsilon, chi_max)):
-            pairs[b] = (theta_b, s_b[:rank], v_b[:rank])
-            dims[b + 1] = rank
+        split = _split_pairs(m, bonds, lambda t: np.einsum(_PAIR_GATE[side], u4, t),
+                             epsilon, chi_max)
+        for b, pair in zip(bonds, split):
+            pairs[b] = pair
+            dims[b + 1] = len(pair[1])
     return LayerSplit(m, gates, side, pairs, 4 * sum(a * b for a, b in zip(dims, dims[1:])))
 
 
@@ -493,7 +487,7 @@ def apply_swap_boundary(
         raise ValueError(f"side must be left, right or both, got {side!r}")
     if not (0 <= bond <= m.num_sites - 2):
         raise ValueError(f"bond {bond} out of range")
-    axes = SWAP_LEGS[side]
+    axes = (0, *(a + 1 for a in SWAP_LEGS[side]))  # the stack axis stays first
     return _update_pair(m, bond, lambda theta: theta.transpose(axes), epsilon, chi_max)
 
 

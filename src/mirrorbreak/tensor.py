@@ -3,10 +3,10 @@
 Tensors are plain ``numpy.ndarray`` objects of dtype complex128 in row-major
 (C) layout; that linearization is the single source of truth for all index
 arithmetic in the package. Other modules contract, reshape and permute with
-numpy directly, and split tensors through :func:`svd_truncate`, or a stack
-of matrices through :func:`svd_stack` (or take values-only spectra through
-:func:`singular_values`), ranking stacked spectra through
-:func:`truncation_rank`. All of them retry a failed SVD the same way.
+numpy directly, split stacks of matrices through :func:`svd_stack` (values
+only: :func:`singular_values`) ranked by :func:`truncation_rank`, and split
+one tensor by the same rule through :func:`svd_truncate` (the chains'
+canonical sweep). All of them retry a failed SVD the same way.
 
 A rank is found without a scan: one reverse cumulative sum of the squared
 values gives the weight of every tail, and a binary search counts the tails
@@ -69,7 +69,7 @@ def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> Tru
     t = np.asarray(t, dtype=np.complex128)
     if not (1 <= split < t.ndim):
         raise ValueError(f"split {split} must satisfy 1 <= split < rank {t.ndim}")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")

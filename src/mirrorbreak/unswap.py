@@ -17,12 +17,13 @@ The chain keeps every bond's Schmidt values, so a visit to a bond needs no
 center move: it ranks the bond and the swap candidates of all three sides
 from one values-only SVD of the pair's weighted blob and its three swapped
 transposes; a pair is split again only for an accepted swap or to trim
-slack from the bond. A visit reads and writes only its own pair and bond
-and the spectrum of the bond left of it, so the visits of one batch are
-independent. A visit accepts only its own side's candidate, but marks every
-side whose candidate would not shrink the bond as idle there. Visits that
-cannot accept (an earlier visit found the same bond and side idle and no
-swap touched its pair since) are skipped.
+slack from the bond, by the pair-split kernel that absorbs a layer's gates
+(``chains._update_pair``). A visit reads and writes only its own pair and
+bond and the spectrum of the bond left of it, so the visits of one batch
+are independent. A visit accepts only its own side's candidate, but marks
+every side whose candidate would not shrink the bond as idle there. Visits
+that cannot accept (an earlier visit found the same bond and side idle and
+no swap touched its pair since) are skipped.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .chains import (
     SWAP_LEGS,
     MatrixProductOperator,
-    _pair_blob,
+    _pair_blobs,
     _update_pair,
     _with_spectra,
     apply_swap_boundary,
@@ -73,7 +74,7 @@ def _pair_ranks(m: MatrixProductOperator, bond: int, epsilon: float,
     each candidate's transposed blob is the one its split would weight. The
     four blobs share one shape, so a single values-only SVD call over their
     stack yields every spectrum."""
-    _, theta = _pair_blob(m, bond, None)
+    theta = _pair_blobs(m, [bond], None)[1][0]
     stack = np.stack([theta, *(theta.transpose(axes) for axes in SWAP_LEGS.values())])
     spectra = singular_values(stack.reshape(len(stack), 4 * theta.shape[0], -1))
     rank, *candidates = truncation_rank(spectra, epsilon, chi_max)
@@ -140,6 +141,10 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
+    if chi_max < 1:
+        raise ValueError("chi_max must be >= 1")
     before = total_elements(m)
     m = _with_spectra(m)
     n = m.num_sites

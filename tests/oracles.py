@@ -58,13 +58,40 @@ def circuit_unitary_naive(circuit) -> np.ndarray:
     return u
 
 
+def single_pair_split(m, bond: int, op, epsilon: float, chi_max: int):
+    """Reference two-site update on the pair (bond, bond+1) of ``m`` made
+    right-canonical with its spectra: ``np.tensordot`` of the two sites,
+    ``op`` (None: identity) on the (l, t1, b1, t2, b2, r) blob, the left leg
+    weighted by the spectrum of bond-1 (none at bond 0), ``svd_truncate``
+    between (l, t1, b1) and (t2, b2, r), then site bond+1 = V, site bond =
+    blob.V^dagger and the bond's spectrum s. Of ``chains`` it uses only
+    ``_with_spectra``, for the gauge, and none of the blob, split or write
+    code; the stacked pair-split kernel must give the same chain bit for
+    bit."""
+    from mirrorbreak.chains import MatrixProductOperator, _with_spectra
+    from mirrorbreak.tensor import svd_truncate
+
+    m = _with_spectra(m)
+    theta = np.tensordot(m.sites[bond], m.sites[bond + 1], axes=(-1, 0))
+    if op is not None:
+        theta = op(theta)
+    weighted = theta if bond == 0 else m.spectra[bond - 1].reshape(-1, 1, 1, 1, 1, 1) * theta
+    dec = svd_truncate(weighted, split=3, epsilon=epsilon, chi_max=chi_max)
+    l, t1, b1, t2, b2, r = theta.shape
+    sites, spectra = list(m.sites), list(m.spectra)
+    sites[bond] = np.dot(theta.reshape(l * t1 * b1, -1), dec.v.conj().T).reshape(l, t1, b1, -1)
+    sites[bond + 1] = dec.v.reshape(-1, t2, b2, r)
+    spectra[bond] = dec.s
+    return MatrixProductOperator._derived(sites, m.log_norm, bond, bond + 2, spectra)
+
+
 def per_gate_absorb(m, g, side: str, epsilon: float, chi_max: int):
     """One gate absorbed on its own: a one-qubit gate by one einsum on its
-    site, a two-qubit gate by one einsum on its pair blob and the
-    single-pair split ``chains._update_pair``. The stacked layer kernel
+    site, a two-qubit gate by one einsum on its pair blob and the reference
+    single-pair split (:func:`single_pair_split`). The stacked layer kernel
     (``split_layer``/``write_layer``, and ``absorb_gate`` through it) must
     give the same chain bit for bit."""
-    from mirrorbreak.chains import MatrixProductOperator, _pair_bond, _update_pair
+    from mirrorbreak.chains import MatrixProductOperator
     from mirrorbreak.circuit import gate_unitary
 
     u = gate_unitary(g)
@@ -74,6 +101,7 @@ def per_gate_absorb(m, g, side: str, epsilon: float, chi_max: int):
         sites[q] = (np.einsum("tk,lkbr->ltbr", u, sites[q]) if side == "left"
                     else np.einsum("ltkr,kb->ltbr", sites[q], u))
         return MatrixProductOperator._derived(sites, m.log_norm, q, q + 1, m.spectra)
+    assert abs(g.qubits[0] - g.qubits[1]) == 1, g.qubits
     u4 = u.reshape(2, 2, 2, 2)  # (x, y, t, u) with the pair ordered by site
     if g.qubits[0] > g.qubits[1]:
         u4 = u4.transpose(1, 0, 3, 2)
@@ -83,7 +111,7 @@ def per_gate_absorb(m, g, side: str, epsilon: float, chi_max: int):
     else:
         def op(theta):
             return np.einsum("ltbuar,baxy->ltxuyr", theta, u4)
-    return _update_pair(m, _pair_bond(g), op, epsilon, chi_max)
+    return single_pair_split(m, min(g.qubits), op, epsilon, chi_max)
 
 
 def assert_built_as_checked(c) -> None:
@@ -223,13 +251,7 @@ def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
     M = S.(S.M), so the left factor becomes P_left.S, which exchanges two of
     its entries; one on the bottom legs leaves M = (M.S).S, so the right
     factor becomes S.P_right, which exchanges two of its values."""
-    from mirrorbreak.chains import (
-        SWAP_LEGS,
-        _bond_dot,
-        _update_pair,
-        apply_swap_boundary,
-        total_elements,
-    )
+    from mirrorbreak.chains import SWAP_LEGS, _bond_dot, apply_swap_boundary, total_elements
     from mirrorbreak.routing import QubitPermutation
     from mirrorbreak.tensor import truncation_rank
     from mirrorbreak.unswap import _PARALLEL_CYCLE, UnswapResult
@@ -243,7 +265,7 @@ def two_svd_unswap_parallel(m, epsilon, chi_max, max_iterations=20):
         for side, parity in _PARALLEL_CYCLE:
             for bond in range(parity, n - 1, 2):
                 dims_before = m.bond_dims()[bond]
-                m = _update_pair(m, bond, None, epsilon, chi_max)
+                m = single_pair_split(m, bond, None, epsilon, chi_max)
                 baseline = m.sites[bond].shape[3]
                 theta = _bond_dot(m.sites[bond], m.sites[bond + 1]).transpose(SWAP_LEGS[side])
                 if bond > 0:

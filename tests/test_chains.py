@@ -30,7 +30,7 @@ from mirrorbreak.chains import (
     write_layer,
 )
 from mirrorbreak.circuit import Circuit, Gate, gate_unitary, inverse_circuit
-from mirrorbreak.tensor import SvdConvergenceError, ZeroTensorError
+from mirrorbreak.tensor import SvdConvergenceError, ZeroTensorError, svd_truncate
 from mirrorbreak.oracle import bits_to_index, simulate, tvd, unitary
 from mirrorbreak.unswap import unswap
 
@@ -40,6 +40,8 @@ from .oracles import (
     per_gate_absorb,
     per_shot_sample_bits,
     random_circuit,
+    single_pair_split,
+    weak_brickwork,
 )
 
 EXACT = 1e-12  # epsilon for effectively exact truncation
@@ -649,20 +651,22 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("op", [None, "left", "both"])
     def test_one_pair_blob_is_the_single_blob_formula(self, op):
-        # the one-pair path through the stacked blob builder gives every
-        # bond's blob and weighted blob byte for byte as a lone contraction
-        # and weighting would; bond 0 takes no weight
+        # a stack of one pair through the blob builder gives every bond's
+        # blob and weighted blob byte for byte as a lone contraction and
+        # weighting would; bond 0 takes no weight
         m = stacked_chain()
-        transpose = None if op is None else (lambda t: t.transpose(chains.SWAP_LEGS[op]))
+        axes = None if op is None else chains.SWAP_LEGS[op]
+        stacked = None if op is None else (lambda t: t.transpose(0, *(a + 1 for a in axes)))
         for b in range(m.num_sites - 1):
-            theta, weighted = chains._pair_blob(m, b, transpose)
+            theta, weighted = chains._pair_blobs(m, [b], stacked)
             expected = np.tensordot(m.sites[b], m.sites[b + 1], axes=(-1, 0))
-            if transpose is not None:
-                expected = transpose(expected)
-            assert theta.shape == expected.shape and theta.tobytes() == expected.tobytes()
+            if axes is not None:
+                expected = expected.transpose(axes)
+            assert theta.shape == (1, *expected.shape)
+            assert theta[0].tobytes() == expected.tobytes()
             if b:
                 expected = m.spectra[b - 1].reshape(-1, 1, 1, 1, 1, 1) * expected
-            assert weighted.tobytes() == expected.tobytes()
+            assert weighted.shape == theta.shape and weighted[0].tobytes() == expected.tobytes()
 
 
 class TestBondDot:
@@ -712,6 +716,65 @@ class TestApplySwapBoundary:
     def test_out_of_range_bond(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_swap_boundary(identity_mpo(3), 2, "left", EXACT, 64)
+
+
+def swapped_weak_chain():
+    """A 6-site chain with its spectra, bonds (4, 8, 4, 8, 4): weak rzz
+    brickwork with swaps on bonds 1 and 3 absorbed on top. A cutoff of 2e-3
+    trims bonds 1 and 3 when they are split again."""
+    m = identity_mpo(6)
+    for g in weak_brickwork(6, 4, np.random.default_rng(1)):
+        m = absorb_gate(m, g, "left", EXACT, 64)
+    for b in (1, 3):
+        m = absorb_gate(m, Gate("swap", (b, b + 1)), "left", EXACT, 64)
+    assert m.bond_dims() == (4, 8, 4, 8, 4)
+    return m
+
+
+class TestOneBondSplit:
+    """A boundary swap and unswap's bond re-split are the stacked pair-split
+    kernel on one bond; each must give the chain of the reference
+    single-pair split (tensordot, weight, ``svd_truncate``) bit for bit."""
+
+    @pytest.mark.parametrize("spectra", [True, False])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-8, 2e-3])
+    def test_equal_to_the_reference_split(self, spectra, epsilon):
+        m = swapped_weak_chain()
+        if not spectra:
+            m = MatrixProductOperator(m.sites, m.log_norm)
+        for b in range(m.num_sites - 1):
+            out = chains._update_pair(m, b, None, epsilon, 64)
+            assert_same_bits(out, single_pair_split(m, b, None, epsilon, 64))
+            if epsilon == 2e-3 and b in (1, 3):
+                assert out.bond_dims()[b] < m.bond_dims()[b]  # the cutoff bites
+            for side, axes in chains.SWAP_LEGS.items():
+                assert_same_bits(apply_swap_boundary(m, b, side, epsilon, 64),
+                                 single_pair_split(m, b, lambda t: t.transpose(axes),
+                                                   epsilon, 64))
+
+
+# every public entry point that splits a bond, called on swapped_weak_chain
+CUTOFF_TAKERS = {
+    "svd_truncate": lambda m, e, c: svd_truncate(np.eye(3, dtype=complex), 1, e, c),
+    "absorb_gate": lambda m, e, c: absorb_gate(m, Gate("cx", (2, 3)), "left", e, c),
+    "split_layer": lambda m, e, c: split_layer(
+        m, [Gate("cx", (0, 1)), Gate("rzz", (3, 2), (0.4,))], "right", e, c),
+    "apply_swap_boundary": lambda m, e, c: apply_swap_boundary(m, 1, "both", e, c),
+    "unswap": unswap,
+    "compress": compress,
+    "apply_to_zero": apply_to_zero,
+}
+
+
+@pytest.mark.parametrize("name", list(CUTOFF_TAKERS))
+@pytest.mark.parametrize("epsilon,chi_max,message", [
+    (math.nan, 64, "epsilon must be >= 0"),
+    (-0.1, 64, "epsilon must be >= 0"),
+    (1e-8, 0, "chi_max must be >= 1"),
+])
+def test_bad_cutoffs_are_rejected(name, epsilon, chi_max, message):
+    with pytest.raises(ValueError, match=message):
+        CUTOFF_TAKERS[name](swapped_weak_chain(), epsilon, chi_max)
 
 
 class TestApplyToZero:

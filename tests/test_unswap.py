@@ -274,16 +274,18 @@ class TestCutoffThatBites:
             m = absorb_gate(m, g, "left", 1e-12, CHI_MAX)
         for b in rng.integers(n - 1, size=3):
             m = absorb_gate(m, Gate("swap", (int(b), int(b) + 1)), "left", 1e-12, CHI_MAX)
+        # each split's dropped share of its weighted blob's squared weight,
+        # read from the spectra and kept ranks of the pair-split kernel
         dropped = []
         chains_module = importlib.import_module("mirrorbreak.chains")
-        split = chains_module.svd_truncate
+        rank = chains_module.truncation_rank
 
-        def recording(*args, **kwargs):
-            dec = split(*args, **kwargs)
-            dropped.append(dec.discarded_weight)
-            return dec
+        def recording(s, *args):
+            ranks = rank(s, *args)
+            dropped.extend(float(w[r:].sum() / w.sum()) for w, r in zip(s * s, ranks))
+            return ranks
 
-        monkeypatch.setattr(chains_module, "svd_truncate", recording)
+        monkeypatch.setattr(chains_module, "truncation_rank", recording)
         res = unswap(m, epsilon, CHI_MAX)
         assert max(dropped) > 0  # the cutoff bites
         assert max(dropped) <= epsilon ** 2
