@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Gate, gate_unitary
-from .tensor import svd_stack, svd_truncate, truncation_rank
+from .tensor import check_cutoffs, svd_stack, svd_truncate, truncation_rank
 
 DENSE_GUARD_QUBITS = 12
 
@@ -282,12 +282,8 @@ def _split_pairs(m: MatrixProductOperator, bonds: list[int],
     blobs of ``bonds``, whose bonds b-1, b and b+1 have the same extents
     (:func:`_pair_blobs`), and each weighted blob's truncated SVD U.s.V, its
     bond's locally optimal truncation, by one stacked SVD and one ranking.
-    Returns each pair's blob and its kept s and V. Raises on an epsilon that
-    is not >= 0 or a chi_max below 1, and as ``svd_stack`` does."""
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
-    if chi_max < 1:
-        raise ValueError("chi_max must be >= 1")
+    Returns each pair's blob and its kept s and V. Raises as ``svd_stack``
+    does; its callers have checked the cutoffs."""
     theta, weighted = _pair_blobs(m, bonds, op)
     _, s, v = svd_stack(weighted.reshape(len(bonds), 4 * theta.shape[1], -1))
     return [(theta_b, s_b[:rank], v_b[:rank])
@@ -305,6 +301,7 @@ def _update_pair(
     taking the (1, l, t1, b1, t2, b2, r) stack of its blob, written by
     :func:`_write_pair`. No other site or spectrum changes, and the norm
     stays on site 0."""
+    check_cutoffs(epsilon, chi_max)
     m = _with_spectra(m)
     [(theta, s, v)] = _split_pairs(m, [bond], op, epsilon, chi_max)
     sites = list(m.sites)
@@ -400,11 +397,12 @@ def split_layer(m: MatrixProductOperator, gates, side: str, epsilon: float,
     of the layer touches. So the pairs whose bonds b-1, b and b+1 have the
     same extents form one stack, split by one :func:`_split_pairs` call
     whose ``op`` is one einsum of the stack's gates. One-qubit gates need
-    no split; the write applies them. Raises as ``_split_pairs`` does on
-    bad cutoffs, on a non-finite or all-zero blob, and when the SVD fails
-    after its retry."""
+    no split; the write applies them. Raises on bad cutoffs, even for a
+    layer that needs no split, and as ``_split_pairs`` does on a non-finite
+    or all-zero blob and when the SVD fails after its retry."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
+    check_cutoffs(epsilon, chi_max)
     gates = tuple(gates)
     touched = [q for g in gates for q in g.qubits]
     if len(set(touched)) != len(touched):
@@ -499,6 +497,7 @@ def compress(
     right-canonical (norm on site 0) with unit stored norm and the spectra
     of the truncation sweep; the scale moves to log_norm.
     """
+    check_cutoffs(epsilon, chi_max)
     sites = list(m.sites)
     f, spectra = _truncate_sweep(sites, epsilon, chi_max)
     if f == 0.0:
@@ -522,6 +521,7 @@ def apply_to_zero(
     truncation upstream). The operator's scale is read from site 0 of its
     canonical form.
     """
+    check_cutoffs(epsilon, chi_max)
     m = _with_spectra(m)
     mpo_scale = float(np.linalg.norm(m.sites[0]))
     sites = [s[:, :, 0, :] for s in m.sites]

@@ -22,10 +22,13 @@ two-qubit gate of a layer is split from its own pair and the spectrum of
 the bond left of it, which no other gate of the layer touches. So a whole
 layer is split against the start chain at once (``chains.split_layer``):
 one full SVD per stack of same-shape pair blobs, whose ranks give the
-element count of the chain the split would write. The chooser splits both
-sides' layers and writes only the winner's, from its own factors
-(``chains.write_layer``); no layer is counted in one pass and absorbed in
-another, and none is written and thrown away (:func:`_choose_side`).
+element count of the chain the split would write. The chooser splits the
+next layer of every candidate side and writes only the smallest, from its
+own factors (``chains.write_layer``); no layer is counted in one pass and
+absorbed in another, and none is written and thrown away
+(:func:`_choose_side`). An exhausted side and fixed mode's schedule only
+narrow the candidates, to one side; the rule that picks among them is the
+same.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .chains import (
     LayerSplit,
     MatrixProductOperator,
     MatrixProductState,
-    _with_spectra,
     apply_to_zero,
     identity_mpo,
     mps_to_dense,
@@ -220,35 +222,28 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     """Pick the side to absorb from next; returns it and the chain with its
     next layer absorbed.
 
-    Adaptive mode splits both sides' next layers against ``m`` and writes
-    the one whose count is smaller, ties going left; the loser is never
-    written. The count of a split is that of the chain its write builds,
-    from the same SVD factors, so it cannot disagree with it. A layer with
-    no two-qubit gate needs no SVD and counts ``total_elements(m)``: against
-    it an entangling layer wins only when it shrinks the chain (on the
-    right) or keeps its size (on the left).
+    One rule: split the next layer of each candidate side against ``m`` and
+    write the split whose count is smallest, ties going left; a loser is
+    never written. The candidates are the sides not yet exhausted, and in
+    fixed mode, while both are open, only the one the schedule names (it
+    alternates every ``k`` layers). The count of a split is that of the
+    chain its write builds, from the same SVD factors, so it cannot disagree
+    with it. A layer with no two-qubit gate needs no SVD and counts
+    ``total_elements(m)``: against it an entangling layer wins only when it
+    shrinks the chain (on the right) or keeps its size (on the left).
 
-    Fixed mode alternates every ``k`` layers. An exhausted side always
-    yields to the other; both exhausted is an error. No compression sweep
-    follows a write: each pair is truncated from its bond's own Schmidt
-    values, and a local unitary leaves the spectra of all other bonds
-    unchanged, so a sweep would trim nothing.
+    No compression sweep follows a write: each pair is truncated from its
+    bond's own Schmidt values, and a local unitary leaves the spectra of all
+    other bonds unchanged, so a sweep would trim nothing.
     """
-    if left.exhausted and right.exhausted:
+    sides = [s for s in (left, right) if not s.exhausted]
+    if not sides:
         raise ValueError("both sides are exhausted")
-    if left.exhausted:
-        return "right", write_layer(_split(m, right, cfg))
-    if right.exhausted:
-        return "left", write_layer(_split(m, left, cfg))
     k = cfg.fixed_frequency
-    if k is not None:
-        which = "left" if (step // k) % 2 == 0 else "right"
-        return which, write_layer(_split(m, left if which == "left" else right, cfg))
-    m = _with_spectra(m)  # once for both splits
-    kept, other = _split(m, left, cfg), _split(m, right, cfg)
-    if kept.elements <= other.elements:
-        return "left", write_layer(kept)
-    return "right", write_layer(other)
+    if k is not None and len(sides) == 2:
+        sides = [sides[(step // k) % 2]]
+    side, split = min(((s, _split(m, s, cfg)) for s in sides), key=lambda c: c[1].elements)
+    return side.which, write_layer(split)
 
 
 def _remaining(side: _Side, n: int) -> Circuit:

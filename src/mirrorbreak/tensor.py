@@ -56,6 +56,16 @@ class TruncatedSVD:
         return len(self.s)
 
 
+def check_cutoffs(epsilon: float, chi_max: int) -> None:
+    """Raise unless ``epsilon`` is >= 0 (NaN is not) and ``chi_max`` >= 1.
+    Every public entry that takes a cutoff checks it here first, so a call
+    that happens to run no split rejects the same values as one that does."""
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
+    if chi_max < 1:
+        raise ValueError("chi_max must be >= 1")
+
+
 def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> TruncatedSVD:
     """Truncated SVD of ``t`` matricized between axis groups [0:split) and [split:).
 
@@ -69,10 +79,7 @@ def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> Tru
     t = np.asarray(t, dtype=np.complex128)
     if not (1 <= split < t.ndim):
         raise ValueError(f"split {split} must satisfy 1 <= split < rank {t.ndim}")
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
-    if chi_max < 1:
-        raise ValueError("chi_max must be >= 1")
+    check_cutoffs(epsilon, chi_max)
     if not np.isfinite(t).all():
         raise ValueError("tensor contains non-finite amplitudes")
 

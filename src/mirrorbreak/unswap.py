@@ -43,7 +43,7 @@ from .chains import (
 )
 from .chains import move_center  # noqa: F401  unused; perfbench/run.py wraps this name
 from .routing import QubitPermutation
-from .tensor import singular_values, truncation_rank
+from .tensor import check_cutoffs, singular_values, truncation_rank
 
 _PARALLEL_CYCLE = (
     ("both", 0),
@@ -141,10 +141,7 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
-    if chi_max < 1:
-        raise ValueError("chi_max must be >= 1")
+    check_cutoffs(epsilon, chi_max)
     before = total_elements(m)
     m = _with_spectra(m)
     n = m.num_sites

@@ -763,6 +763,11 @@ CUTOFF_TAKERS = {
     "unswap": unswap,
     "compress": compress,
     "apply_to_zero": apply_to_zero,
+    # no split runs in these: the cutoffs are checked before any work
+    "compress_one_site": lambda m, e, c: compress(identity_mpo(1), e, c),
+    "apply_to_zero_one_site": lambda m, e, c: apply_to_zero(identity_mpo(1), e, c),
+    "split_layer_one_qubit": lambda m, e, c: split_layer(m, [Gate("h", (0,))], "left", e, c),
+    "absorb_gate_one_qubit": lambda m, e, c: absorb_gate(m, Gate("h", (0,)), "left", e, c),
 }
 
 

@@ -303,14 +303,15 @@ class TestSelectSide:
                                     [Gate("rzz", (0, 1), (0.0,))])
         assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "right"
 
-    def test_exhausted_side_yields(self):
-        from mirrorbreak.chains import identity_mpo
-
+    @pytest.mark.parametrize("step", range(4))
+    @pytest.mark.parametrize("side_mode", ["adaptive", "fixed:1", "fixed:2"])
+    def test_exhausted_side_yields(self, side_mode, step):
+        # whatever the mode and the step, the open side is the only candidate
+        cfg = ContractionConfig(epsilon=1e-10, chi_max=64, side_mode=side_mode)
         left, right = self._sides(2, [], [Gate("h", (0,))])
-        cfg = ContractionConfig(epsilon=1e-10, chi_max=64)
-        assert _choose_side(left, right, identity_mpo(2), cfg, 0)[0] == "right"
+        assert self._decide(left, right, identity_mpo(2), cfg, step)[0] == "right"
         left2, right2 = self._sides(2, [Gate("h", (0,))], [])
-        assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "left"
+        assert self._decide(left2, right2, identity_mpo(2), cfg, step)[0] == "left"
 
     def test_both_exhausted_is_an_error(self):
         from mirrorbreak.chains import identity_mpo
@@ -329,13 +330,16 @@ class TestSelectSide:
         picks = [_choose_side(left, right, m, cfg, step)[0] for step in range(6)]
         assert picks == ["left", "left", "right", "right", "left", "left"]
 
-    def _decide(self, left, right, m, cfg=ContractionConfig(epsilon=1e-10, chi_max=64)):
-        """The chooser's pick and chain, checked against the two-trial
-        reference."""
-        which, kept = _choose_side(left, right, m, cfg, 0)
-        ref_which, ref_kept = oracles.two_trial_choose_side(left, right, m, cfg, 0)
-        assert which == ref_which
-        assert _same_sites(kept, ref_kept)
+    def _decide(self, left, right, m, cfg=ContractionConfig(epsilon=1e-10, chi_max=64),
+                step=0):
+        """The chooser's pick and chain from ``m``, checked against the
+        two-trial reference from ``m`` and from the same chain without its
+        spectra."""
+        for start in (MatrixProductOperator(m.sites, m.log_norm), m):
+            which, kept = _choose_side(left, right, start, cfg, step)
+            ref_which, ref_kept = oracles.two_trial_choose_side(left, right, start, cfg, step)
+            assert which == ref_which
+            assert _same_sites(kept, ref_kept)
         return which, kept
 
     def test_identity_like_entangler_ties_a_one_qubit_layer(self):
@@ -370,7 +374,7 @@ class TestSelectSide:
         which, _ = self._decide(left, right, identity_mpo(2), ContractionConfig(epsilon=epsilon))
         assert which == one_qubit
         assert entangler in splits
-        assert written == [tuple(single)]
+        assert written == [tuple(single)] * 2  # one decision from each start chain
 
 
 def brick_layer(n: int, offset: int, rng) -> list[Gate]:
@@ -514,8 +518,9 @@ class TestChooserAgainstTwoTrialReference:
 
 
 def _same_sites(a: MatrixProductOperator, b: MatrixProductOperator) -> bool:
+    """Bit for bit: the same shapes and the same bytes, signs of zeros too."""
     return len(a.sites) == len(b.sites) and all(
-        np.array_equal(x, y) for x, y in zip(a.sites, b.sites))
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a.sites, b.sites))
 
 
 def swept_count(m, side: _Side, cfg) -> int:
