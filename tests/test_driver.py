@@ -303,9 +303,16 @@ class TestSelectSide:
                                     [Gate("rzz", (0, 1), (0.0,))])
         assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "right"
 
+    def test_exhausted_side_yields(self):
+        left, right = self._sides(2, [], [Gate("h", (0,))])
+        cfg = ContractionConfig(epsilon=1e-10, chi_max=64)
+        assert _choose_side(left, right, identity_mpo(2), cfg, 0)[0] == "right"
+        left2, right2 = self._sides(2, [Gate("h", (0,))], [])
+        assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "left"
+
     @pytest.mark.parametrize("step", range(4))
     @pytest.mark.parametrize("side_mode", ["adaptive", "fixed:1", "fixed:2"])
-    def test_exhausted_side_yields(self, side_mode, step):
+    def test_exhausted_side_yields_in_every_mode(self, side_mode, step):
         # whatever the mode and the step, the open side is the only candidate
         cfg = ContractionConfig(epsilon=1e-10, chi_max=64, side_mode=side_mode)
         left, right = self._sides(2, [], [Gate("h", (0,))])
