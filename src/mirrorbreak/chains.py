@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Gate, gate_unitary
-from .tensor import check_cutoffs, svd_stack, svd_truncate, truncation_rank
+from .tensor import ZeroTensorError, check_cutoffs, svd_stack, svd_truncate, truncation_rank
 
 DENSE_GUARD_QUBITS = 12
 
@@ -516,10 +516,10 @@ def apply_to_zero(
     m: MatrixProductOperator, epsilon: float, chi_max: int
 ) -> MatrixProductState:
     """Select the all-zero input column of the operator, compress, and
-    normalize; the state norm is recorded in log_norm. Raises if the column
-    norm collapses relative to the operator's scale (catastrophic
-    truncation upstream). The operator's scale is read from site 0 of its
-    canonical form.
+    normalize; the state norm is recorded in log_norm. Raises
+    :class:`tensor.ZeroTensorError` if the column norm collapses relative
+    to the operator's scale (catastrophic truncation upstream). The
+    operator's scale is read from site 0 of its canonical form.
     """
     check_cutoffs(epsilon, chi_max)
     m = _with_spectra(m)
@@ -528,7 +528,7 @@ def apply_to_zero(
     f, _ = _truncate_sweep(sites, epsilon, chi_max)
     expected = mpo_scale / (2 ** (len(sites) / 2))
     if f < 1e-12 * expected:
-        raise ValueError(
+        raise ZeroTensorError(
             f"all-zero column norm {f:.3e} collapsed below 1e-12 of the expected "
             f"scale {expected:.3e}; upstream truncation destroyed the state"
         )

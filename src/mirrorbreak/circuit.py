@@ -188,27 +188,15 @@ def split_at_midpoint(c: Circuit) -> tuple[Circuit, Circuit]:
     The first half receives floor(T/2) of the T two-qubit gates (ties give
     the smaller half to the left). The cut falls immediately after the last
     two-qubit gate assigned to the first half, so single-qubit gates at the
-    junction go to the second half. Concatenating the halves reproduces the
-    input exactly.
+    junction go to the second half. With no two-qubit gate, the first half
+    receives floor(G/2) of the G gates. Concatenating the halves reproduces
+    the input exactly.
     """
     if not c.gates:
         raise ValueError("cannot split an empty circuit")
-    total = c.two_qubit_count()
-    if total == 0:
-        k = len(c.gates) // 2
-    else:
-        target = total // 2
-        if target == 0:
-            k = 0
-        else:
-            seen = 0
-            k = 0
-            for i, g in enumerate(c.gates):
-                if g.is_two_qubit:
-                    seen += 1
-                    if seen == target:
-                        k = i + 1
-                        break
+    # ends[t] is the cut after the t-th two-qubit gate; ends[0] cuts before all
+    ends = [0] + [i + 1 for i, g in enumerate(c.gates) if g.is_two_qubit]
+    k = ends[(len(ends) - 1) // 2] if len(ends) > 1 else len(c.gates) // 2
     # slices of a checked circuit address its wires only: no bounds loop
     n = c.num_qubits
     return Circuit._checked(n, c.gates[:k]), Circuit._checked(n, c.gates[k:])

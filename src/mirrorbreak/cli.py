@@ -4,9 +4,9 @@ emit traces and histograms for external plotting.
 Exit codes are a stable contract: 0 success, 1 peak mismatch (``verify``
 only), 2 usage error (a circuit file that is not UTF-8 or not valid QASM
 counts as one), 3 no result (a stall diagnosis, an SVD that did not
-converge even after its perturbed retry, or too little memory for the
-contraction or for the ``--shots`` samples), 4 I/O failure. Bitstrings print
-qubit 0 leftmost everywhere.
+converge even after its perturbed retry, truncation that collapsed the state
+to zero, or too little memory for the contraction or for the ``--shots``
+samples), 4 I/O failure. Bitstrings print qubit 0 leftmost everywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .circuit import QasmError, parse_qasm
 from .driver import ContractionConfig, StallError, dense_output, emit_trace, run, sample_output
 from .oracle import bits_to_index, peak_of, simulate, tvd
 from .peaked import generate, write_instance
-from .tensor import SvdConvergenceError
+from .tensor import SvdConvergenceError, ZeroTensorError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a circuit against the statevector oracle")
     ver.add_argument("--circuit", required=True)
-    ver.add_argument("--against", choices=["oracle"], default="oracle")
     ver.add_argument("--epsilon", type=float, default=1e-10)
     ver.add_argument("--shots", type=int, default=10000)
     ver.add_argument("--seed", type=int, default=0)
@@ -139,6 +138,8 @@ def _contract(circuit, args, trace: str | None = None, **config):
     try:
         result = run(circuit, cfg)
         return result, sample_output(result, args.shots, args.seed)
+    except ZeroTensorError as exc:
+        print(f"error: {exc}; try a smaller --epsilon", file=sys.stderr)
     except ValueError as exc:
         raise SystemExit(_usage_error(exc))
     except SvdConvergenceError as exc:

@@ -151,7 +151,16 @@ class StallError(RuntimeError):
 @dataclass
 class _Side:
     """One remaining half: physical gate list plus the routing layouts in
-    force at the list's two ends (layout[logical] = wire).
+    force at its two ends (layout[logical] = wire).
+
+    ``outer`` is the layout at the side's outer end: the output end (the
+    back of the list) for ``left``, the input end (the front) for
+    ``right``. ``cut`` is the layout at the inner end of the unconsumed
+    gates. It is derived, not given: ``outer`` carried inward across every
+    routing swap of the list (a swap is its own inverse, so it moves the
+    layout the same way in either direction), and each consumed layer then
+    carries it outward across its own routing swaps, so an exhausted side
+    has ``cut == outer``.
 
     The list is peeled once into brick layers from its inner end, the front
     for ``left`` and the back for ``right``. A gate's depth is one more than
@@ -164,8 +173,8 @@ class _Side:
 
     which: str  # "left" (consumed from the front) or "right" (from the back)
     gates: list[Gate]
-    front: QubitPermutation
-    back: QubitPermutation
+    outer: QubitPermutation
+    cut: QubitPermutation = field(init=False)
     taken: int = field(default=0, init=False)
     layers: list[list[Gate]] = field(init=False, repr=False)
     depths: list[int] = field(init=False, repr=False)
@@ -174,10 +183,16 @@ class _Side:
         n = len(self.gates)
         order = range(n - 1, -1, -1) if self.which == "right" else range(n)
         reached: dict[int, int] = {}  # wire -> depth of its last scanned gate
+        # the routing swaps scanned so far as one wire map, innermost first
+        # (each composed on the right), so that cut = inward . outer
+        inward = list(range(self.outer.size))
         self.depths = [0] * n
         self.layers = []
         for idx in order:
             g = self.gates[idx]
+            if g.origin == ORIGIN_ROUTING:
+                a, b = g.qubits
+                inward[a], inward[b] = inward[b], inward[a]
             d = 1 + max(reached.get(q, 0) for q in g.qubits)
             for q in g.qubits:
                 reached[q] = d
@@ -185,6 +200,7 @@ class _Side:
             if d > len(self.layers):
                 self.layers.append([])
             self.layers[d - 1].append(g)
+        self.cut = QubitPermutation(tuple(inward[w] for w in self.outer.mapping))
 
     @property
     def exhausted(self) -> bool:
@@ -199,16 +215,13 @@ class _Side:
         return [g for g, d in zip(self.gates, self.depths) if d > self.taken]
 
     def consume(self) -> list[Gate]:
-        """Take the next layer, advancing the side's cut layout across the
-        routing swaps in it."""
+        """Take the next layer, advancing ``cut`` across the routing swaps
+        in it."""
         layer = self.layers[self.taken]
         self.taken += 1
         for g in layer:
             if g.origin == ORIGIN_ROUTING:
-                if self.which == "right":
-                    self.back = advance_layout(self.back, *g.qubits)
-                else:
-                    self.front = advance_layout(self.front, *g.qubits)
+                self.cut = advance_layout(self.cut, *g.qubits)
         return layer
 
 
@@ -254,26 +267,24 @@ def _remaining(side: _Side, n: int) -> Circuit:
 
 def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,
                  n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(_remaining(side, n), side.front)
-    sigma = side.front.inverse().compose(extracted)
+    logical = strip_transpilation_swaps(_remaining(side, n), side.cut)
+    sigma = side.cut.inverse().compose(extracted)
     relabeled = reindex(logical, sigma.inverse())
     routed = route_linear(relabeled, "forward")
     drift = routed.output_layout
-    pi_out = pi_out.compose(side.back).compose(sigma).compose(drift.inverse())
-    new_side = _Side("left", list(routed.circuit.gates), QubitPermutation.identity(n), drift)
-    return pi_out, new_side
+    pi_out = pi_out.compose(side.outer).compose(sigma).compose(drift.inverse())
+    return pi_out, _Side("left", list(routed.circuit.gates), drift)
 
 
 def _rewire_right(pi_in: QubitPermutation, side: _Side, extracted: QubitPermutation,
                   n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(_remaining(side, n), side.front)
-    sigma = extracted.compose(side.back)
+    logical = strip_transpilation_swaps(_remaining(side, n), side.outer)
+    sigma = extracted.compose(side.cut)
     relabeled = reindex(logical, sigma)
     routed = route_linear(relabeled, "reverse")
     drift = routed.input_layout
-    pi_in = drift.compose(sigma).compose(side.front.inverse()).compose(pi_in)
-    new_side = _Side("right", list(routed.circuit.gates), drift, QubitPermutation.identity(n))
-    return pi_in, new_side
+    pi_in = drift.compose(sigma).compose(side.outer.inverse()).compose(pi_in)
+    return pi_in, _Side("right", list(routed.circuit.gates), drift)
 
 
 def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
@@ -294,21 +305,16 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     t0 = time.perf_counter()
     routed = route_linear(c, "forward")
     first, second = split_at_midpoint(routed.circuit)
-    cut = QubitPermutation.identity(n)
-    for g in first.gates:
-        if g.origin == ORIGIN_ROUTING:
-            cut = advance_layout(cut, *g.qubits)
-
     pi_out = routed.output_layout.inverse()
     pi_in = QubitPermutation.identity(n)
-    left = _Side("left", list(second.gates), front=cut, back=routed.output_layout)
-    right = _Side("right", list(first.gates), front=QubitPermutation.identity(n), back=cut)
+    left = _Side("left", list(second.gates), routed.output_layout)
+    right = _Side("right", list(first.gates), QubitPermutation.identity(n))
 
     m = identity_mpo(n)
     trace: list[TraceRecord] = []
     consumed = 0
     consumed_source = 0
-    source_two_qubit = c.two_qubit_count()
+    source_two_qubit = sum(g.is_two_qubit for g in c.gates if g.origin != ORIGIN_ROUTING)
     step = 0
     chi_saturations = 0
     stall_reductions: list[float] = []

@@ -188,8 +188,8 @@ def strip_transpilation_swaps(
     labels they had before routing.
 
     ``initial_layout`` is the layout in force at the first gate (identity for
-    a complete forward-routed circuit; routed remainders pass their tracked
-    cut layout). Source gates, including source SWAPs, are kept.
+    a complete forward-routed circuit; a routed remainder passes the layout
+    at its front). Source gates, including source SWAPs, are kept.
     """
     n = c.num_qubits
     if initial_layout is not None and initial_layout.size != n:

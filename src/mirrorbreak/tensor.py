@@ -28,7 +28,10 @@ TIE_TOLERANCE = 1e-12
 
 
 class ZeroTensorError(ValueError):
-    """Raised when an SVD is requested for an all-zero tensor."""
+    """Raised when an SVD is requested for an all-zero tensor, or when the
+    output state's norm collapses (``chains.apply_to_zero``). Within a run
+    either means truncation destroyed the result, not that an argument was
+    bad. A ``ValueError``, so callers that catch that still catch it."""
 
 
 class SvdConvergenceError(RuntimeError):

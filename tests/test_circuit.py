@@ -394,6 +394,21 @@ class TestSplit:
         assert first.two_qubit_count() == 2
         assert second.two_qubit_count() == 3
 
+    @pytest.mark.parametrize("kinds,cut", [
+        ("hhhhh", 2),  # T = 0: half the gates, rounded down
+        ("h", 0),
+        ("hhchh", 0),  # T = 1: the lone two-qubit gate goes right
+        ("c", 0),
+        ("hchhhchh", 2),  # one-qubit gates at the junction go right
+        ("chhhcc", 1),
+        ("hchccchh", 4),
+    ], ids=["T0-odd", "T0-one", "T1", "T1-alone", "junction-T2", "junction-T3",
+            "junction-T4"])
+    def test_exact_cut(self, kinds, cut):
+        gates = tuple(Gate("cx", (0, 1)) if k == "c" else Gate("h", (0,)) for k in kinds)
+        first, second = split_at_midpoint(Circuit(2, gates))
+        assert first.gates == gates[:cut] and second.gates == gates[cut:]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_concatenation_reproduces_input(self, seed):
         rng = np.random.default_rng(300 + seed)

@@ -278,6 +278,19 @@ class TestSvdNonConvergence:
         assert "Traceback" not in err
 
 
+class TestTruncationCollapse:
+    def test_collapsed_state_exits_3_naming_epsilon(self, tmp_path, capsys):
+        # --epsilon 0.9 is a valid value; the truncation it allows leaves
+        # no output state, which is no result, not a usage error
+        path = tmp_path / "c.qasm"
+        path.write_text(serialize_qasm(random_circuit(6, 24, np.random.default_rng(5))))
+        code = main(["run", "--circuit", str(path), "--epsilon", "0.9", "--shots", "10"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "collapsed" in err and "--epsilon" in err
+        assert "Traceback" not in err
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_sampler_out_of_memory_exits_3_naming_shots(self, instance_files, monkeypatch,

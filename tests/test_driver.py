@@ -152,6 +152,18 @@ class TestOracleEquivalenceWithoutUnswapping:
         assert expected_peak == "0001"
         assert set(sample_output(result, 50, seed=1)) == {expected_peak}
 
+    def test_routing_tagged_swap_in_the_input_is_read_as_a_swap(self):
+        # the source gate count must skip a routing-tagged swap, as the
+        # count of consumed source gates does, or the run's accounting
+        # check fails on a circuit that carries one
+        gates = (Gate("h", (0,)), Gate("ry", (2,), (0.7,)), Gate("cx", (0, 1)),
+                 Gate("swap", (1, 2), (), ORIGIN_ROUTING), Gate("cx", (0, 1)))
+        c = Circuit(3, gates)
+        result = run(c, ContractionConfig(epsilon=0.0, tau=10**6))
+        assert fidelity(dense_output(result), simulate(c)) >= 1 - 1e-12
+        without_swap = Circuit(3, gates[:3] + gates[4:])
+        assert fidelity(dense_output(result), simulate(without_swap)) < 0.9
+
 
 class TestOracleEquivalenceWithUnswapping:
     """Small tau forces absorb -> unswap -> rewire cycles; this exercises the
@@ -279,8 +291,8 @@ class TestSelectSide:
     def _sides(self, n, left_gates, right_gates):
         ident = QubitPermutation.identity(n)
         return (
-            _Side("left", list(left_gates), ident, ident),
-            _Side("right", list(right_gates), ident, ident),
+            _Side("left", list(left_gates), ident),
+            _Side("right", list(right_gates), ident),
         )
 
     def test_tie_goes_left(self):
@@ -420,7 +432,7 @@ class TestTrialAbsorb:
         for g in sorted(layer, key=lambda g: min(g.qubits)):
             expected = absorb_gate(expected, g, which, cfg.epsilon, cfg.chi_max)
         ident = QubitPermutation.identity(n)
-        side = _Side(which, list(layer), ident, ident)
+        side = _Side(which, list(layer), ident)
         swept = write_layer(_split(m, side, cfg))
         side.consume()
         assert side.remaining() == []
@@ -605,8 +617,8 @@ class TestPrediction:
         elif center != 0:
             m = move_center(m, n // 2 if center == "mid" else center % n)
         ident = QubitPermutation.identity(n)
-        left = _Side("left", brick_layer(n, (seed + 1) % 2, rng), ident, ident)
-        right = _Side("right", list(inverse_circuit(Circuit(n, tuple(inner))).gates), ident, ident)
+        left = _Side("left", brick_layer(n, (seed + 1) % 2, rng), ident)
+        right = _Side("right", list(inverse_circuit(Circuit(n, tuple(inner))).gates), ident)
         start = _with_spectra(m)
         assert _split(start, right, cfg).elements == swept_count(start, right, cfg)
         assert _split(start, left, cfg).elements == swept_count(start, left, cfg)
@@ -635,13 +647,11 @@ class TestPrediction:
             sites[b + 1] = np.concatenate([c, np.zeros((9,) + c.shape[1:])], axis=0)
         m = MatrixProductOperator(tuple(sites), m.log_norm)
         ident = QubitPermutation.identity(n)
-        left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))],
-                     ident, ident)
+        left = _Side("left", [Gate("rzz", (1, 2), (0.4,)), Gate("rzz", (3, 4), (0.4,))], ident)
         start = _with_spectra(m)
         assert sum(start.bond_dims()) < sum(m.bond_dims())
         for pairs in (((0, 1), (2, 3)), ((1, 2), (3, 4))):
-            right = _Side("right", [Gate("rzz", pairs[0], (0.9,)), Gate("swap", pairs[1])],
-                          ident, ident)
+            right = _Side("right", [Gate("rzz", pairs[0], (0.9,)), Gate("swap", pairs[1])], ident)
             assert _split(start, right, cfg).elements == swept_count(start, right, cfg)
             which, kept = _choose_side(left, right, m, cfg, 0)
             ref_which, ref_kept = oracles.two_trial_choose_side(left, right, start, cfg, 0)
@@ -656,7 +666,7 @@ class TestPrediction:
         for g in random_circuit(n, 6, np.random.default_rng(7), adjacent_only=True).gates:
             m = absorb_gate(m, g, "left", cfg.epsilon, cfg.chi_max)
         ident = QubitPermutation.identity(n)
-        right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident, ident)
+        right = _Side("right", [Gate("rzz", (0, 1), (0.9,)), Gate("swap", (2, 3))], ident)
         reference = oracles.two_trial_absorb(m, right.remaining(), "right", cfg)
         assert _split(m, right, cfg).elements == total_elements(reference)
         real_svd = np.linalg.svd
@@ -688,7 +698,7 @@ class TestPrediction:
         ident = QubitPermutation.identity(n)
         for which in ("left", "right"):
             layer = [g for g in oracles.weak_brickwork(n, 2, rng) if g.is_two_qubit]
-            side = _Side(which, layer, ident, ident)
+            side = _Side(which, layer, ident)
             count = _split(m, side, cfg).elements
             assert count == swept_count(m, side, cfg)
             assert count < total_elements(m)
@@ -768,13 +778,20 @@ def gate_lists(draw):
 
 class TestPeeling:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(case=gate_lists(), which=st.sampled_from(["left", "right"]))
-    def test_matches_repeated_extraction(self, case, which):
+    @given(case=gate_lists(), which=st.sampled_from(["left", "right"]), data=st.data())
+    def test_matches_repeated_extraction(self, case, which, data):
         n, gates = case
-        ident = QubitPermutation.identity(n)
-        side = _Side(which, list(gates), ident, ident)
+        outer = QubitPermutation(tuple(data.draw(st.permutations(range(n)))))
+        side = _Side(which, list(gates), outer)
+        # the cut layout is outer carried inward, from the outer end of the
+        # list (its back for left, its front for right), over every routing swap
+        layout = outer
+        for g in (reversed(gates) if which == "left" else gates):
+            if g.origin == ORIGIN_ROUTING:
+                layout = advance_layout(layout, *g.qubits)
+        assert side.cut == layout
         remaining = list(gates)
-        layout = ident
+        layout = side.cut
         while remaining:
             assert not side.exhausted
             layer, remaining = oracles.extract_layer(remaining, from_back=(which == "right"))
@@ -784,8 +801,9 @@ class TestPeeling:
             for g in layer:
                 if g.origin == ORIGIN_ROUTING:
                     layout = advance_layout(layout, *g.qubits)
-            assert (side.back if which == "right" else side.front) == layout
+            assert side.cut == layout
         assert side.exhausted and side.layer() is None
+        assert side.cut == side.outer
 
 
 class TestFixedModeDigest:
