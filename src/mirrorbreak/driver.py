@@ -3,17 +3,31 @@ central operator chain until it crosses the size threshold, extract
 permutations, rewire the remaining halves, repeat; finally apply the chain
 to |0...0>.
 
-Operator bookkeeping. The driver maintains the invariant
+Operator bookkeeping. Each half carries one boundary permutation, taken at
+its cut (the inner end of its unconsumed gates), and the driver maintains
 
-    U(circuit) = P(out_perm) . U(left gates) . M . U(right gates) . P(in_perm)
+    U(circuit) = P(left.boundary) . U(L) . M . U(R) . P(right.boundary)^-1
 
-where the left list holds the temporally-second half of the routed circuit
-(consumed from its front, absorbed onto the chain's top legs) and the right
-list holds the first half (consumed from its back, absorbed onto the bottom
-legs). Routing drift and extracted permutations are conjugated outward into
-``out_perm``/``in_perm``; the input permutation fixes |0...0>, so only the
-output permutation matters at sampling time, where it is applied as a free
-bit relabeling.
+where ``L`` holds the temporally-second half of the routed circuit
+(consumed from its front, absorbed onto the chain's top legs), ``R`` the
+first half (consumed from its back, absorbed onto the bottom legs), each
+with its routing swaps stripped and its wires labelled as they stand at the
+cut. Both boundaries follow one rule: every step composes on the right.
+Crossing a routing swap ``t`` at the cut, while a layer is consumed or
+while the start boundary is carried in from the half's outer end, gives
+``b . t``. Unswap factors ``M = P(left_perm) . M' . P(right_perm)``, and
+pushing ``P(e)`` out through a side's gates (``e = left_perm`` for left,
+``right_perm^-1`` for right) gives ``b . e``: the gates, read from the
+cut, are stripped with ``e`` as the layout there and routed afresh
+(:func:`_rewire`). No relabel pass is needed, because stripping absorbs
+one:
+
+    reindex(strip(G, L), p) == strip(G, L . p^-1)
+
+At the end both sides are exhausted, and ``left.boundary`` is the output
+permutation and ``right.boundary^-1`` the input permutation. The input
+permutation fixes |0...0>, so only the output permutation matters at
+sampling time, where it is applied as a free bit relabeling.
 
 Side selection. Each side's gate list is peeled once into brick layers from
 its inner end. Adaptive mode absorbs the next layer of the side that leaves
@@ -57,13 +71,9 @@ from .chains import (
 from .chains import absorb_gate, compress  # noqa: F401
 from .circuit import ORIGIN_ROUTING, Circuit, Gate, split_at_midpoint
 from .oracle import permute_statevector
-from .routing import (
-    QubitPermutation,
-    advance_layout,
-    reindex,
-    route_linear,
-    strip_transpilation_swaps,
-)
+from .routing import QubitPermutation, route_linear, strip_transpilation_swaps
+# unused here; perfbench/run.py wraps this name
+from .routing import reindex  # noqa: F401
 from .unswap import unswap
 
 
@@ -148,19 +158,26 @@ class StallError(RuntimeError):
         self.trace = tuple(trace)
 
 
+def _carry(b: QubitPermutation, gates) -> QubitPermutation:
+    """``b`` composed on the right with each routing swap of ``gates``, in
+    the order given."""
+    mapping = list(b.mapping)
+    for g in gates:
+        if g.origin == ORIGIN_ROUTING:
+            x, y = g.qubits
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+    return QubitPermutation(tuple(mapping))
+
+
 @dataclass
 class _Side:
-    """One remaining half: physical gate list plus the routing layouts in
-    force at its two ends (layout[logical] = wire).
+    """One remaining half: its physical gate list and its boundary
+    permutation ``boundary`` at the cut (module docstring).
 
-    ``outer`` is the layout at the side's outer end: the output end (the
-    back of the list) for ``left``, the input end (the front) for
-    ``right``. ``cut`` is the layout at the inner end of the unconsumed
-    gates. It is derived, not given: ``outer`` carried inward across every
-    routing swap of the list (a swap is its own inverse, so it moves the
-    layout the same way in either direction), and each consumed layer then
-    carries it outward across its own routing swaps, so an exhausted side
-    has ``cut == outer``.
+    ``boundary`` is given at the inner end of ``gates``. Consuming a layer
+    carries it across the layer's routing swaps, each composed on the
+    right (:func:`_carry`), so an exhausted side holds the permutation at
+    its outer end.
 
     The list is peeled once into brick layers from its inner end, the front
     for ``left`` and the back for ``right``. A gate's depth is one more than
@@ -173,8 +190,7 @@ class _Side:
 
     which: str  # "left" (consumed from the front) or "right" (from the back)
     gates: list[Gate]
-    outer: QubitPermutation
-    cut: QubitPermutation = field(init=False)
+    boundary: QubitPermutation
     taken: int = field(default=0, init=False)
     layers: list[list[Gate]] = field(init=False, repr=False)
     depths: list[int] = field(init=False, repr=False)
@@ -183,16 +199,10 @@ class _Side:
         n = len(self.gates)
         order = range(n - 1, -1, -1) if self.which == "right" else range(n)
         reached: dict[int, int] = {}  # wire -> depth of its last scanned gate
-        # the routing swaps scanned so far as one wire map, innermost first
-        # (each composed on the right), so that cut = inward . outer
-        inward = list(range(self.outer.size))
         self.depths = [0] * n
         self.layers = []
         for idx in order:
             g = self.gates[idx]
-            if g.origin == ORIGIN_ROUTING:
-                a, b = g.qubits
-                inward[a], inward[b] = inward[b], inward[a]
             d = 1 + max(reached.get(q, 0) for q in g.qubits)
             for q in g.qubits:
                 reached[q] = d
@@ -200,7 +210,6 @@ class _Side:
             if d > len(self.layers):
                 self.layers.append([])
             self.layers[d - 1].append(g)
-        self.cut = QubitPermutation(tuple(inward[w] for w in self.outer.mapping))
 
     @property
     def exhausted(self) -> bool:
@@ -215,13 +224,11 @@ class _Side:
         return [g for g, d in zip(self.gates, self.depths) if d > self.taken]
 
     def consume(self) -> list[Gate]:
-        """Take the next layer, advancing ``cut`` across the routing swaps
-        in it."""
+        """Take the next layer, carrying ``boundary`` across its routing
+        swaps."""
         layer = self.layers[self.taken]
         self.taken += 1
-        for g in layer:
-            if g.origin == ORIGIN_ROUTING:
-                self.cut = advance_layout(self.cut, *g.qubits)
+        self.boundary = _carry(self.boundary, layer)
         return layer
 
 
@@ -259,32 +266,25 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     return side.which, write_layer(split)
 
 
-def _remaining(side: _Side, n: int) -> Circuit:
-    """The side's unconsumed gates as a circuit; they came from a checked
-    circuit on the same n wires, so the bounds loop is not run again."""
-    return Circuit._checked(n, tuple(side.remaining()))
+def _rewire(side: _Side, e: QubitPermutation, n: int) -> _Side:
+    """The side with ``P(e)`` pushed out through its unconsumed gates.
 
-
-def _rewire_left(pi_out: QubitPermutation, side: _Side, extracted: QubitPermutation,
-                 n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(_remaining(side, n), side.cut)
-    sigma = side.cut.inverse().compose(extracted)
-    relabeled = reindex(logical, sigma.inverse())
-    routed = route_linear(relabeled, "forward")
-    drift = routed.output_layout
-    pi_out = pi_out.compose(side.outer).compose(sigma).compose(drift.inverse())
-    return pi_out, _Side("left", list(routed.circuit.gates), drift)
-
-
-def _rewire_right(pi_in: QubitPermutation, side: _Side, extracted: QubitPermutation,
-                  n: int) -> tuple[QubitPermutation, _Side]:
-    logical = strip_transpilation_swaps(_remaining(side, n), side.outer)
-    sigma = extracted.compose(side.cut)
-    relabeled = reindex(logical, sigma)
-    routed = route_linear(relabeled, "reverse")
-    drift = routed.input_layout
-    pi_in = drift.compose(sigma).compose(side.outer.inverse()).compose(pi_in)
-    return pi_in, _Side("right", list(routed.circuit.gates), drift)
+    ``e`` is the permutation unswap took out of the chain on this side, in
+    boundary form: ``left_perm`` for ``left``, ``right_perm`` inverted for
+    ``right``. The unconsumed gates, read from the inner end, are stripped
+    of routing swaps with ``e`` as the layout at that end, routed forward
+    afresh, and put back in list order; the new cut is the identity layout
+    the route starts from, so the new boundary is ``boundary . e``.
+    """
+    gates = side.remaining()
+    if side.which == "right":
+        gates.reverse()
+    # the unconsumed gates came from a checked circuit on the same n wires
+    logical = strip_transpilation_swaps(Circuit._checked(n, tuple(gates)), e)
+    routed = list(route_linear(logical).circuit.gates)
+    if side.which == "right":
+        routed.reverse()
+    return _Side(side.which, routed, side.boundary.compose(e))
 
 
 def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
@@ -303,12 +303,15 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
         raise ValueError(f"tau={cfg.tau} is below the identity chain size {4 * n}")
 
     t0 = time.perf_counter()
-    routed = route_linear(c, "forward")
+    routed = route_linear(c)
     first, second = split_at_midpoint(routed.circuit)
-    pi_out = routed.output_layout.inverse()
-    pi_in = QubitPermutation.identity(n)
-    left = _Side("left", list(second.gates), routed.output_layout)
-    right = _Side("right", list(first.gates), QubitPermutation.identity(n))
+    # each boundary is carried from its half's outer end to the cut: the
+    # router's layouts leave out a routing-tagged swap that came with the
+    # input, which this walk crosses like any other
+    left = _Side("left", list(second.gates),
+                 _carry(routed.output_layout.inverse(), reversed(second.gates)))
+    right = _Side("right", list(first.gates),
+                  _carry(QubitPermutation.identity(n), first.gates))
 
     m = identity_mpo(n)
     trace: list[TraceRecord] = []
@@ -368,8 +371,8 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
         else:
             stall_reductions = []
 
-        pi_out, left = _rewire_left(pi_out, left, result.left_perm, n)
-        pi_in, right = _rewire_right(pi_in, right, result.right_perm, n)
+        left = _rewire(left, result.left_perm, n)
+        right = _rewire(right, result.right_perm.inverse(), n)
 
     # routing swaps come and go with each re-transpilation, but every source
     # two-qubit gate must be absorbed exactly once
@@ -381,8 +384,8 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     psi = apply_to_zero(m, cfg.epsilon, cfg.chi_max)
     return SimulationResult(
         state=psi,
-        output_permutation=pi_out,
-        input_permutation=pi_in,
+        output_permutation=left.boundary,
+        input_permutation=right.boundary.inverse(),
         trace=tuple(trace),
         final_elements=total_elements(m),
         chi_saturation_events=chi_saturations,

@@ -1,17 +1,16 @@
 """Routing to linear nearest-neighbor connectivity, SWAP stripping, and qubit
 relabeling.
 
-Layout maps are permutations ``layout[logical] = wire``. A routed circuit
-satisfies, as an operator identity,
+Layout maps are permutations ``layout[logical] = wire``. Routing runs
+forward: it starts from the identity layout and lets the drift accumulate at
+the end, so a routed circuit satisfies, as an operator identity,
 
-    U(routed) = P(output_layout) . U(original) . P(input_layout)^{-1}
+    U(routed) = P(output_layout) . U(original)
 
 where ``P(pi)`` is the unitary that moves the content of wire i to wire
-pi[i]. Forward routing starts from the identity layout and lets the drift
-accumulate at the end (output_layout); reverse routing ends at the identity
-layout and pushes the drift to the beginning (input_layout). Neither mode
-appends restoring SWAPs; callers fold the exported layout into their own
-bookkeeping.
+pi[i]. No restoring SWAPs are appended; callers fold the exported layout
+into their own bookkeeping. A circuit to be aligned at its end instead is
+routed reversed and its routed gates reversed back.
 
 Every layout is a permutation of the wires 0..n-1, and the image of distinct
 qubits under a permutation is distinct and in range. So a gate these
@@ -111,7 +110,6 @@ def compose_transpositions(n: int, swaps) -> QubitPermutation:
 @dataclass(frozen=True)
 class RoutedCircuit:
     circuit: Circuit
-    input_layout: QubitPermutation
     output_layout: QubitPermutation
 
 
@@ -143,28 +141,18 @@ def _bring_adjacent(layout: _Layout, a: int, b: int, emit) -> tuple[int, int]:
     return layout.l2p[a], layout.l2p[b]
 
 
-def route_linear(c: Circuit, direction: str = "forward") -> RoutedCircuit:
+def route_linear(c: Circuit) -> RoutedCircuit:
     """Insert tagged SWAPs so every two-qubit gate acts on adjacent wires.
 
     Greedy, no lookahead: for each non-adjacent pair the farther wire is
     walked over to sit next to the nearer one, and the running layout keeps
-    the drift instead of swapping back. ``direction="forward"`` drifts the
-    output layout; ``direction="reverse"`` processes gates from the end so
-    that the drift lands on the input layout and the circuit ends aligned.
+    the drift instead of swapping back; the drift is the output layout.
     """
     n = c.num_qubits
     layout = _Layout(n)
     emitted: list[Gate] = []
     emit = emitted.append
-
-    if direction == "forward":
-        gate_iter = c.gates
-    elif direction == "reverse":
-        gate_iter = tuple(reversed(c.gates))
-    else:
-        raise ValueError(f"direction must be forward or reverse, got {direction!r}")
-
-    for g in gate_iter:
+    for g in c.gates:
         if len(g.qubits) == 1:
             emit(g._moved((layout.l2p[g.qubits[0]],)))
             continue
@@ -173,12 +161,7 @@ def route_linear(c: Circuit, direction: str = "forward") -> RoutedCircuit:
         if abs(pa - pb) != 1:
             pa, pb = _bring_adjacent(layout, a, b, emit)
         emit(g._moved((pa, pb)))
-
-    if direction == "forward":
-        routed = Circuit._checked(n, tuple(emitted))
-        return RoutedCircuit(routed, QubitPermutation.identity(n), layout.as_permutation())
-    routed = Circuit._checked(n, tuple(reversed(emitted)))
-    return RoutedCircuit(routed, layout.as_permutation(), QubitPermutation.identity(n))
+    return RoutedCircuit(Circuit._checked(n, tuple(emitted)), layout.as_permutation())
 
 
 def strip_transpilation_swaps(
@@ -215,9 +198,3 @@ def reindex(c: Circuit, p: QubitPermutation) -> Circuit:
     mapping = p.mapping
     return Circuit._checked(c.num_qubits, tuple(
         g._moved(tuple(mapping[q] for q in g.qubits)) for g in c.gates))
-
-
-def advance_layout(layout: QubitPermutation, wire_a: int, wire_b: int) -> QubitPermutation:
-    """Layout after a SWAP of two wires executes (content exchange)."""
-    tau = QubitPermutation.transposition(layout.size, wire_a, wire_b)
-    return tau.compose(layout)

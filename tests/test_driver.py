@@ -42,7 +42,8 @@ from mirrorbreak.driver import (
 )
 from mirrorbreak.oracle import peak_of, simulate, unitary
 from mirrorbreak.peaked import generate
-from mirrorbreak.routing import QubitPermutation, advance_layout
+from mirrorbreak.routing import QubitPermutation
+from mirrorbreak.unswap import UnswapResult
 
 from . import oracles
 from .oracles import random_circuit
@@ -167,7 +168,7 @@ class TestOracleEquivalenceWithoutUnswapping:
 
 class TestOracleEquivalenceWithUnswapping:
     """Small tau forces absorb -> unswap -> rewire cycles; this exercises the
-    whole permutation algebra (strip, reindex, re-route, drift folding)."""
+    whole permutation algebra (boundary carrying, strip, re-route)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_peaked_instances_tiny_tau(self, seed):
@@ -209,6 +210,76 @@ class TestOracleEquivalenceWithUnswapping:
         freq = counts[top] / 1000
         sigma = np.sqrt(p * (1 - p) / 1000)
         assert abs(freq - p) <= 3 * sigma
+
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed:1"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tagged_input_swaps_across_rewires(self, seed, mode):
+        # routing-tagged swaps that come with the input are carried into the
+        # start boundaries; a tau just above the identity floor rewires
+        # after almost every source gate
+        rng = np.random.default_rng(2400 + seed)
+        n = 4 + seed % 4
+        c = with_tagged_swaps(mirror_circuit(n, 3 * n, 2400 + seed), 3, rng)
+        cfg = ContractionConfig(epsilon=0.0, chi_max=4096, tau=4 * n + 8, side_mode=mode,
+                                stall_limit=1000)
+        result = run(c, cfg)
+        assert any(rec.phase == "unswap" for rec in result.trace)
+        assert fidelity(dense_output(result), simulate(c)) >= 1 - 1e-10
+
+
+def with_tagged_swaps(c: Circuit, count: int, rng) -> Circuit:
+    """``c`` with ``count`` routing-tagged adjacent swaps inserted at random
+    places."""
+    gates = list(c.gates)
+    for _ in range(count):
+        a = int(rng.integers(0, c.num_qubits - 1))
+        gates.insert(int(rng.integers(0, len(gates) + 1)),
+                     Gate("swap", (a, a + 1), (), ORIGIN_ROUTING))
+    return Circuit(c.num_qubits, tuple(gates))
+
+
+class TestArbitraryExtractions:
+    """Unswap replaced by a stub that factors random adjacent swaps out of
+    the chain exactly, so the rewiring meets extractions unswap itself
+    would not pick."""
+
+    @staticmethod
+    def random_unswap(rng):
+        def stub(m, epsilon, chi_max, max_iterations):
+            before = total_elements(m)
+            m = _with_spectra(m)
+            n = m.num_sites
+            left = right = QubitPermutation.identity(n)
+            count = int(rng.integers(0, 2 * n)) if n > 1 else 0
+            for _ in range(count):
+                bond = int(rng.integers(0, n - 1))
+                side = ("left", "right", "both")[int(rng.integers(0, 3))]
+                # S.(S.M) == M: the swap moves into the permutations the way
+                # unswap composes them
+                m = chains.apply_swap_boundary(m, bond, side, 0.0, chi_max)
+                tau = QubitPermutation.transposition(n, bond, bond + 1)
+                if side in ("left", "both"):
+                    left = left.compose(tau)
+                if side in ("right", "both"):
+                    right = tau.compose(right)
+            return UnswapResult(m, left, right, count, before, total_elements(m))
+        return stub
+
+    @pytest.mark.parametrize("tagged", [0, 3])
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed:1"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_output_matches_oracle(self, monkeypatch, seed, mode, tagged):
+        rng = np.random.default_rng(2500 + seed)
+        n = 4 + seed % 3
+        c = with_tagged_swaps(random_circuit(n, 4 * n, rng), tagged, rng)
+        calls = []
+        stub = self.random_unswap(rng)
+        monkeypatch.setattr(driver, "unswap", lambda *a: calls.append(1) or stub(*a))
+        cfg = ContractionConfig(epsilon=0.0, chi_max=4096, tau=4 * n, side_mode=mode,
+                                stall_limit=10**6)
+        result = run(c, cfg)
+        assert calls
+        assert fidelity(dense_output(result), simulate(c)) >= 1 - 1e-10
 
 
 class TestBeyondDenseChecks:
@@ -782,16 +853,17 @@ class TestPeeling:
     def test_matches_repeated_extraction(self, case, which, data):
         n, gates = case
         outer = QubitPermutation(tuple(data.draw(st.permutations(range(n)))))
-        side = _Side(which, list(gates), outer)
-        # the cut layout is outer carried inward, from the outer end of the
-        # list (its back for left, its front for right), over every routing swap
-        layout = outer
+        # the boundary at the inner end is the outer-end permutation carried
+        # inward, from the outer end of the list (its back for left, its
+        # front for right), across every routing swap composed on the right
+        start = outer
         for g in (reversed(gates) if which == "left" else gates):
             if g.origin == ORIGIN_ROUTING:
-                layout = advance_layout(layout, *g.qubits)
-        assert side.cut == layout
+                start = start.compose(QubitPermutation.transposition(n, *g.qubits))
+        side = _Side(which, list(gates), start)
+        assert side.boundary == start
         remaining = list(gates)
-        layout = side.cut
+        boundary = start
         while remaining:
             assert not side.exhausted
             layer, remaining = oracles.extract_layer(remaining, from_back=(which == "right"))
@@ -800,10 +872,10 @@ class TestPeeling:
             assert side.remaining() == remaining
             for g in layer:
                 if g.origin == ORIGIN_ROUTING:
-                    layout = advance_layout(layout, *g.qubits)
-            assert side.cut == layout
+                    boundary = boundary.compose(QubitPermutation.transposition(n, *g.qubits))
+            assert side.boundary == boundary
         assert side.exhausted and side.layer() is None
-        assert side.cut == side.outer
+        assert side.boundary == outer
 
 
 class TestFixedModeDigest:

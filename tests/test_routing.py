@@ -9,7 +9,6 @@ from mirrorbreak.oracle import permutation_unitary, unitary
 from mirrorbreak.routing import (
     QubitPermutation,
     RoutedCircuit,
-    advance_layout,
     compose_transpositions,
     reindex,
     route_linear,
@@ -20,12 +19,24 @@ from .oracles import assert_built_as_checked, random_circuit
 
 
 def routed_equivalent(routed: RoutedCircuit, original: Circuit) -> float:
-    """Max-entry deviation of U(routed) from P(out) U(orig) P(in)^{-1}."""
-    u_routed = unitary(routed.circuit)
+    """Max-entry deviation of U(routed) from P(out) U(orig)."""
     p_out = permutation_unitary(routed.output_layout.mapping)
-    p_in = permutation_unitary(routed.input_layout.mapping)
-    expected = p_out @ unitary(original) @ p_in.conj().T
-    return float(np.abs(u_routed - expected).max())
+    return float(np.abs(unitary(routed.circuit) - p_out @ unitary(original)).max())
+
+
+def route_from_end(c: Circuit) -> tuple[Circuit, QubitPermutation]:
+    """``c`` routed aligned at its end, as the driver reroutes its right
+    half: the reversed circuit routed forward and the routed gates reversed
+    back. Returns the routed circuit and the layout at its front."""
+    routed = route_linear(Circuit(c.num_qubits, c.gates[::-1]))
+    return Circuit(c.num_qubits, routed.circuit.gates[::-1]), routed.output_layout
+
+
+def end_aligned_equivalent(routed: Circuit, front: QubitPermutation,
+                           original: Circuit) -> float:
+    """Max-entry deviation of U(routed) from U(orig) P(front)^{-1}."""
+    p_in = permutation_unitary(front.mapping)
+    return float(np.abs(unitary(routed) - unitary(original) @ p_in.conj().T).max())
 
 
 # ------------------------------------------------------------------ #
@@ -78,11 +89,6 @@ class TestQubitPermutation:
         rhs = pm @ unitary(c) @ pm.conj().T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_advance_layout_tracks_swap(self):
-        layout = QubitPermutation.identity(3)
-        layout = advance_layout(layout, 0, 1)
-        assert layout.mapping == (1, 0, 2)
-
 
 # ------------------------------------------------------------------ #
 # forward routing
@@ -95,7 +101,6 @@ class TestRouteForward:
         c = random_circuit(5, 8, rng, adjacent_only=True)
         routed = route_linear(c)
         assert routed.circuit.gates == c.gates
-        assert routed.input_layout.is_identity()
         assert routed.output_layout.is_identity()
 
     def test_single_long_range_gate_uses_shortest_swap_chain(self):
@@ -121,32 +126,26 @@ class TestRouteForward:
 
 
 # ------------------------------------------------------------------ #
-# reverse routing
+# routing aligned at the end: reversed, routed forward, reversed back
 # ------------------------------------------------------------------ #
 
 
 class TestRouteReverse:
     def test_drift_lands_on_input_side(self):
         c = Circuit(3, (Gate("cx", (0, 2)),))
-        routed = route_linear(c, "reverse")
-        assert routed.output_layout.is_identity()
-        assert not routed.input_layout.is_identity()
-        assert routed_equivalent(routed, c) <= 1e-12
+        routed, front = route_from_end(c)
+        assert not front.is_identity()
+        assert end_aligned_equivalent(routed, front, c) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_unitary_equivalence(self, seed):
         rng = np.random.default_rng(900 + seed)
         c = random_circuit(6, 20, rng)
-        routed = route_linear(c, "reverse")
-        assert routed.output_layout.is_identity()
-        assert routed_equivalent(routed, c) <= 1e-10
-        for g in routed.circuit.gates:
+        routed, front = route_from_end(c)
+        assert end_aligned_equivalent(routed, front, c) <= 1e-10
+        for g in routed.gates:
             if g.is_two_qubit:
                 assert abs(g.qubits[0] - g.qubits[1]) == 1
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError, match="forward or reverse"):
-            route_linear(Circuit(2, (Gate("h", (0,)),)), "sideways")
 
 
 # ------------------------------------------------------------------ #
@@ -172,9 +171,8 @@ class TestStrip:
     def test_round_trip_reverse(self, seed):
         rng = np.random.default_rng(1100 + seed)
         c = random_circuit(6, 10, rng)
-        routed = route_linear(c, "reverse")
-        stripped = strip_transpilation_swaps(routed.circuit, routed.input_layout)
-        assert stripped.gates == c.gates
+        routed, front = route_from_end(c)
+        assert strip_transpilation_swaps(routed, front).gates == c.gates
 
     def test_source_swaps_are_retained(self):
         c = Circuit(4, (Gate("swap", (0, 3)), Gate("h", (1,))))
@@ -193,7 +191,7 @@ class TestStrip:
         consumed_source = 0
         for g in gates[:cut]:
             if g.origin == "transpilation-swap":
-                layout = advance_layout(layout, *g.qubits)
+                layout = QubitPermutation.transposition(5, *g.qubits).compose(layout)
             else:
                 consumed_source += 1
         tail = Circuit(5, gates[cut:])
@@ -251,10 +249,11 @@ class TestMovedGates:
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(2, 9))
         c = random_circuit(n, 15, rng)
-        for direction in ("forward", "reverse"):
-            routed = route_linear(c, direction)
-            assert_built_as_checked(routed.circuit)
-            assert_built_as_checked(strip_transpilation_swaps(routed.circuit, routed.input_layout))
+        routed = route_linear(c).circuit
+        assert_built_as_checked(routed)
+        assert_built_as_checked(strip_transpilation_swaps(routed))
+        routed, front = route_from_end(c)
+        assert_built_as_checked(strip_transpilation_swaps(routed, front))
         p = QubitPermutation(tuple(int(x) for x in rng.permutation(n)))
         assert_built_as_checked(reindex(c, p))
 
