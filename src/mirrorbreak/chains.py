@@ -10,11 +10,12 @@ from the left realizes G.M and from the right M.G. Chains carry a scalar
 ``log_norm``: the represented object is exp(log_norm) times the contraction
 of the stored tensors.
 
-Operator chains are kept right-canonical with their spectra: site 0 holds
-the norm, sites 1..n-1 are right-isometric, and ``spectra`` holds the
-Schmidt values of every internal bond (Vidal, PRL 91, 147902). The
-spectrum of any pair (b, b+1) is then that of one blob, the pair's sites
-contracted and weighted on their left leg by the spectrum of bond b-1
+Operators and states are one chain type that differs only in its physical
+legs, with one gauge rule: a chain is kept right-canonical with its spectra,
+so site 0 holds the norm, sites 1..n-1 are right-isometric, and ``spectra``
+holds the Schmidt values of every internal bond (Vidal, PRL 91, 147902). The
+spectrum of any operator pair (b, b+1) is then that of one blob, the pair's
+sites contracted and weighted on their left leg by the spectrum of bond b-1
 (:func:`_pair_blobs`), wherever the chain was last touched. Every two-qubit
 update is a split of that blob by one kernel (``_split_pairs``) that needs
 neither a center move nor an inverse spectrum (Hastings, J. Math. Phys. 50,
@@ -26,15 +27,17 @@ each. A layer is split a stack at a time (``split_layer``, then
 re-truncation is the kernel on one bond (``_update_pair``). One contraction
 applies the one-qubit gates on same-shape sites. A stack of one is a view of
 its array, not a copy, and no gate tensor outlives the layer that built it.
-``compress`` returns the spectra its truncation sweep finds. The spectra
-are the only record of a chain's gauge: a chain without them (the public
+``compress`` returns the spectra its truncation sweep finds, for either
+type, and ``apply_to_zero`` is ``compress`` of the operator's all-zero input
+column, so the state it returns carries its spectra. The spectra are the
+only record of a chain's gauge: a chain without them (either public
 constructor, ``move_center``) is in an unknown gauge, and is made canonical
-by one exact sweep (``_with_spectra``) at its first update.
+by one exact sweep (``_with_spectra``) at its first update or draw.
 
-Sampling works by rows, not by shots: shots that share a sampled prefix
-share one row, so its cost and memory follow the distinct outcomes, and
-``sample`` returns one string object per distinct outcome, shared by every
-shot that drew it.
+Sampling reads a state with spectra as it is, and works by rows, not by
+shots: shots that share a sampled prefix share one row, so its cost and
+memory follow the distinct outcomes, and ``sample`` returns one string
+object per distinct outcome, shared by every shot that drew it.
 
 Operations are functional: they return new chains and never mutate inputs.
 Site arrays may be shared between chains, so callers must not write into
@@ -51,6 +54,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -77,7 +81,11 @@ def _check_sites(sites: tuple[np.ndarray, ...], physical: tuple[int, ...],
 
 
 @dataclass(frozen=True)
-class MatrixProductOperator:
+class _Chain:
+    """A chain of (bond, *physical, bond) site tensors; subclasses name the
+    physical legs."""
+
+    physical: ClassVar[tuple[int, ...]]
     sites: tuple[np.ndarray, ...]
     log_norm: float = 0.0
     # Schmidt values of each internal bond of the stored chain (without the
@@ -87,18 +95,17 @@ class MatrixProductOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
-        _check_sites(self.sites, (2, 2), 0, len(self.sites))
+        _check_sites(self.sites, self.physical, 0, len(self.sites))
 
     @classmethod
-    def _derived(cls, sites, log_norm: float, lo: int, hi: int,
-                 spectra=None) -> "MatrixProductOperator":
+    def _derived(cls, sites, log_norm: float, lo: int, hi: int, spectra=None):
         """Chain whose sites outside [lo, hi) are those of an already
         validated chain; only the rewritten range is checked again."""
         m = object.__new__(cls)
         object.__setattr__(m, "sites", tuple(sites))
         object.__setattr__(m, "log_norm", log_norm)
         object.__setattr__(m, "spectra", None if spectra is None else tuple(spectra))
-        _check_sites(m.sites, (2, 2), lo, hi)
+        _check_sites(m.sites, cls.physical, lo, hi)
         return m
 
     @property
@@ -107,28 +114,15 @@ class MatrixProductOperator:
 
     def bond_dims(self) -> tuple[int, ...]:
         """Extents of the N-1 internal bonds."""
-        return tuple(s.shape[3] for s in self.sites[:-1])
+        return tuple(s.shape[-1] for s in self.sites[:-1])
 
 
-@dataclass(frozen=True)
-class MatrixProductState:
-    sites: tuple[np.ndarray, ...]
-    log_norm: float = 0.0
-    # 0 when the state is right-canonical with its norm on site 0 (as
-    # apply_to_zero returns it); any other value, None included, is read as
-    # an unknown gauge
-    center: int | None = field(default=None, compare=False)
+class MatrixProductOperator(_Chain):
+    physical = (2, 2)  # top (output) and bottom (input) legs
 
-    def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(self.sites))
-        _check_sites(self.sites, (2,), 0, len(self.sites))
 
-    @property
-    def num_sites(self) -> int:
-        return len(self.sites)
-
-    def bond_dims(self) -> tuple[int, ...]:
-        return tuple(s.shape[2] for s in self.sites[:-1])
+class MatrixProductState(_Chain):
+    physical = (2,)
 
 
 def identity_mpo(n: int) -> MatrixProductOperator:
@@ -222,15 +216,19 @@ def move_center(m: MatrixProductOperator, target: int) -> MatrixProductOperator:
     return MatrixProductOperator._derived(sites, m.log_norm, 0, len(sites))
 
 
-def _with_spectra(m: MatrixProductOperator) -> MatrixProductOperator:
-    """``m`` itself when its spectra are known; else the same operator made
-    right-canonical by one exact sweep (epsilon 0, no rank cap), with the
-    spectra that sweep finds."""
+_C = TypeVar("_C", bound=_Chain)
+
+
+def _with_spectra(m: _C) -> _C:
+    """``m`` itself when its spectra are known; else the same operator or
+    state made right-canonical by one exact sweep (epsilon 0, no rank cap),
+    with the spectra that sweep finds. The stored scale stays on site 0:
+    unlike ``compress``, this does not normalize."""
     if m.spectra is not None:
         return m
     sites = list(m.sites)
     _, spectra = _truncate_sweep(sites, 0.0, sys.maxsize)
-    return MatrixProductOperator._derived(sites, m.log_norm, 0, len(sites), spectra)
+    return type(m)._derived(sites, m.log_norm, 0, len(sites), spectra)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -489,22 +487,22 @@ def apply_swap_boundary(
     return _update_pair(m, bond, lambda theta: theta.transpose(axes), epsilon, chi_max)
 
 
-def compress(
-    m: MatrixProductOperator, epsilon: float, chi_max: int
-) -> MatrixProductOperator:
-    """Two-sided sweep: left-to-right orthogonalization from site 0, then
-    right-to-left truncation at the relative cutoff. The chain comes back
-    right-canonical (norm on site 0) with unit stored norm and the spectra
-    of the truncation sweep; the scale moves to log_norm.
+def compress(m: _C, epsilon: float, chi_max: int) -> _C:
+    """Two-sided sweep over an operator or a state, whatever its gauge:
+    left-to-right orthogonalization from site 0, then right-to-left
+    truncation at the relative cutoff. The chain comes back, of the same
+    type, right-canonical (norm on site 0) with unit stored norm and the
+    spectra of the truncation sweep; the scale moves to log_norm. Raises
+    :class:`tensor.ZeroTensorError` on an all-zero chain.
     """
     check_cutoffs(epsilon, chi_max)
     sites = list(m.sites)
     f, spectra = _truncate_sweep(sites, epsilon, chi_max)
     if f == 0.0:
-        raise ValueError("compress reached an all-zero chain")
+        raise ZeroTensorError("compress reached an all-zero chain")
     sites[0] = sites[0] / f
-    return MatrixProductOperator._derived(sites, m.log_norm + math.log(f), 0, len(sites),
-                                          [s / f for s in spectra])
+    return type(m)._derived(sites, m.log_norm + math.log(f), 0, len(sites),
+                            [s / f for s in spectra])
 
 
 # --------------------------------------------------------------------------
@@ -515,8 +513,9 @@ def compress(
 def apply_to_zero(
     m: MatrixProductOperator, epsilon: float, chi_max: int
 ) -> MatrixProductState:
-    """Select the all-zero input column of the operator, compress, and
-    normalize; the state norm is recorded in log_norm. Raises
+    """The operator's all-zero input column as a state, through
+    :func:`compress`: right-canonical with unit stored norm and the spectra
+    of every bond, the column norm recorded in log_norm. Raises
     :class:`tensor.ZeroTensorError` if the column norm collapses relative
     to the operator's scale (catastrophic truncation upstream). The
     operator's scale is read from site 0 of its canonical form.
@@ -524,26 +523,16 @@ def apply_to_zero(
     check_cutoffs(epsilon, chi_max)
     m = _with_spectra(m)
     mpo_scale = float(np.linalg.norm(m.sites[0]))
-    sites = [s[:, :, 0, :] for s in m.sites]
-    f, _ = _truncate_sweep(sites, epsilon, chi_max)
-    expected = mpo_scale / (2 ** (len(sites) / 2))
+    psi = compress(MatrixProductState(tuple(s[:, :, 0, :] for s in m.sites), m.log_norm),
+                   epsilon, chi_max)
+    f = math.exp(psi.log_norm - m.log_norm)
+    expected = mpo_scale / (2 ** (m.num_sites / 2))
     if f < 1e-12 * expected:
         raise ZeroTensorError(
             f"all-zero column norm {f:.3e} collapsed below 1e-12 of the expected "
             f"scale {expected:.3e}; upstream truncation destroyed the state"
         )
-    sites[0] = sites[0] / f
-    return MatrixProductState(tuple(sites), m.log_norm + math.log(f), 0)
-
-
-def _right_canonicalize(psi: MatrixProductState) -> tuple[list[np.ndarray], float]:
-    """Sites with the norm moved to site 0 (sites 1..n-1 right-isometric),
-    and that norm. A state recorded with its norm on site 0 is taken as it
-    is; any other is orthogonalized over the whole chain."""
-    sites = list(psi.sites)
-    if psi.center != 0:
-        _orthogonalize(sites, 0)
-    return sites, float(np.linalg.norm(sites[0]))
+    return psi
 
 
 def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -551,6 +540,9 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> tuple[np.nda
     ``node`` and a (rows, n) int8 array of each row's bits (column i holds
     qubit i), so shot k drew ``rows[node[k]]``.
 
+    Reads the right-canonical sites of ``_with_spectra(psi)``: the state
+    itself when it carries spectra (as ``apply_to_zero`` returns it), else
+    the state after one exact sweep; the stored norm must be 1 either way.
     Sweeps the sites left to right, sampling each qubit conditioned on the
     previous ones. Shots that share a sampled prefix share one row (one
     conditional environment and one prefix of bits), so the work and memory
@@ -562,7 +554,8 @@ def _sample_bits(psi: MatrixProductState, shots: int, seed: int) -> tuple[np.nda
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    sites, norm = _right_canonicalize(psi)
+    sites = _with_spectra(psi).sites
+    norm = float(np.linalg.norm(sites[0]))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (stored norm {norm:.6g})")
     rng = np.random.default_rng(seed)
@@ -598,7 +591,12 @@ def sample(psi: MatrixProductState, shots: int, seed: int,
     """Draw i.i.d. bitstrings from |<x|psi>|^2, qubit 0 leftmost. With a
     ``mapping``, the bit of qubit i is written at position mapping[i]. One
     string is built per distinct outcome (row), and every shot that drew it
-    refers to that one object."""
+    refers to that one object. A state without spectra is made canonical by
+    one exact sweep first; one with them, as ``apply_to_zero`` returns it,
+    is sampled as it is. Raises ValueError unless ``mapping`` is a
+    permutation of the qubits."""
+    if mapping is not None and sorted(mapping) != list(range(psi.num_sites)):
+        raise ValueError(f"mapping {mapping} is not a permutation of {psi.num_sites} qubits")
     node, rows = _sample_bits(psi, shots, seed)
     if mapping is not None:
         rows = rows[:, np.argsort(mapping)]

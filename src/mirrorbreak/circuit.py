@@ -207,10 +207,11 @@ def split_at_midpoint(c: Circuit) -> tuple[Circuit, Circuit]:
 # --------------------------------------------------------------------------
 #
 # A program is read one ``;``-terminated statement at a time. A gate
-# statement is one match of ``_STATEMENT`` and the checks in
-# ``_Program._gate``. Every other statement, and every gate statement those
-# checks reject, is read token by token in the grammar's order by
-# ``_Program._statement``, which accepts it or raises its first error.
+# statement with literal angles is one match of ``_STATEMENT`` and the
+# checks in ``_Program._gate``. Every other statement, angle expressions and
+# every gate statement those checks reject included, is read token by token
+# in the grammar's order by ``_Program._statement``, which accepts it or
+# raises its first error.
 # Comments are blanked first, so offsets, and the line and column computed
 # from them, are those of the source text.
 
@@ -229,14 +230,12 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _LITERAL = rf"[-+]?(?:{_FLOAT}|\d+)"
-# A gate statement with one or two operands, or any other statement. A
-# parameter list of signed number literals is captured as ``literals``, any
-# other parameter text as ``params``.
+# A gate statement with one or two operands and no parameters or a list of
+# signed number literals (``literals``), or any other statement.
 _STATEMENT = re.compile(
     rf"""\s*(?:
         (?P<kind>{_NAME}) \s*
-        (?: \( (?: \s* (?P<literals>{_LITERAL} \s* (?: , \s* {_LITERAL} \s* )* ) \)
-                 | (?P<params>[^;]*) \) ) \s* )?
+        (?: \( \s* (?P<literals>{_LITERAL} \s* (?: , \s* {_LITERAL} \s* )* ) \) \s* )?
         {_OPERAND.format(0)} (?: , \s* {_OPERAND.format(1)} )? ;
       | [^;\s] [^;]* ;? | ;
     )""",
@@ -395,7 +394,8 @@ class _Program:
                 self.gates.append(gate)
         if self.qreg is None:
             raise QasmError("program declares no quantum register", 1, 1)
-        # the register has at least one qubit, and _gate kept every index in it
+        # the register has at least one qubit, and _gate and _read_gate kept
+        # every index in it
         return Circuit._checked(self.size, tuple(self.gates))
 
     def _header(self) -> int:
@@ -413,7 +413,7 @@ class _Program:
         """The gate of a statement matched by the gate branch of
         ``_STATEMENT``, or None if it fails a check. The checks are those of
         ``Gate``, made here once, so the gate is built without them."""
-        kind, literals, text, reg0, idx0, reg1, idx1 = m.groups()
+        kind, literals, reg0, idx0, reg1, idx1 = m.groups()
         qreg = self.qreg
         if qreg is None or reg0 != qreg or reg1 not in (None, qreg):
             return None
@@ -424,26 +424,10 @@ class _Program:
         nq, nparams = GATE_ARITY[kind]
         if len(qubits) != nq or max(qubits) >= self.size or (nq == 2 and qubits[0] == qubits[1]):
             return None
-        if literals is not None:
-            params = tuple(map(float, literals.split(",")))
-        elif text is None:
-            params = ()
-        else:
-            params = self._expressions(m.start("params"), m.end("params"))
-            if params is None:
-                return None
+        params = () if literals is None else tuple(map(float, literals.split(",")))
         if len(params) != nparams or not all(map(math.isfinite, params)):
             return None
         return Gate._checked(kind, qubits, params, ORIGIN_SOURCE)
-
-    def _expressions(self, start: int, end: int) -> tuple[float, ...] | None:
-        """The angles in ``src[start:end]``, or None unless they fill it."""
-        ts = _Reader(self.src, start)
-        try:
-            params = _angles(ts)
-            return params if ts.peek().start == end else None
-        except QasmError:
-            return None
 
     def _statement(self, pos: int) -> int:
         """Read the statement at ``pos`` token by token. Return the offset
@@ -466,7 +450,7 @@ class _Program:
             while ts.next().value != ";":
                 pass
         elif first.value in GATE_ARITY:
-            raise self._gate_error(ts, first)
+            self.gates.append(self._read_gate(ts, first))
         else:
             raise ts.error(f"unsupported construct {first.value!r}", first.start)
         return ts.pos
@@ -496,13 +480,14 @@ class _Program:
         ts.expect("]")
         return qubit
 
-    def _gate_error(self, ts: _Reader, first: _Token) -> QasmError:
-        """The first error, in the grammar's order, of a gate statement that
-        ``_gate`` rejected. A statement that passes every check here has a
-        non-finite angle, the one check the grammar leaves to ``Gate``."""
+    def _read_gate(self, ts: _Reader, first: _Token) -> Gate:
+        """The gate of the statement starting with ``first``, read token by
+        token; or raise its first error, in the grammar's order, with the
+        non-finite angle, the one check the grammar leaves to ``Gate``,
+        last."""
         kind = first.value
         if self.qreg is None:
-            return ts.error("gate before qreg declaration", first.start)
+            raise ts.error("gate before qreg declaration", first.start)
         nq, nparams = GATE_ARITY[kind]
         params: tuple[float, ...] = ()
         if nparams:
@@ -510,16 +495,18 @@ class _Program:
             params = _angles(ts)
             ts.expect(")")
             if len(params) != nparams:
-                return ts.error(f"{kind} takes {nparams} parameter(s), got {len(params)}", first.start)
+                raise ts.error(f"{kind} takes {nparams} parameter(s), got {len(params)}", first.start)
         qubits = [self._operand(ts)]
         while ts.skip(","):
             qubits.append(self._operand(ts))
         ts.expect(";")
         if len(qubits) != nq:
-            return ts.error(f"{kind} acts on {nq} qubit(s), got {len(qubits)}", first.start)
+            raise ts.error(f"{kind} acts on {nq} qubit(s), got {len(qubits)}", first.start)
         if nq == 2 and qubits[0] == qubits[1]:
-            return ts.error(f"{kind} needs distinct qubits", first.start)
-        return ts.error(f"{kind} angles must be finite, got {params}", first.start)
+            raise ts.error(f"{kind} needs distinct qubits", first.start)
+        if not all(map(math.isfinite, params)):
+            raise ts.error(f"{kind} angles must be finite, got {params}", first.start)
+        return Gate._checked(kind, tuple(qubits), params, ORIGIN_SOURCE)
 
 
 def _bad_character(src: str) -> QasmError | None:

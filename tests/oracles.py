@@ -148,6 +148,13 @@ def operator_spectrum(u: np.ndarray, bond: int) -> np.ndarray:
     return np.linalg.svd(t.reshape(4 ** (bond + 1), -1), compute_uv=False)
 
 
+def state_spectrum(vec: np.ndarray, bond: int) -> np.ndarray:
+    """Schmidt values of a dense 2**n state vector (little-endian in the
+    qubit number, as ``mps_to_dense`` gives it) split between qubits 0..bond
+    and bond+1..n-1."""
+    return np.linalg.svd(vec.reshape(-1, 2 ** (bond + 1)), compute_uv=False)
+
+
 def weak_brickwork(n: int, layers: int, rng) -> list:
     """u3-dressed rzz brickwork with weak angles, whose Schmidt spectra are
     skewed enough for a cutoff around 1e-2 to bite."""
@@ -212,12 +219,16 @@ def reference_truncation_rank(s: np.ndarray, epsilon: float, chi_max: int) -> in
 
 def per_shot_sample_bits(psi, shots: int, seed: int) -> np.ndarray:
     """Reference sampler: the left-to-right conditional sweep with one
-    environment row per shot. Takes the same right-canonical sites and draws
-    the same uniforms as ``chains._sample_bits``, so at a fixed seed each
-    shot's bits here must equal its row's bits there (``rows[node]``)."""
-    from mirrorbreak.chains import _right_canonicalize
+    environment row per shot. Draws the same uniforms as
+    ``chains._sample_bits``, so at a fixed seed each shot's bits here must
+    equal its row's bits there (``rows[node]``). A state with spectra is
+    read as it is, as the sampler reads it; one without them is made
+    right-canonical by a QR sweep of its own, not by the sampler's path."""
+    from mirrorbreak.chains import _orthogonalize
 
-    sites, _ = _right_canonicalize(psi)
+    sites = list(psi.sites)
+    if psi.spectra is None:
+        _orthogonalize(sites, 0)
     rng = np.random.default_rng(seed)
     n = len(sites)
     envs = np.ones((shots, 1), dtype=np.complex128)

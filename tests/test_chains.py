@@ -14,7 +14,6 @@ from mirrorbreak.chains import (
     MatrixProductState,
     _bond_dot,
     _orthogonalize,
-    _right_canonicalize,
     _sample_bits,
     absorb_gate,
     apply_swap_boundary,
@@ -41,6 +40,7 @@ from .oracles import (
     per_shot_sample_bits,
     random_circuit,
     single_pair_split,
+    state_spectrum,
     weak_brickwork,
 )
 
@@ -237,6 +237,24 @@ class TestCompress:
         assert np.linalg.norm(m2.sites[0]) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(mpo_to_dense(m2), np.eye(8), atol=1e-12)
 
+    def test_compress_of_a_state_returns_a_state(self):
+        # a state in an unknown gauge and off unit norm comes back a state,
+        # canonical with its spectra, its scale moved to log_norm
+        n = 5
+        rng = np.random.default_rng(1960)
+        c = random_circuit(n, 3 * n, rng, adjacent_only=True)
+        psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
+        sites = list(psi.sites)
+        _orthogonalize(sites, 3)
+        sites[3] = 3.0 * sites[3]
+        built = MatrixProductState(tuple(sites), psi.log_norm)
+        out = compress(built, 0.0, 10**9)
+        assert type(out) is MatrixProductState
+        assert_canonical_with_spectra(out)
+        assert np.linalg.norm(out.sites[0]) == pytest.approx(1.0, abs=1e-12)
+        assert out.log_norm == pytest.approx(psi.log_norm + math.log(3.0), abs=1e-12)
+        np.testing.assert_allclose(mps_to_dense(out), mps_to_dense(built), atol=1e-10)
+
 
 def assert_norm_on_site(m: MatrixProductOperator, target: int) -> None:
     """Sites left of ``target`` are left-isometric and sites right of it
@@ -269,18 +287,20 @@ class TestMoveCenter:
             move_center(identity_mpo(4), target)
 
 
-def assert_canonical_with_spectra(m: MatrixProductOperator) -> None:
+def assert_canonical_with_spectra(m: MatrixProductOperator | MatrixProductState) -> None:
     """Sites 1..n-1 are right-isometric, and each stored spectrum holds the
-    singular values of the stored operator split between qubits 0..b and
-    b+1..n-1 (the rest of them zero)."""
+    singular values of the stored operator or state split between qubits
+    0..b and b+1..n-1 (the rest of them zero)."""
     assert m.spectra is not None
     for s in m.sites[1:]:
         mat = s.reshape(s.shape[0], -1)
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(s.shape[0]), atol=1e-10)
-    stored = mpo_to_dense(m) / math.exp(m.log_norm)
+    is_state = isinstance(m, MatrixProductState)
+    stored = (mps_to_dense if is_state else mpo_to_dense)(m) / math.exp(m.log_norm)
+    spectrum = state_spectrum if is_state else operator_spectrum
     assert len(m.spectra) == m.num_sites - 1
     for b, lam in enumerate(m.spectra):
-        sv = operator_spectrum(stored, b)
+        sv = spectrum(stored, b)
         assert len(lam) == m.bond_dims()[b]
         np.testing.assert_allclose(lam, sv[:len(lam)], rtol=0, atol=1e-10 * sv[0])
         assert sv[len(lam):].max(initial=0.0) <= 1e-10 * sv[0]
@@ -849,6 +869,15 @@ class TestApplyToZero:
             with pytest.raises(ValueError, match="collapsed below 1e-12 of the expected scale"):
                 apply_to_zero(m, EXACT, 4)
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_state_carries_the_schmidt_values_of_its_vector(self, n):
+        rng = np.random.default_rng(2000 + n)
+        c = random_circuit(n, 3 * n, rng, adjacent_only=True)
+        psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left", 0.0), 0.0, 10**9)
+        assert type(psi) is MatrixProductState
+        assert np.linalg.norm(psi.sites[0]) == pytest.approx(1.0, abs=1e-12)
+        assert_canonical_with_spectra(psi)
+
 
 def shot_bits(psi, shots, seed):
     """Each shot's bits from the row sampler, rebuilt as ``rows[node]``."""
@@ -914,11 +943,11 @@ class TestSample:
         assert max(psi.bond_dims()) > 1
         expected = per_shot_sample_bits(psi, shots, seed)
         np.testing.assert_array_equal(shot_bits(psi, shots, seed), expected)
-        # the same state with its norm on site 2 is orthogonalized first and
-        # draws the same bits
+        # the same state with its norm on site 2, built without spectra, is
+        # made canonical first and draws the same bits
         sites = list(psi.sites)
         _orthogonalize(sites, 2)
-        moved = MatrixProductState(tuple(sites), psi.log_norm, 2)
+        moved = MatrixProductState(tuple(sites), psi.log_norm)
         np.testing.assert_array_equal(shot_bits(moved, shots, seed), expected)
 
     def test_matches_per_shot_sweep_on_product_state(self):
@@ -1011,6 +1040,30 @@ class TestSample:
         for a, b in zip(raw, moved):
             assert all(b[mapping[i]] == a[i] for i in range(4))
 
+    def test_state_from_apply_to_zero_is_sampled_without_a_sweep(self, monkeypatch):
+        n, shots, seed = 6, 400, 3
+        rng = np.random.default_rng(2100)
+        c = random_circuit(n, 3 * n, rng, adjacent_only=True)
+        psi = apply_to_zero(absorb_circuit(identity_mpo(n), c, "left"), EXACT, 256)
+        assert max(psi.bond_dims()) > 1
+
+        def no_sweep(*args):
+            raise AssertionError("sampling ran a canonical sweep")
+
+        monkeypatch.setattr(chains, "_truncate_sweep", no_sweep)
+        expected = per_shot_sample_bits(psi, shots, seed)
+        np.testing.assert_array_equal(shot_bits(psi, shots, seed), expected)
+        assert sample(psi, shots, seed) == ["".join(map(str, row)) for row in expected]
+        # the same sites without spectra do need the sweep
+        with pytest.raises(AssertionError, match="canonical sweep"):
+            sample(MatrixProductState(psi.sites, psi.log_norm), shots, seed)
+
+    @pytest.mark.parametrize("mapping", [(0, 0, 1), (1, 0), (0, 1, 2, 3)])
+    def test_mapping_must_permute_the_qubits(self, mapping):
+        psi = self._state(3, [Gate("x", (0,))])
+        with pytest.raises(ValueError, match="not a permutation of 3 qubits"):
+            sample(psi, 10, seed=0, mapping=mapping)
+
     def test_right_canonicalize_from_unknown_center(self):
         n = 5
         rng = np.random.default_rng(1900)
@@ -1024,18 +1077,19 @@ class TestSample:
             sites[i] = sites[i] @ g
             sites[i + 1] = np.tensordot(np.linalg.inv(g), sites[i + 1], axes=(1, 0))
         scrambled = MatrixProductState(tuple(sites), psi.log_norm)
-        canonical, norm = _right_canonicalize(scrambled)
-        assert norm == pytest.approx(1.0, abs=1e-10)
-        for s in canonical[1:]:
+        assert scrambled.spectra is None
+        canonical = chains._with_spectra(scrambled)
+        assert type(canonical) is MatrixProductState
+        assert np.linalg.norm(canonical.sites[0]) == pytest.approx(1.0, abs=1e-10)
+        for s in canonical.sites[1:]:
             mat = s.reshape(s.shape[0], -1)
             np.testing.assert_allclose(mat @ mat.conj().T, np.eye(s.shape[0]), atol=1e-10)
-        np.testing.assert_allclose(
-            mps_to_dense(MatrixProductState(tuple(canonical), psi.log_norm)),
-            mps_to_dense(psi), atol=1e-10)
+        np.testing.assert_allclose(mps_to_dense(canonical), mps_to_dense(psi), atol=1e-10)
+        assert_canonical_with_spectra(canonical)
 
     def test_unnormalized_state_rejected(self):
         psi = apply_to_zero(identity_mpo(2), EXACT, 4)
-        bad = psi.__class__(tuple(2.0 * s for s in psi.sites), psi.log_norm, None)
+        bad = psi.__class__(tuple(2.0 * s for s in psi.sites), psi.log_norm)
         with pytest.raises(ValueError, match="not normalized"):
             sample(bad, 10, seed=0)
 

@@ -1,5 +1,6 @@
-"""Tests for ``tools/trajectory_digest.py``, the output-identity check that
-compares two checkouts on the benchmark instances."""
+"""Tests for ``tools/``: ``trajectory_digest.py``, the output-identity check
+that compares two checkouts on the benchmark instances, and
+``code_lines.py``, the code-line count of the package."""
 
 import json
 import re
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "trajectory_digest.py"
+CODE_LINES = ROOT / "tools" / "code_lines.py"
 
 
 def digest(*args: str) -> subprocess.CompletedProcess:
@@ -127,3 +129,92 @@ def test_benchmark_wrapped_names_resolve():
     wrapped = json.loads(done.stdout)
     assert wrapped
     assert [(mod, attr) for mod, attr, ok in wrapped if not ok] == []
+
+
+def code_line_rows(*paths: str) -> dict[str, int]:
+    """The ``<lines>  <name>`` rows ``tools/code_lines.py`` prints, by name."""
+    done = subprocess.run([sys.executable, str(CODE_LINES), *paths], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert all(len(row) == 2 for row in rows)
+    return {name: int(n) for n, name in rows}
+
+
+def test_code_lines_total_is_the_sum_of_the_package_modules():
+    rows = code_line_rows()
+    total = rows.pop("total")
+    assert set(rows) == {p.name for p in (ROOT / "src" / "mirrorbreak").glob("*.py")}
+    assert total == sum(rows.values()) > 0
+
+
+# seven code lines, two of them one string literal
+PLAIN = """import math
+
+
+class Box:
+    size = 2
+
+    def area(self):
+        text = \"\"\"two
+lines\"\"\"
+        return math.sqrt(self.size) + len(text)
+"""
+DOCUMENTED = {
+    "docstrings": """\"\"\"A module docstring
+over two lines.\"\"\"
+import math
+
+
+class Box:
+    'A class docstring.'
+    size = 2
+
+    def area(self):
+        \"\"\"A method docstring.\"\"\"
+        text = \"\"\"two
+lines\"\"\"
+        return math.sqrt(self.size) + len(text)
+""",
+    "comments": """# a comment line
+import math  # a trailing comment
+
+
+class Box:
+    size = 2
+    # an indented comment
+
+    def area(self):
+        text = \"\"\"two
+lines\"\"\"
+        return math.sqrt(self.size) + len(text)  # another
+""",
+    "blank-lines": """
+
+import math
+
+
+
+class Box:
+
+    size = 2
+
+
+    def area(self):
+
+        text = \"\"\"two
+lines\"\"\"
+
+        return math.sqrt(self.size) + len(text)
+
+""",
+}
+
+
+@pytest.mark.parametrize("added", sorted(DOCUMENTED))
+def test_code_lines_ignore_docstrings_comments_and_blank_lines(tmp_path, added):
+    plain, documented = tmp_path / "plain.py", tmp_path / "documented.py"
+    plain.write_text(PLAIN)
+    documented.write_text(DOCUMENTED[added])
+    assert code_line_rows(str(plain), str(documented)) == {
+        "plain.py": 7, "documented.py": 7, "total": 14}
