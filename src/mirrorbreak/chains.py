@@ -62,6 +62,9 @@ from .circuit import Gate, gate_unitary
 from .tensor import ZeroTensorError, check_cutoffs, svd_stack, svd_truncate, truncation_rank
 
 DENSE_GUARD_QUBITS = 12
+# identity_mpo puts the norm 2**(n/2) on site 0, whose square must stay a
+# finite float: 2**1024 is past the largest one
+MAX_SITES = 1023
 
 
 def _check_sites(sites: tuple[np.ndarray, ...], physical: tuple[int, ...],
@@ -131,6 +134,9 @@ def identity_mpo(n: int) -> MatrixProductOperator:
     Frobenius norm 2**(n/2), which is also every bond's one Schmidt value."""
     if n < 1:
         raise ValueError("need at least one site")
+    if n > MAX_SITES:
+        raise ValueError(f"at most {MAX_SITES} qubits are supported, got {n}: the identity "
+                         f"chain's norm 2**(n/2) squared overflows a float past that")
     eye = np.eye(2, dtype=np.complex128).reshape(1, 2, 2, 1)
     sites = [eye * 2 ** ((n - 1) / 2)] + [eye / math.sqrt(2) for _ in range(n - 1)]
     norm = np.array([np.linalg.norm(sites[0])])

@@ -3,10 +3,11 @@ emit traces and histograms for external plotting.
 
 Exit codes are a stable contract: 0 success, 1 peak mismatch (``verify``
 only), 2 usage error (a circuit file that is not UTF-8 or not valid QASM
-counts as one), 3 no result (a stall diagnosis, an SVD that did not
-converge even after its perturbed retry, truncation that collapsed the state
-to zero, or too little memory for the contraction or for the ``--shots``
-samples), 4 I/O failure. Bitstrings print qubit 0 leftmost everywhere.
+counts as one, and so does a circuit of more than 1,023 qubits), 3 no
+result (a stall diagnosis, an SVD that did not converge even after its
+perturbed retry, truncation that collapsed the state to zero, or too little
+memory for the contraction or for the ``--shots`` samples), 4 I/O failure.
+Bitstrings print qubit 0 leftmost everywhere.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .chains import DENSE_GUARD_QUBITS
 from .circuit import QasmError, parse_qasm
 from .driver import ContractionConfig, StallError, dense_output, emit_trace, run, sample_output
 from .oracle import bits_to_index, peak_of, simulate, tvd
@@ -31,8 +33,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NO_RESULT = 3
 EXIT_IO = 4
-
-VERIFY_MAX_QUBITS = 12
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--epsilon", type=float, default=2e-3)
     runp.add_argument("--chi-max", type=int, default=8192)
     runp.add_argument("--tau", type=float, default=1e6)
-    runp.add_argument("--max-unswap-iters", type=int, default=20)
     runp.add_argument("--side", default="adaptive", help="adaptive or fixed:<k>")
     runp.add_argument("--shots", type=int, default=1000)
     runp.add_argument("--seed", type=int, default=0)
@@ -168,7 +167,6 @@ def _cmd_run(args, circuit) -> int:
         epsilon=args.epsilon,
         chi_max=args.chi_max,
         tau=int(args.tau),
-        max_unswap_iterations=args.max_unswap_iters,
         side_mode=args.side,
     )
 
@@ -190,9 +188,10 @@ def _cmd_run(args, circuit) -> int:
 
 
 def _cmd_verify(args, circuit) -> int:
-    if circuit.num_qubits > VERIFY_MAX_QUBITS:
+    # the dense output that verify compares is capped by the chains module
+    if circuit.num_qubits > DENSE_GUARD_QUBITS:
         print(
-            f"error: oracle verification is capped at {VERIFY_MAX_QUBITS} qubits, "
+            f"error: oracle verification is capped at {DENSE_GUARD_QUBITS} qubits, "
             f"got {circuit.num_qubits}",
             file=sys.stderr,
         )

@@ -1,23 +1,24 @@
-"""End-to-end contraction pipeline: route, split, absorb layers into a
-central operator chain until it crosses the size threshold, extract
-permutations, rewire the remaining halves, repeat; finally apply the chain
-to |0...0>.
+"""End-to-end contraction pipeline: route, split, then one loop that
+absorbs layers into a central operator chain until it crosses the size
+threshold, extracts permutations and rewires the remaining halves; finally
+apply the chain to |0...0>.
 
-Operator bookkeeping. Each half carries one boundary permutation, taken at
-its cut (the inner end of its unconsumed gates), and the driver maintains
+Operator bookkeeping. Each half lists its gates from the cut outward and
+carries one boundary permutation, taken at the cut (the inner end of its
+unconsumed gates); the driver maintains
 
     U(circuit) = P(left.boundary) . U(L) . M . U(R) . P(right.boundary)^-1
 
 where ``L`` holds the temporally-second half of the routed circuit
-(consumed from its front, absorbed onto the chain's top legs), ``R`` the
-first half (consumed from its back, absorbed onto the bottom legs), each
-with its routing swaps stripped and its wires labelled as they stand at the
-cut. Both boundaries follow one rule: every step composes on the right.
+(absorbed onto the chain's top legs), ``R`` the first half (absorbed onto
+the bottom legs, its list the reverse of its time order), each with its
+routing swaps stripped and its wires labelled as they stand at the cut.
+Both boundaries follow one rule: every step composes on the right.
 Crossing a routing swap ``t`` at the cut, while a layer is consumed or
 while the start boundary is carried in from the half's outer end, gives
 ``b . t``. Unswap factors ``M = P(left_perm) . M' . P(right_perm)``, and
 pushing ``P(e)`` out through a side's gates (``e = left_perm`` for left,
-``right_perm^-1`` for right) gives ``b . e``: the gates, read from the
+``right_perm^-1`` for right) gives ``b . e``: the gates, as listed from the
 cut, are stripped with ``e`` as the layout there and routed afresh
 (:func:`_rewire`). No relabel pass is needed, because stripping absorbs
 one:
@@ -30,7 +31,7 @@ permutation fixes |0...0>, so only the output permutation matters at
 sampling time, where it is applied as a free bit relabeling.
 
 Side selection. Each side's gate list is peeled once into brick layers from
-its inner end. Adaptive mode absorbs the next layer of the side that leaves
+the cut. Adaptive mode absorbs the next layer of the side that leaves
 the smaller chain. The chain keeps every bond's Schmidt values, and each
 two-qubit gate of a layer is split from its own pair and the spectrum of
 the bond left of it, which no other gate of the layer touches. So a whole
@@ -82,7 +83,6 @@ class ContractionConfig:
     epsilon: float = 2e-3
     chi_max: int = 8192
     tau: int = 1_000_000
-    max_unswap_iterations: int = 20
     side_mode: str = "adaptive"  # or "fixed:<k>"
     stall_limit: int = 3
 
@@ -96,8 +96,6 @@ class ContractionConfig:
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         self.fixed_frequency  # validates side_mode
-        if self.max_unswap_iterations < 1:
-            raise ValueError("max_unswap_iterations must be >= 1")
 
     @property
     def fixed_frequency(self) -> int | None:
@@ -171,24 +169,24 @@ def _carry(b: QubitPermutation, gates) -> QubitPermutation:
 
 @dataclass
 class _Side:
-    """One remaining half: its physical gate list and its boundary
-    permutation ``boundary`` at the cut (module docstring).
+    """One remaining half: its physical gate list, listed from the cut
+    outward, and its boundary permutation ``boundary`` at the cut (module
+    docstring).
 
-    ``boundary`` is given at the inner end of ``gates``. Consuming a layer
+    ``boundary`` is given at the front of ``gates``. Consuming a layer
     carries it across the layer's routing swaps, each composed on the
     right (:func:`_carry`), so an exhausted side holds the permutation at
     its outer end.
 
-    The list is peeled once into brick layers from its inner end, the front
-    for ``left`` and the back for ``right``. A gate's depth is one more than
-    the deepest earlier-scanned gate on any of its wires, and layer k holds
-    the depth-k gates in scan order. That is the layer the k-th innermost
-    extraction would pop: a gate joins it iff no gate left unconsumed and
-    scanned before it touches its qubits, which keeps program order on every
-    wire. ``taken`` counts the consumed layers.
+    The list is peeled once into brick layers from its front. A gate's depth
+    is one more than the deepest earlier gate on any of its wires, and layer
+    k holds the depth-k gates in list order. That is the layer the k-th
+    innermost extraction would pop: a gate joins it iff no gate left
+    unconsumed and listed before it touches its qubits, which keeps program
+    order on every wire. ``taken`` counts the consumed layers.
     """
 
-    which: str  # "left" (consumed from the front) or "right" (from the back)
+    which: str  # the legs its gates act on: "left" (top) or "right" (bottom)
     gates: list[Gate]
     boundary: QubitPermutation
     taken: int = field(default=0, init=False)
@@ -196,17 +194,14 @@ class _Side:
     depths: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.gates)
-        order = range(n - 1, -1, -1) if self.which == "right" else range(n)
-        reached: dict[int, int] = {}  # wire -> depth of its last scanned gate
-        self.depths = [0] * n
+        reached: dict[int, int] = {}  # wire -> depth of its last listed gate
+        self.depths = []
         self.layers = []
-        for idx in order:
-            g = self.gates[idx]
+        for g in self.gates:
             d = 1 + max(reached.get(q, 0) for q in g.qubits)
             for q in g.qubits:
                 reached[q] = d
-            self.depths[idx] = d
+            self.depths.append(d)
             if d > len(self.layers):
                 self.layers.append([])
             self.layers[d - 1].append(g)
@@ -220,7 +215,7 @@ class _Side:
         return self.layers[self.taken] if self.taken < len(self.layers) else None
 
     def remaining(self) -> list[Gate]:
-        """The unconsumed gates in list order."""
+        """The unconsumed gates, listed from the cut outward."""
         return [g for g, d in zip(self.gates, self.depths) if d > self.taken]
 
     def consume(self) -> list[Gate]:
@@ -271,19 +266,14 @@ def _rewire(side: _Side, e: QubitPermutation, n: int) -> _Side:
 
     ``e`` is the permutation unswap took out of the chain on this side, in
     boundary form: ``left_perm`` for ``left``, ``right_perm`` inverted for
-    ``right``. The unconsumed gates, read from the inner end, are stripped
-    of routing swaps with ``e`` as the layout at that end, routed forward
-    afresh, and put back in list order; the new cut is the identity layout
-    the route starts from, so the new boundary is ``boundary . e``.
+    ``right``. The unconsumed gates, listed from the cut, are stripped of
+    routing swaps with ``e`` as the layout at the cut and routed afresh in
+    that order; the new cut is the identity layout the route starts from,
+    so the new boundary is ``boundary . e``.
     """
-    gates = side.remaining()
-    if side.which == "right":
-        gates.reverse()
     # the unconsumed gates came from a checked circuit on the same n wires
-    logical = strip_transpilation_swaps(Circuit._checked(n, tuple(gates)), e)
+    logical = strip_transpilation_swaps(Circuit._checked(n, tuple(side.remaining())), e)
     routed = list(route_linear(logical).circuit.gates)
-    if side.which == "right":
-        routed.reverse()
     return _Side(side.which, routed, side.boundary.compose(e))
 
 
@@ -310,10 +300,11 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     # input, which this walk crosses like any other
     left = _Side("left", list(second.gates),
                  _carry(routed.output_layout.inverse(), reversed(second.gates)))
-    right = _Side("right", list(first.gates),
+    right = _Side("right", list(first.gates[::-1]),
                   _carry(QubitPermutation.identity(n), first.gates))
 
     m = identity_mpo(n)
+    elements = total_elements(m)
     trace: list[TraceRecord] = []
     consumed = 0
     consumed_source = 0
@@ -321,16 +312,13 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
     step = 0
     chi_saturations = 0
     stall_reductions: list[float] = []
+    # every absorption phase must consume at least one source gate:
+    # extracted permutations re-enter the circuit as fresh routing swaps at
+    # the next rewire, so swap-only phases would ping-pong forever
+    source_gate_absorbed = False
 
     while not (left.exhausted and right.exhausted):
-        # every absorption phase must consume at least one source gate:
-        # extracted permutations re-enter the circuit as fresh routing swaps
-        # at the next rewire, so swap-only phases would ping-pong forever
-        source_gate_absorbed = False
-        elements = total_elements(m)
-        while (elements < cfg.tau or not source_gate_absorbed) and not (
-            left.exhausted and right.exhausted
-        ):
+        if elements < cfg.tau or not source_gate_absorbed:
             which, m = _choose_side(left, right, m, cfg, step)
             layer = (left if which == "left" else right).consume()
             elements = total_elements(m)
@@ -344,10 +332,9 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
             if any(d >= cfg.chi_max for d in m.bond_dims()):
                 chi_saturations += 1
             trace.append(TraceRecord("absorb", consumed, elements, time.perf_counter() - t0))
-        if left.exhausted and right.exhausted:
-            break
+            continue
 
-        result = unswap(m, cfg.epsilon, cfg.chi_max, cfg.max_unswap_iterations)
+        result = unswap(m, cfg.epsilon, cfg.chi_max)
         # no compression sweep follows: unswap leaves the chain right-canonical
         # with its spectra, and each of its splits truncates a bond at epsilon
         # against a blob whose norm is the chain's norm, the rule the sweep
@@ -356,23 +343,24 @@ def run(c: Circuit, cfg: ContractionConfig | None = None) -> SimulationResult:
         # that drift crosses the cutoff: never on the benchmark instances,
         # and rarely and by little at a cutoff that bites
         m = result.reduced
-        before, after = result.elements_before, result.elements_after
-        trace.append(TraceRecord("unswap", consumed, after, time.perf_counter() - t0,
+        before, elements = result.elements_before, result.elements_after
+        trace.append(TraceRecord("unswap", consumed, elements, time.perf_counter() - t0,
                                  before, result.accepted_swaps,
                                  max(m.bond_dims(), default=1)))
 
-        reduction = (before - after) / before if before else 0.0
+        reduction = (before - elements) / before if before else 0.0
         # a chain of 4n elements has every bond at 1 and cannot shrink, so
         # it never counts toward a stall (a tau of 4n is accepted)
-        if after >= cfg.tau and after > 4 * n and reduction < 0.01:
+        if elements >= cfg.tau and elements > 4 * n and reduction < 0.01:
             stall_reductions.append(reduction)
             if len(stall_reductions) >= cfg.stall_limit:
-                raise StallError(after, cfg.tau, stall_reductions, trace)
+                raise StallError(elements, cfg.tau, stall_reductions, trace)
         else:
             stall_reductions = []
 
         left = _rewire(left, result.left_perm, n)
         right = _rewire(right, result.right_perm.inverse(), n)
+        source_gate_absorbed = False
 
     # routing swaps come and go with each re-transpilation, but every source
     # two-qubit gate must be absorbed exactly once

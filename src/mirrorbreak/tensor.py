@@ -5,8 +5,9 @@ Tensors are plain ``numpy.ndarray`` objects of dtype complex128 in row-major
 arithmetic in the package. Other modules contract, reshape and permute with
 numpy directly, split stacks of matrices through :func:`svd_stack` (values
 only: :func:`singular_values`) ranked by :func:`truncation_rank`, and split
-one tensor by the same rule through :func:`svd_truncate` (the chains'
-canonical sweep). All of them retry a failed SVD the same way.
+one tensor through :func:`svd_truncate` (the chains' canonical sweep), which
+is the same split and rank on a stack of one matrix. All of them retry a
+failed SVD the same way.
 
 A rank is found without a scan: one reverse cumulative sum of the squared
 values gives the weight of every tail, and a binary search counts the tails
@@ -83,23 +84,13 @@ def svd_truncate(t: np.ndarray, split: int, epsilon: float, chi_max: int) -> Tru
     if not (1 <= split < t.ndim):
         raise ValueError(f"split {split} must satisfy 1 <= split < rank {t.ndim}")
     check_cutoffs(epsilon, chi_max)
-    if not np.isfinite(t).all():
-        raise ValueError("tensor contains non-finite amplitudes")
-
-    rows = math.prod(t.shape[:split])
-    cols = math.prod(t.shape[split:])
-    m = t.reshape(rows, cols)
-    if not m.any():
-        raise ZeroTensorError("cannot decompose an all-zero tensor")
-
-    u, s, v = _svd_with_retry(m)
+    rows, cols = math.prod(t.shape[:split]), math.prod(t.shape[split:])
+    u, s, v = (f[0] for f in svd_stack(t.reshape(1, rows, cols)))
+    r = truncation_rank(s, epsilon, chi_max)
     weights = s * s
-    total = float(weights.sum())
-    r = _spectrum_rank(s, weights, total, epsilon, chi_max)
-    if total == 0.0:  # every squared value underflows: weigh them against the largest
+    if not weights.sum():  # every squared value underflows: weigh them against the largest
         weights = (s / s[0]) ** 2
-        total = float(weights.sum())
-    discarded = float(weights[r:].sum() / total)
+    discarded = float(weights[r:].sum() / weights.sum())
     return TruncatedSVD(u=u[:, :r], s=s[:r].copy(), v=v[:r, :], discarded_weight=discarded)
 
 
@@ -154,8 +145,9 @@ def svd_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD (u, s, vh) of each matrix in a (k, rows, cols) stack, the
     factors stacked the same way. Each matrix's factors are bit for bit
     those of its own SVD: the backend decomposes the matrices of a stack
-    one by one. Raises as :func:`svd_truncate` does on a non-finite or
-    all-zero matrix, and after a failed retry."""
+    one by one. Raises ``ValueError`` on a non-finite matrix,
+    :class:`ZeroTensorError` on an all-zero one, and
+    :class:`SvdConvergenceError` after a failed retry."""
     if not np.isfinite(stack).all():
         raise ValueError("tensor contains non-finite amplitudes")
     if not stack.reshape(len(stack), -1).any(axis=1).all():

@@ -325,12 +325,12 @@ def extract_layer(gates, from_back: bool):
 
 
 def two_trial_absorb(m, gates, which: str, cfg):
-    """Reference trial: extract the next layer of ``gates`` from the
-    ``which`` side's inner end and absorb it gate by gate. Returns the
-    chain."""
+    """Reference trial: extract the next layer of ``gates``, listed from the
+    cut outward, and absorb it gate by gate onto the ``which`` side's legs.
+    Returns the chain."""
     from mirrorbreak.chains import absorb_gate
 
-    layer, _ = extract_layer(gates, from_back=(which == "right"))
+    layer, _ = extract_layer(gates, from_back=False)
     for g in layer:
         m = absorb_gate(m, g, which, cfg.epsilon, cfg.chi_max)
     return m
@@ -360,6 +360,47 @@ def two_trial_choose_side(left, right, m, cfg, step):
     if total_elements(trial_l) <= total_elements(trial_r):
         return "left", trial_l
     return "right", trial_r
+
+
+def product_state_fidelity(result, factors) -> float:
+    """Fidelity of a ``driver.run`` result's output state with the product
+    state whose qubit q is the unit vector ``factors[q]``, at any n.
+
+    Site k of ``result.state`` holds output qubit ``output_permutation[k]``,
+    the relabeling ``sample_output`` applies to its bits. The overlap and
+    the norm are contracted site by site, both rescaled at each step by the
+    norm's running scale so neither under- nor overflows; the ratio
+    ``|<phi|psi>|**2 / <psi|psi>`` is unchanged by it, and so is it by the
+    state's ``log_norm``."""
+    mapping = result.output_permutation.mapping
+    overlap = np.ones(1, dtype=complex)
+    norm = np.ones((1, 1), dtype=complex)
+    for k, site in enumerate(result.state.sites):
+        overlap = overlap @ np.einsum("p,lpr->lr", factors[mapping[k]].conj(), site)
+        norm = np.einsum("ab,apr,bps->rs", norm, site.conj(), site)
+        scale = np.linalg.norm(norm)
+        overlap, norm = overlap / math.sqrt(scale), norm / scale
+    return float(abs(overlap[0]) ** 2 / norm[0, 0].real)
+
+
+def exact_generated_fidelity(inst, result) -> float:
+    """Fidelity of a ``driver.run`` result for a ``peaked.generate``
+    instance with that instance's exact output, at any n.
+
+    The mirror block collapses to the hidden permutation, which fixes
+    |0...0>, and the X layer writes the peak; so the exact output is a
+    product state, each qubit's factor its trailing dilution gate applied
+    to its peak bit. The dilution gates are the last n gates, one per
+    qubit, when ``design_weight < 1``, and absent otherwise."""
+    from mirrorbreak.circuit import gate_unitary
+
+    n = inst.circuit.num_qubits
+    factors = [np.eye(2, dtype=complex)[int(bit)] for bit in inst.peak]
+    if inst.design_weight < 1:
+        for g in inst.circuit.gates[-n:]:
+            (q,) = g.qubits
+            factors[q] = gate_unitary(g) @ factors[q]
+    return product_state_fidelity(result, factors)
 
 # --------------------------------------------------------------------------
 # Reference OpenQASM parser: tokenize the whole program, then recursive

@@ -18,7 +18,7 @@ from mirrorbreak.peaked import generate
 from mirrorbreak.routing import QubitPermutation, route_linear, strip_transpilation_swaps
 from mirrorbreak.unswap import unswap
 
-from .oracles import random_circuit
+from .oracles import exact_generated_fidelity, random_circuit
 from .test_routing import routed_equivalent
 from .test_unswap import permutation_mpo, reconstruction_error
 
@@ -87,11 +87,14 @@ def test_criterion_2_permutation_extraction():
 
 def test_criterion_3_peak_recovery():
     """50 planted-peak instances (n in 8/10/12, weight 0.10, 20-60 swap
-    obfuscations): sampled argmax equals the planted peak every time and the
-    peak frequency at 1,000 shots sits within 3 sigma of the oracle weight."""
+    obfuscations): sampled argmax equals the planted peak every time, the
+    peak frequency at 1,000 shots sits within 3 sigma of the oracle weight,
+    and the output state's fidelity with the exact product-state output is
+    at least 1 - 1e-6."""
     shots = 1000
     matches = 0
     freq_ok = 0
+    exact_ok = 0
     failures = []
     for case in range(50):
         n = (8, 10, 12)[case % 3]
@@ -116,16 +119,21 @@ def test_criterion_3_peak_recovery():
         p_oracle = float(np.abs(simulate(inst.circuit)[bits_to_index(inst.peak)]) ** 2)
         sigma = math.sqrt(p_oracle * (1 - p_oracle) / shots)
         freq = counts.get(inst.peak, 0) / shots
+        exact = exact_generated_fidelity(inst, result)
         if top == inst.peak:
             matches += 1
         if abs(freq - p_oracle) <= 3 * sigma:
             freq_ok += 1
-        if top != inst.peak or abs(freq - p_oracle) > 3 * sigma:
-            failures.append((case, n, top, inst.peak, freq, p_oracle))
+        if exact >= 1 - 1e-6:
+            exact_ok += 1
+        if top != inst.peak or abs(freq - p_oracle) > 3 * sigma or exact < 1 - 1e-6:
+            failures.append((case, n, top, inst.peak, freq, p_oracle, exact))
     _report(
         "3 peak recovery",
-        matches == 50 and freq_ok == 50,
-        f"argmax match {matches}/50, frequency in 3-sigma {freq_ok}/50",
+        matches == 50 and freq_ok == 50 and exact_ok == 50,
+        f"argmax match {matches}/50, frequency in 3-sigma {freq_ok}/50, "
+        f"exact fidelity >= 1 - 1e-6 {exact_ok}/50"
+        + (f"; failing: {failures[:3]}" if failures else ""),
     )
 
 

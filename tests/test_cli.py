@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mirrorbreak import chains
+from mirrorbreak import chains, cli
 from mirrorbreak.circuit import Circuit, Gate, QasmError, inverse_circuit, parse_qasm, serialize_qasm
 from mirrorbreak.cli import _build_parser, main
 
@@ -42,7 +42,6 @@ class TestDefaults:
         assert args.epsilon == 2e-3
         assert args.chi_max == 8192
         assert args.tau == 1e6
-        assert args.max_unswap_iters == 20
         assert args.side == "adaptive"
 
 
@@ -205,7 +204,7 @@ class TestRun:
     @pytest.mark.parametrize("flags,message", [
         (["--tau", "1"], "below the identity chain size"),
         (["--shots", "0"], "--shots must be >= 1"),
-        (["--max-unswap-iters", "0"], "max_unswap_iterations"),
+        (["--chi-max", "0"], "chi_max must be >= 1"),
         (["--tau", "inf"], "--tau must be finite"),
         (["--tau", "nan"], "--tau must be finite"),
         (["--epsilon", "nan"], "epsilon must be finite"),
@@ -221,6 +220,19 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+class TestQubitLimit:
+    def test_run_past_the_limit_exits_2_naming_it(self, tmp_path, capsys):
+        n = 1024
+        block = Circuit(n, tuple(Gate("rzz", (i, i + 1), (0.7,)) for i in range(0, n - 1, 2)))
+        path = tmp_path / "wide.qasm"
+        path.write_text(serialize_qasm(Circuit(n, block.gates + inverse_circuit(block).gates)))
+        code = main(["run", "--circuit", str(path), "--shots", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at most 1023 qubits are supported, got 1024")
+        assert "non-finite" not in err
 
 
 class TestVerify:
@@ -261,6 +273,18 @@ class TestVerify:
         code = main(["verify", "--circuit", str(path)])
         assert code == 2
         assert "capped" in capsys.readouterr().err
+
+    def test_one_qubit_past_the_dense_cap_exits_2_without_contracting(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        def no_run(*args):
+            raise AssertionError("verify contracted a circuit past the dense cap")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        path = tmp_path / "thirteen.qasm"
+        path.write_text(serialize_qasm(Circuit(13, (Gate("h", (0,)),))))
+        code = main(["verify", "--circuit", str(path)])
+        assert code == 2
+        assert "capped at 12 qubits, got 13" in capsys.readouterr().err
 
 
 class TestSvdNonConvergence:
@@ -326,7 +350,6 @@ RUN_FLAGS = {
     "--epsilon": (st.floats(0, 0.5), NON_FINITE | st.floats(max_value=-1e-300)),
     "--tau": (st.floats(16, 1e6), NON_FINITE | st.floats(-100, 15.9)),
     "--chi-max": (st.integers(1, 64), st.integers(-2, 0)),
-    "--max-unswap-iters": (st.integers(1, 4), st.integers(-2, 0)),
     "--side": (st.sampled_from(["adaptive", "fixed:1", "fixed:3"]),
                st.sampled_from(["fixed:0", "fixed:-1", "fixed:x", "fixed:", "random"])),
     "--shots": (st.integers(1, 50), st.integers(-3, 0)),

@@ -66,7 +66,6 @@ class TestConfig:
         assert cfg.epsilon == 2e-3
         assert cfg.chi_max == 8192
         assert cfg.tau == 10**6
-        assert cfg.max_unswap_iterations == 20
         assert cfg.side_mode == "adaptive"
 
     def test_side_mode_parsing(self):
@@ -84,7 +83,6 @@ class TestConfig:
             ContractionConfig(side_mode=mode)
 
     @pytest.mark.parametrize("field,value", [
-        ("max_unswap_iterations", 0),
         ("tau", 0),
         ("epsilon", -1e-3),
         ("epsilon", float("nan")),
@@ -245,7 +243,7 @@ class TestArbitraryExtractions:
 
     @staticmethod
     def random_unswap(rng):
-        def stub(m, epsilon, chi_max, max_iterations):
+        def stub(m, epsilon, chi_max):
             before = total_elements(m)
             m = _with_spectra(m)
             n = m.num_sites
@@ -280,6 +278,22 @@ class TestArbitraryExtractions:
         result = run(c, cfg)
         assert calls
         assert fidelity(dense_output(result), simulate(c)) >= 1 - 1e-10
+
+
+class TestQubitLimit:
+    """The identity chain holds the norm 2**(n/2) on site 0, and its square
+    is a finite float up to n = 1023."""
+
+    def test_mirror_at_the_limit_runs(self):
+        n = 1023
+        result = run(brick_mirror(n, 1, 0), ContractionConfig(epsilon=1e-10))
+        assert result.final_elements == 4 * n
+        zero = np.array([1.0, 0.0], dtype=complex)
+        assert oracles.product_state_fidelity(result, [zero] * n) >= 1 - 1e-12
+
+    def test_mirror_past_the_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="at most 1023 qubits are supported, got 1024"):
+            run(brick_mirror(1024, 1, 0), ContractionConfig(epsilon=1e-10))
 
 
 class TestBeyondDenseChecks:
@@ -853,14 +867,16 @@ class TestPeeling:
     def test_matches_repeated_extraction(self, case, which, data):
         n, gates = case
         outer = QubitPermutation(tuple(data.draw(st.permutations(range(n)))))
-        # the boundary at the inner end is the outer-end permutation carried
-        # inward, from the outer end of the list (its back for left, its
-        # front for right), across every routing swap composed on the right
+        # ``gates`` is in time order; the side lists it from the cut, which
+        # is its front for left and its back for right. The boundary at the
+        # cut is the outer-end permutation carried inward across every
+        # routing swap, composed on the right
+        listed = list(gates) if which == "left" else gates[::-1]
         start = outer
-        for g in (reversed(gates) if which == "left" else gates):
+        for g in reversed(listed):
             if g.origin == ORIGIN_ROUTING:
                 start = start.compose(QubitPermutation.transposition(n, *g.qubits))
-        side = _Side(which, list(gates), start)
+        side = _Side(which, listed, start)
         assert side.boundary == start
         remaining = list(gates)
         boundary = start
@@ -869,7 +885,7 @@ class TestPeeling:
             layer, remaining = oracles.extract_layer(remaining, from_back=(which == "right"))
             assert side.layer() == layer
             assert side.consume() == layer
-            assert side.remaining() == remaining
+            assert side.remaining() == (remaining if which == "left" else remaining[::-1])
             for g in layer:
                 if g.origin == ORIGIN_ROUTING:
                     boundary = boundary.compose(QubitPermutation.transposition(n, *g.qubits))

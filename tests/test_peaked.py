@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from mirrorbreak.circuit import parse_qasm
+from mirrorbreak.driver import ContractionConfig, dense_output, run
 from mirrorbreak.oracle import peak_of, simulate
 from mirrorbreak.peaked import generate, write_instance
+
+from .oracles import exact_generated_fidelity
 
 
 class TestGenerate:
@@ -90,3 +93,24 @@ class TestWriteInstance:
         p2 = write_instance(inst, tmp_path / "b")
         assert p1[0].read_bytes() == p2[0].read_bytes()
         assert p1[1].read_bytes() == p2[1].read_bytes()
+
+
+class TestExactReference:
+    """``oracles.exact_generated_fidelity`` against the statevector oracle,
+    within the dense cap; past it the exact reference stands alone."""
+
+    @pytest.mark.parametrize("peak_weight", [0.1, 1.0])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_matches_the_dense_fidelity(self, n, peak_weight):
+        inst = generate(n=n, depth=6 * n, peak_weight=peak_weight, obfuscation_swaps=n,
+                        seed=40 + n)
+        cfg = ContractionConfig(epsilon=1e-10, chi_max=4096, tau=20_000, stall_limit=40,
+                                side_mode="fixed:1")
+        result = run(inst.circuit, cfg)
+        # the relabeling is exercised, not skipped
+        assert not result.output_permutation.is_identity()
+        produced, reference = dense_output(result), simulate(inst.circuit)
+        dense = abs(np.vdot(reference, produced)) ** 2 / np.vdot(produced, produced).real
+        exact = exact_generated_fidelity(inst, result)
+        assert abs(exact - dense) <= 1e-12
+        assert exact >= 1 - 1e-10

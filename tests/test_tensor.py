@@ -271,7 +271,7 @@ PAIRWISE_TOTAL = (np.array([[0.864, 0.553, 0.492, 0.447, 0.279, 0.258, 0.106, 0.
 def split_with_spectrum(s: np.ndarray, epsilon: float, chi_max: int) -> TruncatedSVD:
     """``svd_truncate`` of a tensor whose SVD returns exactly the spectrum ``s``."""
     eye = np.eye(len(s), dtype=np.complex128)
-    with mock.patch.object(np.linalg, "svd", return_value=(eye, s, eye)):
+    with mock.patch.object(np.linalg, "svd", return_value=(eye[None], s[None], eye[None])):
         return svd_truncate(np.ones((len(s), len(s)), dtype=np.complex128), 1, epsilon, chi_max)
 
 

@@ -69,12 +69,6 @@ def reconstruction_error(res: UnswapResult, original) -> float:
     return float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max()))
 
 
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
-            unswap(identity_mpo(2), 0.0, 4, max_iterations=0)
-
-
 class TestSequential:
     """Extraction properties on whole chains (the class is named for the
     sequential bond loop they were first written against)."""
