@@ -7,7 +7,8 @@ counts as one, and so does a circuit of more than 1,023 qubits), 3 no
 result (a stall diagnosis, an SVD that did not converge even after its
 perturbed retry, truncation that collapsed the state to zero, or too little
 memory for the contraction or for the ``--shots`` samples), 4 I/O failure.
-Bitstrings print qubit 0 leftmost everywhere.
+Bitstrings print qubit 0 leftmost everywhere. ``run --side`` takes adaptive
+or fixed:1, and ``run``'s other defaults are ``ContractionConfig``'s.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="contract a circuit, sample it, and dump telemetry")
     runp.add_argument("--circuit", required=True, help="QASM 2.0 input file")
-    runp.add_argument("--epsilon", type=float, default=2e-3)
-    runp.add_argument("--chi-max", type=int, default=8192)
-    runp.add_argument("--tau", type=float, default=1e6)
-    runp.add_argument("--side", default="adaptive", help="adaptive or fixed:<k>")
+    runp.add_argument("--epsilon", type=float, default=ContractionConfig.epsilon)
+    runp.add_argument("--chi-max", type=int, default=ContractionConfig.chi_max)
+    runp.add_argument("--tau", type=float, default=ContractionConfig.tau)
+    runp.add_argument("--side", default=ContractionConfig.side_mode, help="adaptive or fixed:1")
     runp.add_argument("--shots", type=int, default=1000)
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--trace", help="write the ND-JSON contraction trace here")

@@ -41,18 +41,17 @@ element count of the chain the split would write. The chooser splits the
 next layer of every candidate side and writes only the smallest, from its
 own factors (``chains.write_layer``); no layer is counted in one pass and
 absorbed in another, and none is written and thrown away
-(:func:`_choose_side`). An exhausted side and fixed mode's schedule only
-narrow the candidates, to one side; the rule that picks among them is the
-same.
+(:func:`_choose_side`). An exhausted side and fixed mode's alternation
+only narrow the candidates, to one side; the rule that picks among them is
+the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,6 +74,7 @@ from .oracle import permute_statevector
 from .routing import QubitPermutation, route_linear, strip_transpilation_swaps
 # unused here; perfbench/run.py wraps this name
 from .routing import reindex  # noqa: F401
+from .tensor import check_cutoffs
 from .unswap import unswap
 
 
@@ -83,31 +83,20 @@ class ContractionConfig:
     epsilon: float = 2e-3
     chi_max: int = 8192
     tau: int = 1_000_000
-    side_mode: str = "adaptive"  # or "fixed:<k>"
+    side_mode: str = "adaptive"  # or "fixed:1": alternate while both halves are open
     stall_limit: int = 3
 
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.chi_max < 1:
-            raise ValueError("chi_max must be >= 1")
-        if self.stall_limit < 1:
-            raise ValueError("stall_limit must be >= 1")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        self.fixed_frequency  # validates side_mode
-
-    @property
-    def fixed_frequency(self) -> int | None:
-        if self.side_mode == "adaptive":
-            return None
-        fixed = re.fullmatch(r"fixed:([0-9]+)", self.side_mode)
-        if fixed is None:
-            raise ValueError(f"side_mode must be adaptive or fixed:<k>, got {self.side_mode!r}")
-        k = int(fixed[1])
-        if k < 1:
-            raise ValueError("fixed side frequency must be >= 1")
-        return k
+        check_cutoffs(self.epsilon, self.chi_max)
+        # NaN fails these, where it would pass a `< 1` test
+        if not self.stall_limit >= 1:
+            raise ValueError(f"stall_limit must be >= 1, got {self.stall_limit}")
+        if not self.tau >= 1:
+            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if self.side_mode not in ("adaptive", "fixed:1"):
+            raise ValueError(f"side_mode must be adaptive or fixed:1, got {self.side_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +112,6 @@ class TraceRecord:
     elements_before: int | None = None
     accepted_swaps: int | None = None
     max_bond: int | None = None
-
-
-_UNSWAP_FIELDS = ("elements_before", "accepted_swaps", "max_bond")
 
 
 @dataclass(frozen=True)
@@ -240,8 +226,8 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     One rule: split the next layer of each candidate side against ``m`` and
     write the split whose count is smallest, ties going left; a loser is
     never written. The candidates are the sides not yet exhausted, and in
-    fixed mode, while both are open, only the one the schedule names (it
-    alternates every ``k`` layers). The count of a split is that of the
+    fixed mode, while both are open, only the one ``step`` names (it
+    alternates every layer, left first). The count of a split is that of the
     chain its write builds, from the same SVD factors, so it cannot disagree
     with it. A layer with no two-qubit gate needs no SVD and counts
     ``total_elements(m)``: against it an entangling layer wins only when it
@@ -254,9 +240,8 @@ def _choose_side(left: _Side, right: _Side, m: MatrixProductOperator,
     sides = [s for s in (left, right) if not s.exhausted]
     if not sides:
         raise ValueError("both sides are exhausted")
-    k = cfg.fixed_frequency
-    if k is not None and len(sides) == 2:
-        sides = [sides[(step // k) % 2]]
+    if cfg.side_mode == "fixed:1" and len(sides) == 2:
+        sides = [sides[step % 2]]
     side, split = min(((s, _split(m, s, cfg)) for s in sides), key=lambda c: c[1].elements)
     return side.which, write_layer(split)
 
@@ -393,31 +378,24 @@ def dense_output(result: SimulationResult) -> np.ndarray:
 
 
 def emit_trace(trace, sink) -> None:
-    """Write trace records as newline-delimited JSON with the fields
-    phase, unitaries_consumed, elements, wall_time_s; unswap records add
-    elements_before, accepted_swaps and max_bond."""
+    """Write trace records as newline-delimited JSON, one object per record
+    holding its non-None fields in field order: phase, unitaries_consumed,
+    elements, wall_time_s, and on unswap records elements_before,
+    accepted_swaps and max_bond."""
     for rec in trace:
-        d = {
-            "phase": rec.phase,
-            "unitaries_consumed": rec.unitaries_consumed,
-            "elements": rec.elements,
-            "wall_time_s": rec.wall_time_s,
-        }
-        if rec.phase == "unswap":
-            d.update((k, getattr(rec, k)) for k in _UNSWAP_FIELDS)
+        d = {f.name: v for f in fields(rec) if (v := getattr(rec, f.name)) is not None}
         sink.write(json.dumps(d, separators=(",", ":")) + "\n")
 
 
 def parse_trace(text: str) -> tuple[TraceRecord, ...]:
-    """Records written by :func:`emit_trace`; the unswap fields are read
-    where present, so traces written before they existed still parse."""
+    """Records written by :func:`emit_trace`. A line's keys that are not
+    ``TraceRecord`` fields are ignored, and an optional field it lacks is
+    None, so traces written before a field existed still parse; a line
+    without a required field raises ``TypeError``."""
+    names = {f.name for f in fields(TraceRecord)}
     records = []
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        records.append(
-            TraceRecord(d["phase"], d["unitaries_consumed"], d["elements"], d["wall_time_s"],
-                        *(d.get(k) for k in _UNSWAP_FIELDS))
-        )
+        if line.strip():
+            d = json.loads(line)
+            records.append(TraceRecord(**{k: v for k, v in d.items() if k in names}))
     return tuple(records)

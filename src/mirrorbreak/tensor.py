@@ -19,6 +19,7 @@ over values tied with the last one kept and capped at ``chi_max``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,16 @@ class TruncatedSVD:
 
 
 def check_cutoffs(epsilon: float, chi_max: int) -> None:
-    """Raise unless ``epsilon`` is >= 0 (NaN is not) and ``chi_max`` >= 1.
+    """Raise unless ``epsilon`` is >= 0 (NaN is not) and ``chi_max`` is an
+    integer (``operator.index`` takes it, so NumPy integers do) >= 1.
     Every public entry that takes a cutoff checks it here first, so a call
     that happens to run no split rejects the same values as one that does."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
+    try:
+        operator.index(chi_max)
+    except TypeError:
+        raise ValueError(f"chi_max must be an integer, got {chi_max!r}") from None
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
 

@@ -351,9 +351,8 @@ def two_trial_choose_side(left, right, m, cfg, step):
         return "right", two_trial_absorb(m, rg, "right", cfg)
     if not rg:
         return "left", two_trial_absorb(m, lg, "left", cfg)
-    k = cfg.fixed_frequency
-    if k is not None:
-        which = "left" if (step // k) % 2 == 0 else "right"
+    if cfg.side_mode == "fixed:1":
+        which = "left" if step % 2 == 0 else "right"
         return which, two_trial_absorb(m, lg if which == "left" else rg, which, cfg)
     trial_l = two_trial_absorb(m, lg, "left", cfg)
     trial_r = two_trial_absorb(m, rg, "right", cfg)

@@ -796,10 +796,16 @@ CUTOFF_TAKERS = {
     (math.nan, 64, "epsilon must be >= 0"),
     (-0.1, 64, "epsilon must be >= 0"),
     (1e-8, 0, "chi_max must be >= 1"),
+    (1e-8, 2.5, "chi_max must be an integer, got 2.5"),
 ])
 def test_bad_cutoffs_are_rejected(name, epsilon, chi_max, message):
     with pytest.raises(ValueError, match=message):
         CUTOFF_TAKERS[name](swapped_weak_chain(), epsilon, chi_max)
+
+
+@pytest.mark.parametrize("name", list(CUTOFF_TAKERS))
+def test_numpy_integer_chi_max_is_accepted(name):
+    CUTOFF_TAKERS[name](swapped_weak_chain(), 1e-8, np.int64(64))
 
 
 class TestApplyToZero:

@@ -210,9 +210,10 @@ class TestRun:
         (["--epsilon", "nan"], "epsilon must be finite"),
         (["--epsilon", "inf"], "epsilon must be finite"),
         (["--seed", "-1"], "--seed must be >= 0"),
-        (["--side", "fixed:x"], "side_mode must be adaptive or fixed:<k>, got 'fixed:x'"),
-        (["--side", "fixed:"], "side_mode must be adaptive or fixed:<k>, got 'fixed:'"),
-        (["--side", "fixed:1.5"], "side_mode must be adaptive or fixed:<k>, got 'fixed:1.5'"),
+        (["--side", "fixed:x"], "side_mode must be adaptive or fixed:1, got 'fixed:x'"),
+        (["--side", "fixed:"], "side_mode must be adaptive or fixed:1, got 'fixed:'"),
+        (["--side", "fixed:1.5"], "side_mode must be adaptive or fixed:1, got 'fixed:1.5'"),
+        (["--side", "fixed:2"], "side_mode must be adaptive or fixed:1, got 'fixed:2'"),
     ])
     def test_invalid_run_values_exit_2(self, instance_files, capsys, flags, message):
         qasm_path, _ = instance_files
@@ -350,8 +351,9 @@ RUN_FLAGS = {
     "--epsilon": (st.floats(0, 0.5), NON_FINITE | st.floats(max_value=-1e-300)),
     "--tau": (st.floats(16, 1e6), NON_FINITE | st.floats(-100, 15.9)),
     "--chi-max": (st.integers(1, 64), st.integers(-2, 0)),
-    "--side": (st.sampled_from(["adaptive", "fixed:1", "fixed:3"]),
-               st.sampled_from(["fixed:0", "fixed:-1", "fixed:x", "fixed:", "random"])),
+    "--side": (st.sampled_from(["adaptive", "fixed:1"]),
+               st.sampled_from(["fixed:0", "fixed:-1", "fixed:x", "fixed:", "fixed:2", "fixed:3",
+                                "random"])),
     "--shots": (st.integers(1, 50), st.integers(-3, 0)),
 }
 

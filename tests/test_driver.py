@@ -69,24 +69,27 @@ class TestConfig:
         assert cfg.side_mode == "adaptive"
 
     def test_side_mode_parsing(self):
-        assert ContractionConfig(side_mode="fixed:2").fixed_frequency == 2
-        assert ContractionConfig().fixed_frequency is None
-        with pytest.raises(ValueError, match="side_mode"):
-            ContractionConfig(side_mode="random")
-        with pytest.raises(ValueError, match="frequency"):
-            ContractionConfig(side_mode="fixed:0")
+        assert ContractionConfig(side_mode="fixed:1").side_mode == "fixed:1"
+        assert ContractionConfig(side_mode="adaptive").side_mode == "adaptive"
+        for mode in ("fixed:2", "fixed:0", "random"):
+            with pytest.raises(ValueError, match="side_mode"):
+                ContractionConfig(side_mode=mode)
 
-    @pytest.mark.parametrize("mode", ["fixed:x", "fixed:", "fixed:1.5", "fixed:-1", "fixed: 2"])
+    @pytest.mark.parametrize("mode", ["fixed:x", "fixed:", "fixed:1.5", "fixed:-1", "fixed: 2",
+                                      "fixed:2"])
     def test_malformed_fixed_mode_names_the_option(self, mode):
-        message = f"side_mode must be adaptive or fixed:<k>, got {mode!r}"
+        message = f"side_mode must be adaptive or fixed:1, got {mode!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             ContractionConfig(side_mode=mode)
 
     @pytest.mark.parametrize("field,value", [
         ("tau", 0),
+        ("tau", float("nan")),
         ("epsilon", -1e-3),
         ("epsilon", float("nan")),
         ("epsilon", float("inf")),
+        ("chi_max", 2.5),
+        ("stall_limit", float("nan")),
     ])
     def test_invalid_fields_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -317,6 +320,27 @@ class TestBeyondDenseChecks:
         assert abs(counts[top] / 1000 - p) <= 3 * np.sqrt(p * (1 - p) / 1000)
 
 
+class TestPeakBounds:
+    """The README quickstart instance under adaptive sides stays within a
+    few tau at its peak. The peak counts each unswap's ``elements_before``,
+    the chain it started from. A change to the cut or to rewiring that
+    lets absorption regrow the chain far past tau between unswaps fails
+    here on element counts alone, however long the run takes."""
+
+    @pytest.mark.parametrize("tau", [5_000, 20_000])
+    def test_quickstart_peak_stays_within_four_tau(self, tau):
+        inst = generate(n=12, depth=120, peak_weight=0.10, obfuscation_swaps=40, seed=11)
+        cfg = ContractionConfig(epsilon=1e-8, tau=tau, side_mode="adaptive", stall_limit=25)
+        result = run(inst.circuit, cfg)
+        peak = max(max(rec.elements, rec.elements_before or 0) for rec in result.trace)
+        assert peak <= 4 * tau
+        counts = {}
+        for s in sample_output(result, 1000, seed=3):
+            counts[s] = counts.get(s, 0) + 1
+        assert max(counts, key=counts.get) == inst.peak
+        assert oracles.exact_generated_fidelity(inst, result) >= 1 - 1e-6
+
+
 class TestEdgeShapes:
     def test_single_qubit_gates_only(self):
         c = Circuit(4, (Gate("h", (0,)), Gate("rz", (1,), (0.4,)), Gate("h", (2,)),
@@ -408,7 +432,7 @@ class TestSelectSide:
         assert _choose_side(left2, right2, identity_mpo(2), cfg, 0)[0] == "left"
 
     @pytest.mark.parametrize("step", range(4))
-    @pytest.mark.parametrize("side_mode", ["adaptive", "fixed:1", "fixed:2"])
+    @pytest.mark.parametrize("side_mode", ["adaptive", "fixed:1"])
     def test_exhausted_side_yields_in_every_mode(self, side_mode, step):
         # whatever the mode and the step, the open side is the only candidate
         cfg = ContractionConfig(epsilon=1e-10, chi_max=64, side_mode=side_mode)
@@ -424,15 +448,15 @@ class TestSelectSide:
         with pytest.raises(ValueError, match="exhausted"):
             _choose_side(left, right, identity_mpo(2), ContractionConfig(), 0)
 
-    def test_fixed_frequency_alternates(self):
+    def test_fixed_mode_alternates(self):
         from mirrorbreak.chains import identity_mpo
 
         gates = [Gate("h", (0,))]
         left, right = self._sides(2, gates, gates)
-        cfg = ContractionConfig(side_mode="fixed:2")
+        cfg = ContractionConfig(side_mode="fixed:1")
         m = identity_mpo(2)
         picks = [_choose_side(left, right, m, cfg, step)[0] for step in range(6)]
-        assert picks == ["left", "left", "right", "right", "left", "left"]
+        assert picks == ["left", "right", "left", "right", "left", "right"]
 
     def _decide(self, left, right, m, cfg=ContractionConfig(epsilon=1e-10, chi_max=64),
                 step=0):
@@ -981,6 +1005,12 @@ class TestTrace:
     def test_unswap_line_without_the_new_fields_still_parses(self):
         old = '{"phase":"unswap","unitaries_consumed":7,"elements":96,"wall_time_s":0.5}\n'
         assert parse_trace(old) == (TraceRecord("unswap", 7, 96, 0.5),)
+
+    def test_unknown_keys_are_ignored_and_a_missing_required_field_raises(self):
+        line = '{"phase":"absorb","unitaries_consumed":3,"elements":48,"wall_time_s":0.1,"x":1}'
+        assert parse_trace(line) == (TraceRecord("absorb", 3, 48, 0.1),)
+        with pytest.raises(TypeError, match="elements"):
+            parse_trace('{"phase":"absorb","unitaries_consumed":3,"wall_time_s":0.1}')
 
     def test_run_fills_the_unswap_fields(self):
         inst = generate(n=6, depth=30, peak_weight=0.4, obfuscation_swaps=6, seed=17)

@@ -36,6 +36,7 @@ def test_one_line_with_digest_and_instance_count(saved):
     assert line["workload"] == "mirror-wide"
     assert line["instances"] == 5
     assert re.fullmatch(r"[0-9a-f]{64}", line["sha256"])
+    assert line["peak_elements"] == 448 and line["unswaps"] == 0
     assert len(json.loads(path.read_text())["mirror-wide"]) == 5
 
 
@@ -61,8 +62,10 @@ def test_hidden_perm_digest_is_pinned():
     so in CHANGES.md."""
     done = digest("--workload", "hidden-perm", "--seeds", "701")
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["sha256"] == (
+    line = json.loads(done.stdout)
+    assert line["sha256"] == (
         "28bb05c4473905159dc78c4cf82ce792d1a83de62caf19724c779a11c0095549")
+    assert line["peak_elements"] == 1632 and line["unswaps"] == 277
 
 
 def test_round_trip_against_saved_probabilities(saved):

@@ -9,9 +9,11 @@ instances of every seed, solves each one through the public API
 (``parse_qasm -> run -> sample_output``) with the benchmark's settings and
 shot seeds, and prints one JSON line: a SHA-256 over every instance's
 ``(phase, unitaries_consumed, elements)`` trace tuples, ``final_elements``,
-sampled bitstrings and output and input permutations, and the largest
-exact peak probability read from the output state. Two checkouts that print
-the same digest produce the same trajectories, samples and permutations.
+sampled bitstrings and output and input permutations, the largest exact
+peak probability read from the output state, the largest chain seen in any
+trace (``peak_elements``, counting each unswap's ``elements_before``) and
+the number of unswaps. Two checkouts that print the same digest produce the
+same trajectories, samples and permutations.
 
 ``--save PATH`` also writes every instance's peak probability to PATH;
 ``--against PATH`` reads such a file written by another checkout and adds
@@ -33,12 +35,14 @@ import mirrorbreak as mb  # noqa: E402
 import workloads as wl  # noqa: E402
 
 
-def digest(workload: str, seeds: list[int]) -> tuple[str, list[float]]:
+def digest(workload: str, seeds: list[int]) -> tuple[str, list[float], int, int]:
     """SHA-256 of the outputs on every instance of ``workload`` at ``seeds``,
-    and the instances' peak probabilities in the same order."""
+    the instances' peak probabilities in the same order, the largest chain
+    in any trace, and the number of unswaps."""
     w = wl.WORKLOADS[workload]
     h = hashlib.sha256()
     probs = []
+    peak_elements = unswaps = 0
     for seed in seeds:
         for inst in wl.make_instances(w, seed):
             result = mb.run(mb.parse_qasm(inst.qasm), w.config)
@@ -54,7 +58,10 @@ def digest(workload: str, seeds: list[int]) -> tuple[str, list[float]]:
             }
             h.update(json.dumps(record, separators=(",", ":")).encode())
             probs.append(wl.peak_probability(result, inst.peak))
-    return h.hexdigest(), probs
+            for r in result.trace:
+                peak_elements = max(peak_elements, r.elements, r.elements_before or 0)
+                unswaps += r.phase == "unswap"
+    return h.hexdigest(), probs, peak_elements, unswaps
 
 
 def _read_probabilities(p: argparse.ArgumentParser, path: Path) -> dict[str, list[float]]:
@@ -92,9 +99,10 @@ def main(argv=None) -> int:
     other = _read_probabilities(p, args.against) if args.against else {}
     saved = {}
     for workload in args.workload or sorted(wl.WORKLOADS):
-        sha, probs = digest(workload, seeds)
+        sha, probs, peak_elements, unswaps = digest(workload, seeds)
         line = {"workload": workload, "seeds": seeds, "instances": len(probs),
-                "sha256": sha, "max_peak_prob": max(probs)}
+                "sha256": sha, "max_peak_prob": max(probs),
+                "peak_elements": peak_elements, "unswaps": unswaps}
         if workload in other:
             theirs = other[workload]
             if len(theirs) != len(probs):
