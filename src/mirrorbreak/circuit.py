@@ -267,13 +267,11 @@ class _Reader:
         return _error(self.src, message, offset)
 
     def peek(self) -> _Token | None:
+        """The next token, or None at the end of input or at a character
+        that starts no token; ``parse_qasm`` reports such a character."""
         m = _TOKEN.match(self.src, self.pos)
         kind = m.lastgroup
-        if kind is None:
-            if m.end() < len(self.src):
-                raise self.error(f"unexpected character {self.src[m.end()]!r}", m.end())
-            return None
-        return _Token(kind, m[kind], m.start(kind), m.end())
+        return None if kind is None else _Token(kind, m[kind], m.start(kind), m.end())
 
     def next(self) -> _Token:
         tok = self.peek()

@@ -74,20 +74,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(code: int, message) -> int:
+    """Print ``message`` as the command's ``error:`` line and return
+    ``code``, the exit code it maps to."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _load_circuit(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise SystemExit(_error(EXIT_IO, f"cannot read {path}: {exc}"))
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_error(EXIT_USAGE, f"{path}: not UTF-8 text: {exc}"))
     try:
         return parse_qasm(text)
     except QasmError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_error(EXIT_USAGE, f"{path}: {exc}"))
 
 
 def _write_histogram(path: str, counts: Counter) -> None:
@@ -98,30 +102,22 @@ def _write_histogram(path: str, counts: Counter) -> None:
             writer.writerow(["bitstring", "count"])
             writer.writerows(rows)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise SystemExit(_error(EXIT_IO, f"cannot write {path}: {exc}"))
 
 
 def _cmd_generate(args) -> int:
     try:
         inst = generate(args.qubits, args.depth, args.peak_weight, args.obf_swaps, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(EXIT_USAGE, exc)
     try:
         qasm_path, json_path = write_instance(inst, args.out)
     except OSError as exc:
-        print(f"error: cannot write instance: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(EXIT_IO, f"cannot write instance: {exc}")
     achieved = "n/a" if inst.achieved_weight is None else f"{inst.achieved_weight:.4f}"
     print(f"wrote {qasm_path} and {json_path}")
     print(f"peak {inst.peak} design_weight {inst.design_weight:.4f} achieved_weight {achieved}")
     return EXIT_OK
-
-
-def _usage_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _contract(circuit, args, trace: str | None = None, **config):
@@ -132,21 +128,21 @@ def _contract(circuit, args, trace: str | None = None, **config):
     try:
         cfg = ContractionConfig(**config)
     except ValueError as exc:
-        raise SystemExit(_usage_error(exc))
+        raise SystemExit(_error(EXIT_USAGE, exc))
     if args.shots < 1:
-        raise SystemExit(_usage_error(f"--shots must be >= 1, got {args.shots}"))
+        raise SystemExit(_error(EXIT_USAGE, f"--shots must be >= 1, got {args.shots}"))
     try:
         result = run(circuit, cfg)
         return result, sample_output(result, args.shots, args.seed)
     except ZeroTensorError as exc:
-        print(f"error: {exc}; try a smaller --epsilon", file=sys.stderr)
+        raise SystemExit(_error(EXIT_NO_RESULT, f"{exc}; try a smaller --epsilon"))
     except ValueError as exc:
-        raise SystemExit(_usage_error(exc))
+        raise SystemExit(_error(EXIT_USAGE, exc))
     except SvdConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(_error(EXIT_NO_RESULT, exc))
     except MemoryError:
-        print(f"error: out of memory contracting the circuit and drawing --shots "
-              f"{args.shots} samples; try fewer --shots", file=sys.stderr)
+        raise SystemExit(_error(EXIT_NO_RESULT, f"out of memory contracting the circuit and "
+                                f"drawing --shots {args.shots} samples; try fewer --shots"))
     except StallError as exc:
         print(f"stall: {exc}", file=sys.stderr)
         if trace:
@@ -160,7 +156,7 @@ def _contract(circuit, args, trace: str | None = None, **config):
 
 def _cmd_run(args, circuit) -> int:
     if not math.isfinite(args.tau):
-        return _usage_error(f"--tau must be finite, got {args.tau}")
+        return _error(EXIT_USAGE, f"--tau must be finite, got {args.tau}")
     result, samples = _contract(
         circuit,
         args,
@@ -176,8 +172,7 @@ def _cmd_run(args, circuit) -> int:
             with open(args.trace, "w") as fh:
                 emit_trace(result.trace, fh)
         except OSError as exc:
-            print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return _error(EXIT_IO, f"cannot write {args.trace}: {exc}")
 
     counts = Counter(samples)
     if args.hist:
@@ -191,12 +186,8 @@ def _cmd_run(args, circuit) -> int:
 def _cmd_verify(args, circuit) -> int:
     # the dense output that verify compares is capped by the chains module
     if circuit.num_qubits > DENSE_GUARD_QUBITS:
-        print(
-            f"error: oracle verification is capped at {DENSE_GUARD_QUBITS} qubits, "
-            f"got {circuit.num_qubits}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        return _error(EXIT_USAGE, f"oracle verification is capped at {DENSE_GUARD_QUBITS} "
+                                  f"qubits, got {circuit.num_qubits}")
     result, samples = _contract(circuit, args, epsilon=args.epsilon)
 
     reference = simulate(circuit)
@@ -227,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         # every command seeds numpy, which rejects a negative seed without
         # naming the flag
         if args.seed < 0:
-            return _usage_error(f"--seed must be >= 0, got {args.seed}")
+            return _error(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
         if args.command == "generate":
             return _cmd_generate(args)
         circuit = _load_circuit(args.circuit)

@@ -81,7 +81,9 @@ def generate(
     ``depth`` budgets the mirror block: the forward and mirrored halves
     together hold about ``depth`` two-qubit gates; the hidden permutation's
     swaps and ``obfuscation_swaps`` inserted swap pairs come on top. The
-    oracle verifies the achieved peak weight for n <= 14.
+    oracle verifies the achieved peak weight for n <= 14. ``peak_weight``
+    must lie in (2**-n, 1]: at or below 2**-n the planted peak is not the
+    unique argmax.
     """
     if n < 2:
         raise ValueError("need at least two qubits")
@@ -89,6 +91,11 @@ def generate(
         raise ValueError("depth must be at least the qubit count")
     if not (0.0 < peak_weight <= 1.0):
         raise ValueError("peak_weight must lie in (0, 1]")
+    if peak_weight <= 2.0**-n:
+        # each qubit's peak bit has probability peak_weight ** (1/n), which
+        # must exceed 1/2 for the planted peak to be the unique argmax
+        raise ValueError(f"peak_weight must exceed 2**-{n} = {2.0**-n:.6g} for the planted "
+                         f"peak of {n} qubits to be the argmax, got {peak_weight}")
     if obfuscation_swaps < 0:
         raise ValueError("obfuscation swap count must be >= 0")
 

@@ -8,7 +8,8 @@ keeps the ones that shrink the targeted bond, factoring the operator as
 
 where both factors are wire permutations. ``unswap(m, epsilon, chi_max)`` is
 one greedy function of the chain and the two truncation numbers, which
-carries the chain, both permutations and the accepted count as locals.
+carries the chain, one list of accepted (side, bond) swaps and one idle set
+as locals, and composes both permutations from the list at the end.
 Candidates are tried in batches of disjoint bonds, one batch per (side,
 parity) combination, so a step tests floor(N/2) candidates instead of one;
 cycles repeat until one reduces no bond, at most ``MAX_CYCLES`` of them.
@@ -20,10 +21,11 @@ transposes; a pair is split again only for an accepted swap or to trim
 slack from the bond, by the pair-split kernel that absorbs a layer's gates
 (``chains._update_pair``). A visit reads and writes only its own pair and
 bond and the spectrum of the bond left of it, so the visits of one batch
-are independent. A visit accepts only its own side's candidate, but marks
-every side whose candidate would not shrink the bond as idle there. Visits
-that cannot accept (an earlier visit found the same bond and side idle and
-no swap touched its pair since) are skipped.
+are independent. A visit accepts only its own side's candidate, but adds
+every (bond, side) whose candidate would not shrink the bond to the idle
+set; an accepted swap at a bond removes the entries within one bond of it,
+the ones whose pair it touched. A visit whose (bond, side) is idle is
+skipped.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .chains import (
     total_elements,
 )
 from .chains import move_center  # noqa: F401  unused; perfbench/run.py wraps this name
-from .routing import QubitPermutation
+from .routing import QubitPermutation, compose_transpositions
 from .tensor import check_cutoffs, singular_values, truncation_rank
 
 # a bound on the cycles of one call; measured calls never reach it (the
@@ -123,64 +125,57 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int) -> UnswapResu
     cycles, a bound this module owns rather than its callers.
 
     Every visit ranks all three sides' candidates, and one that accepts
-    nothing marks each side whose candidate would not shrink the bond idle
-    at it. A visit is skipped when its (bond, side) was marked idle and no
-    swap has been accepted on either site of its pair since. A unitary
-    wholly on one side of the cut changes neither the bond's spectrum nor
-    the candidates', and only swaps at bonds b-1, b and b+1 touch the pair,
-    so the skipped visit would again accept nothing. The swaps elsewhere
-    also re-truncate their own bond, which shifts these spectra by at most
-    the weight that truncation drops. So the decisions agree with those of
-    a sweep that visits every (bond, side) of every batch only up to that
-    weight: where truncation drops none they are the same, and at a cutoff
-    that bites a shifted spectrum can cross it and the two can accept
-    different swaps. Either way no bond grows, and each split drops at most
-    ``epsilon**2`` of the squared weight of its pair's weighted blob.
+    nothing adds each (bond, side) whose candidate would not shrink the
+    bond to the set ``idle``. A visit is skipped exactly when its (bond,
+    side) is in the set. An accepted swap at bond b removes the entries at
+    bonds b-1, b and b+1, whose pairs share a site with it. Only those
+    swaps touch a pair, and a unitary wholly on one side of the cut changes
+    neither the bond's spectrum nor the candidates', so a skipped visit
+    would again accept nothing. The swaps elsewhere also re-truncate their
+    own bond, which shifts these spectra by at most the weight that
+    truncation drops. So the decisions agree with those of a sweep that
+    visits every (bond, side) of every batch only up to that weight: where
+    truncation drops none they are the same, and at a cutoff that bites a
+    shifted spectrum can cross it and the two can accept different swaps.
+    Either way no bond grows, and each split drops at most ``epsilon**2`` of
+    the squared weight of its pair's weighted blob.
 
     Applying a swap S on the top legs turns M into S.M, so the original
     factors as M = S.(S.M): the left permutation gains the swap (its own
-    inverse) on the inside. Operator order fixes the composition direction:
-    the left permutation composes new swaps on the right, the right
-    permutation on the left.
+    inverse) on the inside. Operator order fixes the composition direction,
+    so both permutations are composed once from the accepted swaps
+    (``routing.compose_transpositions``): the right one from the swaps that
+    are not left-only in order, the left one from those that are not
+    right-only in reverse order.
     """
     check_cutoffs(epsilon, chi_max)
     before = total_elements(m)
     m = _with_spectra(m)
     n = m.num_sites
-    left = right = QubitPermutation.identity(n)
-    accepted = 0
-    visit = 0
-    swapped = [0] * n  # visit of the last accepted swap on each site
-    idle: dict[tuple[int, str], int] = {}  # last visit of (bond, side) that accepted nothing
+    swaps: list[tuple[str, int]] = []  # accepted (side, bond), in order
+    idle: set[tuple[int, str]] = set()  # (bond, side) pairs that cannot accept
     for _ in range(MAX_CYCLES):
         reduced_any = False
         for side, parity in _PARALLEL_CYCLE:
             for bond in range(parity, n - 1, 2):
-                if idle.get((bond, side), 0) > max(swapped[bond], swapped[bond + 1]):
+                if (bond, side) in idle:
                     continue
-                visit += 1
-                dims_before = m.bond_dims()[bond]
+                extent = m.sites[bond].shape[3]
                 m, stuck = _try_bond(m, bond, side, epsilon, chi_max)
                 if side in stuck:
-                    for s in stuck:
-                        idle[(bond, s)] = visit
+                    idle.update((bond, s) for s in stuck)
                     continue
-                tau = QubitPermutation.transposition(n, bond, bond + 1)
-                if side in ("left", "both"):
-                    left = left.compose(tau)
-                if side in ("right", "both"):
-                    right = tau.compose(right)
-                accepted += 1
-                swapped[bond] = swapped[bond + 1] = visit
-                if m.bond_dims()[bond] < dims_before:
-                    reduced_any = True
+                swaps.append((side, bond))
+                idle -= {(b, s) for b, s in idle if abs(b - bond) <= 1}
+                reduced_any |= m.sites[bond].shape[3] < extent
         if not reduced_any:
             break
     return UnswapResult(
         reduced=m,
-        left_perm=left,
-        right_perm=right,
-        accepted_swaps=accepted,
+        left_perm=compose_transpositions(
+            n, [(b, b + 1) for s, b in reversed(swaps) if s != "right"]),
+        right_perm=compose_transpositions(n, [(b, b + 1) for s, b in swaps if s != "left"]),
+        accepted_swaps=len(swaps),
         elements_before=before,
         elements_after=total_elements(m),
     )

@@ -76,6 +76,21 @@ class TestGenerate:
     def test_missing_flag_exits_2(self):
         assert main(["generate", "--qubits", "4"]) == 2
 
+    @pytest.mark.parametrize("n,depth,weight", [(2, 4, 0.1), (3, 4, 0.1), (4, 8, 0.05)])
+    def test_weight_below_the_argmax_bound_exits_2(self, tmp_path, capsys, n, depth, weight):
+        code = main(["generate", "--qubits", str(n), "--depth", str(depth),
+                     "--peak-weight", str(weight), "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: peak_weight must exceed 2**-{n} ")
+        assert not (tmp_path / "x.qasm").exists()
+
+    @pytest.mark.parametrize("n,weight", [(2, 0.3), (3, 0.2)])
+    def test_weight_above_the_argmax_bound_generates(self, tmp_path, n, weight):
+        code = main(["generate", "--qubits", str(n), "--depth", "4", "--peak-weight",
+                     str(weight), "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert (tmp_path / "x.qasm").exists()
+
 
 class TestProcessExit:
     """``main`` returns every failure's code; the process exits with it and

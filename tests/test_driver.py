@@ -944,6 +944,42 @@ class TestFixedModeDigest:
             "0430117a62ea7ae4af74920b9d32d3c7c6d4b9ee6ced278658194966472c8e40")
 
 
+class TestBitingCutoffDigest:
+    def test_outputs_and_unswap_work_are_pinned(self, monkeypatch):
+        """At the CLI's default epsilon 2e-3 unswap re-truncates a bond
+        before ranking its candidates, which never happens at the identity
+        gates' cutoffs. Adaptive runs on obfuscated instances at that cutoff
+        are pinned: trace tuples with accepted swaps, final elements,
+        samples and both permutations, and the number of bond visits and
+        re-truncations, so a coarser or finer skip rule shows here. A change
+        that alters these on purpose re-pins them and says so in
+        CHANGES.md."""
+        calls = {"_try_bond": 0, "_update_pair": 0}
+        unswap_module = importlib.import_module("mirrorbreak.unswap")
+        for name in calls:
+            def counted(*args, name=name, inner=getattr(unswap_module, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(unswap_module, name, counted)
+        cfg = ContractionConfig(epsilon=2e-3, tau=2000, side_mode="adaptive", stall_limit=40)
+        h = hashlib.sha256()
+        for seed in range(5):
+            inst = generate(n=8, depth=40, peak_weight=0.1, obfuscation_swaps=16, seed=seed)
+            result = run(inst.circuit, cfg)
+            record = {
+                "trace": [(r.phase, r.unitaries_consumed, r.elements, r.accepted_swaps)
+                          for r in result.trace],
+                "final_elements": result.final_elements,
+                "samples": sample_output(result, 200, seed=seed),
+                "output_permutation": result.output_permutation.mapping,
+                "input_permutation": result.input_permutation.mapping,
+            }
+            h.update(json.dumps(record, separators=(",", ":")).encode())
+        assert calls == {"_try_bond": 978, "_update_pair": 14}
+        assert h.hexdigest() == (
+            "d0c790b61b1c6ee9617774494dd7be8a9c5e104c0876462605ec538d767067da")
+
+
 class TestDeterminism:
     def test_identical_runs_give_identical_traces_and_samples(self):
         inst = generate(n=6, depth=30, peak_weight=0.3, obfuscation_swaps=6, seed=55)

@@ -68,6 +68,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="peak_weight"):
             generate(4, 10, 1.5, 0, 0)
 
+    @pytest.mark.parametrize("n,depth,weight", [(2, 4, 0.1), (3, 4, 0.1), (4, 8, 0.05)])
+    def test_weight_at_which_the_peak_is_not_the_argmax_is_rejected(self, n, depth, weight):
+        # each qubit's peak bit has probability weight ** (1/n), at most 1/2
+        # here, so another bitstring is at least as likely as the peak
+        with pytest.raises(ValueError, match=rf"peak_weight must exceed 2\*\*-{n} "):
+            generate(n, depth, weight, 0, 1)
+
+    @pytest.mark.parametrize("n,weight", [(2, 0.3), (3, 0.2)])
+    def test_weight_above_the_bound_plants_the_argmax(self, n, weight):
+        inst = generate(n, 4, weight, 0, 1)
+        top, p = peak_of(simulate(inst.circuit))
+        assert top == inst.peak
+        assert p == pytest.approx(weight, abs=1e-9)
+
     def test_large_instances_skip_oracle_check(self):
         inst = generate(n=16, depth=32, peak_weight=0.5, obfuscation_swaps=2, seed=6)
         assert inst.achieved_weight is None

@@ -37,6 +37,7 @@ def test_one_line_with_digest_and_instance_count(saved):
     assert line["instances"] == 5
     assert re.fullmatch(r"[0-9a-f]{64}", line["sha256"])
     assert line["peak_elements"] == 448 and line["unswaps"] == 0
+    assert line["accepted_swaps"] == 0
     assert len(json.loads(path.read_text())["mirror-wide"]) == 5
 
 
@@ -66,6 +67,7 @@ def test_hidden_perm_digest_is_pinned():
     assert line["sha256"] == (
         "28bb05c4473905159dc78c4cf82ce792d1a83de62caf19724c779a11c0095549")
     assert line["peak_elements"] == 1632 and line["unswaps"] == 277
+    assert line["accepted_swaps"] == 1292
 
 
 def test_round_trip_against_saved_probabilities(saved):

@@ -11,9 +11,10 @@ shot seeds, and prints one JSON line: a SHA-256 over every instance's
 ``(phase, unitaries_consumed, elements)`` trace tuples, ``final_elements``,
 sampled bitstrings and output and input permutations, the largest exact
 peak probability read from the output state, the largest chain seen in any
-trace (``peak_elements``, counting each unswap's ``elements_before``) and
-the number of unswaps. Two checkouts that print the same digest produce the
-same trajectories, samples and permutations.
+trace (``peak_elements``, counting each unswap's ``elements_before``), the
+number of unswaps and the swaps they accepted (``accepted_swaps``). Two
+checkouts that print the same digest produce the same trajectories, samples
+and permutations.
 
 ``--save PATH`` also writes every instance's peak probability to PATH;
 ``--against PATH`` reads such a file written by another checkout and adds
@@ -35,14 +36,14 @@ import mirrorbreak as mb  # noqa: E402
 import workloads as wl  # noqa: E402
 
 
-def digest(workload: str, seeds: list[int]) -> tuple[str, list[float], int, int]:
+def digest(workload: str, seeds: list[int]) -> tuple[str, list[float], int, int, int]:
     """SHA-256 of the outputs on every instance of ``workload`` at ``seeds``,
     the instances' peak probabilities in the same order, the largest chain
-    in any trace, and the number of unswaps."""
+    in any trace, the number of unswaps and the swaps they accepted."""
     w = wl.WORKLOADS[workload]
     h = hashlib.sha256()
     probs = []
-    peak_elements = unswaps = 0
+    peak_elements = unswaps = accepted_swaps = 0
     for seed in seeds:
         for inst in wl.make_instances(w, seed):
             result = mb.run(mb.parse_qasm(inst.qasm), w.config)
@@ -61,7 +62,8 @@ def digest(workload: str, seeds: list[int]) -> tuple[str, list[float], int, int]
             for r in result.trace:
                 peak_elements = max(peak_elements, r.elements, r.elements_before or 0)
                 unswaps += r.phase == "unswap"
-    return h.hexdigest(), probs, peak_elements, unswaps
+                accepted_swaps += r.accepted_swaps or 0
+    return h.hexdigest(), probs, peak_elements, unswaps, accepted_swaps
 
 
 def _read_probabilities(p: argparse.ArgumentParser, path: Path) -> dict[str, list[float]]:
@@ -99,10 +101,10 @@ def main(argv=None) -> int:
     other = _read_probabilities(p, args.against) if args.against else {}
     saved = {}
     for workload in args.workload or sorted(wl.WORKLOADS):
-        sha, probs, peak_elements, unswaps = digest(workload, seeds)
+        sha, probs, peak_elements, unswaps, accepted_swaps = digest(workload, seeds)
         line = {"workload": workload, "seeds": seeds, "instances": len(probs),
-                "sha256": sha, "max_peak_prob": max(probs),
-                "peak_elements": peak_elements, "unswaps": unswaps}
+                "sha256": sha, "max_peak_prob": max(probs), "peak_elements": peak_elements,
+                "unswaps": unswaps, "accepted_swaps": accepted_swaps}
         if workload in other:
             theirs = other[workload]
             if len(theirs) != len(probs):
