@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -155,8 +154,9 @@ def _contract(circuit, args, trace: str | None = None, **config):
 
 
 def _cmd_run(args, circuit) -> int:
-    if not math.isfinite(args.tau):
-        return _error(EXIT_USAGE, f"--tau must be finite, got {args.tau}")
+    # argparse leaves the default an int; is_integer() is False on inf and NaN
+    if not float(args.tau).is_integer():
+        return _error(EXIT_USAGE, f"--tau must be finite and whole, got {args.tau}")
     result, samples = _contract(
         circuit,
         args,

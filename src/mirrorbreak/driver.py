@@ -143,14 +143,9 @@ class StallError(RuntimeError):
 
 
 def _carry(b: QubitPermutation, gates) -> QubitPermutation:
-    """``b`` composed on the right with each routing swap of ``gates``, in
-    the order given."""
-    mapping = list(b.mapping)
-    for g in gates:
-        if g.origin == ORIGIN_ROUTING:
-            x, y = g.qubits
-            mapping[x], mapping[y] = mapping[y], mapping[x]
-    return QubitPermutation(tuple(mapping))
+    """``b`` carried across the routing swaps of ``gates``, in the order
+    given: each is composed on the right (``QubitPermutation.swapped``)."""
+    return b.swapped(g.qubits for g in gates if g.origin == ORIGIN_ROUTING)
 
 
 @dataclass
@@ -391,11 +386,14 @@ def parse_trace(text: str) -> tuple[TraceRecord, ...]:
     """Records written by :func:`emit_trace`. A line's keys that are not
     ``TraceRecord`` fields are ignored, and an optional field it lacks is
     None, so traces written before a field existed still parse; a line
-    without a required field raises ``TypeError``."""
+    without a required field, or one whose JSON is not an object, raises
+    ``TypeError``."""
     names = {f.name for f in fields(TraceRecord)}
     records = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
             d = json.loads(line)
+            if not isinstance(d, dict):
+                raise TypeError(f"trace line {number} is not a JSON object: {line.strip()}")
             records.append(TraceRecord(**{k: v for k, v in d.items() if k in names}))
     return tuple(records)

@@ -46,12 +46,6 @@ class QubitPermutation:
     def identity(cls, n: int) -> "QubitPermutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "QubitPermutation":
-        m = list(range(n))
-        m[i], m[j] = m[j], m[i]
-        return cls(tuple(m))
-
     @property
     def size(self) -> int:
         return len(self.mapping)
@@ -73,6 +67,16 @@ class QubitPermutation:
         if self.size != other.size:
             raise ValueError("permutation size mismatch")
         return QubitPermutation(tuple(self.mapping[o] for o in other.mapping))
+
+    def swapped(self, pairs) -> "QubitPermutation":
+        """self composed on the right with the transposition of each (i, j)
+        of ``pairs``, in order: swapping entries i and j of the mapping gives
+        ``self . t`` for the transposition t of i and j. The rule for
+        crossing a swap, wherever a wire map is carried across one."""
+        mapping = list(self.mapping)
+        for i, j in pairs:
+            mapping[i], mapping[j] = mapping[j], mapping[i]
+        return QubitPermutation(tuple(mapping))
 
     def apply_to_bits(self, bits: str) -> str:
         out = ["0"] * self.size
@@ -99,14 +103,6 @@ class QubitPermutation:
         return tuple(swaps)
 
 
-def compose_transpositions(n: int, swaps) -> QubitPermutation:
-    """Apply (i, i+1) label swaps in order to the identity mapping."""
-    perm = QubitPermutation.identity(n)
-    for i, j in swaps:
-        perm = QubitPermutation.transposition(n, i, j).compose(perm)
-    return perm
-
-
 @dataclass(frozen=True)
 class RoutedCircuit:
     circuit: Circuit
@@ -114,13 +110,11 @@ class RoutedCircuit:
 
 
 class _Layout:
-    """Mutable logical<->wire map used while routing and stripping."""
+    """Mutable logical<->wire map used while routing, from the identity."""
 
-    def __init__(self, n: int, mapping=None):
-        self.l2p = list(mapping) if mapping is not None else list(range(n))
-        self.p2l = [0] * n
-        for l, p in enumerate(self.l2p):
-            self.p2l[p] = l
+    def __init__(self, n: int):
+        self.l2p = list(range(n))
+        self.p2l = list(range(n))
 
     def swap_wires(self, w1: int, w2: int):
         a, b = self.p2l[w1], self.p2l[w2]
@@ -173,18 +167,21 @@ def strip_transpilation_swaps(
     ``initial_layout`` is the layout in force at the first gate (identity for
     a complete forward-routed circuit; a routed remainder passes the layout
     at its front). Source gates, including source SWAPs, are kept.
+
+    The one map kept is wire -> logical qubit, the inverse of the layout,
+    and a routing swap exchanges its two wires' entries.
     """
     n = c.num_qubits
     if initial_layout is not None and initial_layout.size != n:
         raise ValueError(f"layout on {initial_layout.size} wires, circuit has {n}")
-    layout = _Layout(n, initial_layout.mapping if initial_layout else None)
+    logical = list(initial_layout.inverse().mapping) if initial_layout else list(range(n))
     out: list[Gate] = []
     for g in c.gates:
         if g.origin == ORIGIN_ROUTING:
             w1, w2 = g.qubits
-            layout.swap_wires(w1, w2)
+            logical[w1], logical[w2] = logical[w2], logical[w1]
             continue
-        out.append(g._moved(tuple(layout.p2l[q] for q in g.qubits)))  # a source gate
+        out.append(g._moved(tuple(logical[q] for q in g.qubits)))  # a source gate
     return Circuit._checked(n, tuple(out))
 
 

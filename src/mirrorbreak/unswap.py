@@ -44,7 +44,7 @@ from .chains import (
     total_elements,
 )
 from .chains import move_center  # noqa: F401  unused; perfbench/run.py wraps this name
-from .routing import QubitPermutation, compose_transpositions
+from .routing import QubitPermutation
 from .tensor import check_cutoffs, singular_values, truncation_rank
 
 # a bound on the cycles of one call; measured calls never reach it (the
@@ -142,11 +142,12 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int) -> UnswapResu
 
     Applying a swap S on the top legs turns M into S.M, so the original
     factors as M = S.(S.M): the left permutation gains the swap (its own
-    inverse) on the inside. Operator order fixes the composition direction,
-    so both permutations are composed once from the accepted swaps
-    (``routing.compose_transpositions``): the right one from the swaps that
-    are not left-only in order, the left one from those that are not
-    right-only in reverse order.
+    inverse) on the inside, that is composed on its right. A swap on the
+    bottom legs turns M into M.S, and the right permutation gains it on its
+    left. So both permutations are composed once from the identity by
+    ``QubitPermutation.swapped``, which composes on the right: the left one
+    from the swaps that are not right-only, in order, the right one from
+    those that are not left-only, in reverse order.
     """
     check_cutoffs(epsilon, chi_max)
     before = total_elements(m)
@@ -170,11 +171,11 @@ def unswap(m: MatrixProductOperator, epsilon: float, chi_max: int) -> UnswapResu
                 reduced_any |= m.sites[bond].shape[3] < extent
         if not reduced_any:
             break
+    identity = QubitPermutation.identity(n)
     return UnswapResult(
         reduced=m,
-        left_perm=compose_transpositions(
-            n, [(b, b + 1) for s, b in reversed(swaps) if s != "right"]),
-        right_perm=compose_transpositions(n, [(b, b + 1) for s, b in swaps if s != "left"]),
+        left_perm=identity.swapped((b, b + 1) for s, b in swaps if s != "right"),
+        right_perm=identity.swapped((b, b + 1) for s, b in reversed(swaps) if s != "left"),
         accepted_swaps=len(swaps),
         elements_before=before,
         elements_after=total_elements(m),

@@ -229,6 +229,8 @@ class TestRun:
         (["--side", "fixed:"], "side_mode must be adaptive or fixed:1, got 'fixed:'"),
         (["--side", "fixed:1.5"], "side_mode must be adaptive or fixed:1, got 'fixed:1.5'"),
         (["--side", "fixed:2"], "side_mode must be adaptive or fixed:1, got 'fixed:2'"),
+        (["--tau", "0.5"], "--tau must be finite and whole, got 0.5"),
+        (["--tau", "15.9"], "--tau must be finite and whole, got 15.9"),
     ])
     def test_invalid_run_values_exit_2(self, instance_files, capsys, flags, message):
         qasm_path, _ = instance_files
@@ -236,6 +238,12 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("tau", ["1e6", "5000.0"])
+    def test_whole_float_tau_runs(self, instance_files, capsys, tau):
+        qasm_path, _ = instance_files
+        assert main(["run", "--circuit", str(qasm_path), "--tau", tau, "--shots", "10"]) == 0
+        assert capsys.readouterr().out.startswith("top ")
 
 
 class TestQubitLimit:
@@ -364,7 +372,9 @@ NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 # flag -> (strategy for accepted values, strategy for rejected values)
 RUN_FLAGS = {
     "--epsilon": (st.floats(0, 0.5), NON_FINITE | st.floats(max_value=-1e-300)),
-    "--tau": (st.floats(16, 1e6), NON_FINITE | st.floats(-100, 15.9)),
+    "--tau": (st.integers(16, 10**6),
+              NON_FINITE | st.floats(-100, 15.9) | st.floats(16, 1e6).filter(
+                  lambda x: not x.is_integer())),
     "--chi-max": (st.integers(1, 64), st.integers(-2, 0)),
     "--side": (st.sampled_from(["adaptive", "fixed:1"]),
                st.sampled_from(["fixed:0", "fixed:-1", "fixed:x", "fixed:", "fixed:2", "fixed:3",

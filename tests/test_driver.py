@@ -258,7 +258,7 @@ class TestArbitraryExtractions:
                 # S.(S.M) == M: the swap moves into the permutations the way
                 # unswap composes them
                 m = chains.apply_swap_boundary(m, bond, side, 0.0, chi_max)
-                tau = QubitPermutation.transposition(n, bond, bond + 1)
+                tau = QubitPermutation.identity(n).swapped([(bond, bond + 1)])
                 if side in ("left", "both"):
                     left = left.compose(tau)
                 if side in ("right", "both"):
@@ -899,7 +899,7 @@ class TestPeeling:
         start = outer
         for g in reversed(listed):
             if g.origin == ORIGIN_ROUTING:
-                start = start.compose(QubitPermutation.transposition(n, *g.qubits))
+                start = start.compose(QubitPermutation.identity(n).swapped([g.qubits]))
         side = _Side(which, listed, start)
         assert side.boundary == start
         remaining = list(gates)
@@ -912,7 +912,7 @@ class TestPeeling:
             assert side.remaining() == (remaining if which == "left" else remaining[::-1])
             for g in layer:
                 if g.origin == ORIGIN_ROUTING:
-                    boundary = boundary.compose(QubitPermutation.transposition(n, *g.qubits))
+                    boundary = boundary.compose(QubitPermutation.identity(n).swapped([g.qubits]))
             assert side.boundary == boundary
         assert side.exhausted and side.layer() is None
         assert side.boundary == outer
@@ -1047,6 +1047,12 @@ class TestTrace:
         assert parse_trace(line) == (TraceRecord("absorb", 3, 48, 0.1),)
         with pytest.raises(TypeError, match="elements"):
             parse_trace('{"phase":"absorb","unitaries_consumed":3,"wall_time_s":0.1}')
+
+    @pytest.mark.parametrize("bad", ["1", "[]", '"x"', "null"])
+    def test_a_line_that_is_not_a_json_object_raises_type_error(self, bad):
+        good = '{"phase":"absorb","unitaries_consumed":3,"elements":48,"wall_time_s":0.1}'
+        with pytest.raises(TypeError, match=f"trace line 3 is not a JSON object: {re.escape(bad)}"):
+            parse_trace(f"{good}\n\n{bad}\n{good}\n")
 
     def test_run_fills_the_unswap_fields(self):
         inst = generate(n=6, depth=30, peak_weight=0.4, obfuscation_swaps=6, seed=17)

@@ -9,7 +9,6 @@ from mirrorbreak.oracle import permutation_unitary, unitary
 from mirrorbreak.routing import (
     QubitPermutation,
     RoutedCircuit,
-    compose_transpositions,
     reindex,
     route_linear,
     strip_transpilation_swaps,
@@ -58,6 +57,42 @@ class TestQubitPermutation:
             rhs = permutation_unitary(a.compose(b).mapping)
             np.testing.assert_array_equal(lhs, rhs)
 
+    @staticmethod
+    def transposition(n: int, i: int, j: int) -> QubitPermutation:
+        t = list(range(n))
+        t[i], t[j] = t[j], t[i]
+        return QubitPermutation(tuple(t))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_swapped_is_a_chain_of_compose(self, seed):
+        # the reference composes one single-swap permutation at a time on
+        # the right; pairs are adjacent or not, in either order
+        rng = np.random.default_rng(640 + seed)
+        n = int(rng.integers(2, 9))
+        p = QubitPermutation(tuple(int(x) for x in rng.permutation(n)))
+        pairs = [tuple(int(x) for x in rng.choice(n, 2, replace=False))
+                 for _ in range(int(rng.integers(1, 12)))]
+        expected = p
+        for i, j in pairs:
+            expected = expected.compose(self.transposition(n, i, j))
+        assert p.swapped(pairs) == expected
+        assert p.swapped(iter(pairs)) == expected  # one pass over a generator
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (3, 2), (0, 4), (4, 1)])
+    def test_swapped_one_pair_is_the_operator_product(self, i, j):
+        p = QubitPermutation((2, 0, 4, 1, 3))
+        t = self.transposition(5, i, j)
+        lhs = permutation_unitary(p.swapped([(i, j)]).mapping)
+        rhs = permutation_unitary(p.mapping) @ permutation_unitary(t.mapping)
+        np.testing.assert_array_equal(lhs, rhs)
+
+    def test_swapped_repeated_pair_cancels_and_empty_list_is_identity(self):
+        p = QubitPermutation((2, 0, 4, 1, 3))
+        assert p.swapped([(1, 3), (1, 3)]) == p
+        assert p.swapped([(0, 1), (2, 4), (2, 4), (0, 1)]) == p
+        assert p.swapped([]) == p
+        assert QubitPermutation.identity(0).swapped([]) == QubitPermutation.identity(0)
+
     def test_inverse(self):
         p = QubitPermutation((2, 0, 1, 3))
         assert p.compose(p.inverse()).is_identity()
@@ -71,7 +106,7 @@ class TestQubitPermutation:
         fact = p.factorization
         assert all(j == i + 1 for i, j in fact)
         assert len(fact) <= n * (n - 1) // 2
-        assert compose_transpositions(n, fact).mapping == p.mapping
+        assert QubitPermutation.identity(n).swapped(reversed(fact)).mapping == p.mapping
 
     def test_apply_to_bits(self):
         p = QubitPermutation((1, 2, 0))
@@ -191,7 +226,7 @@ class TestStrip:
         consumed_source = 0
         for g in gates[:cut]:
             if g.origin == "transpilation-swap":
-                layout = QubitPermutation.transposition(5, *g.qubits).compose(layout)
+                layout = QubitPermutation.identity(5).swapped([g.qubits]).compose(layout)
             else:
                 consumed_source += 1
         tail = Circuit(5, gates[cut:])

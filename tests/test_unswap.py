@@ -306,7 +306,8 @@ class TestPairRanks:
         dense = mpo_to_dense(m)
         trimmed = 0
         for bond in range(n - 1):
-            swap = permutation_unitary(QubitPermutation.transposition(n, bond, bond + 1).mapping)
+            swap = permutation_unitary(
+                QubitPermutation.identity(n).swapped([(bond, bond + 1)]).mapping)
             swapped = {"left": swap @ dense, "right": dense @ swap, "both": swap @ dense @ swap}
             rank, candidates = _pair_ranks(m, bond, epsilon, 4096)
             assert rank == truncation_rank(operator_spectrum(dense, bond), epsilon, 4096)
